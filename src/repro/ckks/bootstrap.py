@@ -81,7 +81,7 @@ class Bootstrapper:
         """
         n = self.ctx.params.ring_degree
         slots = self.n_slots
-        emb = encoding._embedding_matrix(n, slots)         # n_slots x N
+        emb = encoding.reference_embedding_matrix(n)       # n_slots x N
         stacked = np.vstack([emb, np.conj(emb)])           # N x N
         selector = np.hstack([np.eye(slots),
                               1j * np.eye(slots)])         # n x N

@@ -130,7 +130,11 @@ class CkksContext:
     # -- encoding / encryption ------------------------------------------
     def encode(self, message: Sequence, level: int | None = None,
                scale: float | None = None) -> Plaintext:
-        """Encode complex slots into a plaintext at ``level``."""
+        """Encode complex slots into a plaintext at ``level``.
+
+        Raises :class:`~repro.ckks.encoding.EncodingError` (a
+        ``ValueError``) for NaN/inf slots.
+        """
         p = self.params
         if level is None:
             level = p.max_level
@@ -260,9 +264,12 @@ class CkksContext:
     def add_scalar(self, ct: Ciphertext, scalar: float) -> Ciphertext:
         """CAdd: add one constant to every slot (at the current scale)."""
         value = int(round(scalar * ct.scale))
-        coeffs = [value] + [0] * (self.params.ring_degree - 1)
-        poly = rns.from_big_ints(coeffs, ct.moduli,
-                                 self.params.ring_degree).to_eval()
+        # A constant polynomial evaluates to ``value mod q_i`` at every
+        # NTT point, so its EVAL form needs no coefficient list and no
+        # transform.
+        n = self.params.ring_degree
+        poly = RnsPoly([modmath.add(modmath.zeros(n, q), value, q)
+                        for q in ct.moduli], ct.moduli, rns.EVAL)
         return Ciphertext(ct.c0 + poly, ct.c1.copy(), ct.scale, ct.level)
 
     def _check_plain(self, ct: Ciphertext, pt: Plaintext,

@@ -24,6 +24,7 @@ modular inverses.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from time import perf_counter
 
@@ -484,6 +485,9 @@ class BConvPlan:
     # accumulation (checked against the actual k_in below).
     PIECE_BITS = 22
 
+    # Scratch-buffer sets kept per plan, over all input lengths.
+    _WS_POOL_SETS = 4
+
     __slots__ = ("src_moduli", "dst_moduli", "k_in", "k_out", "backend",
                  "src_product", "matrix_path", "total_bits",
                  "_dst_kernels", "_src_kernels", "_ew_w", "_ew_ws",
@@ -491,7 +495,7 @@ class BConvPlan:
                  "_pieces_in", "_block_stack", "_shifts",
                  "_reduce_float", "_vf_gemm", "_scales", "_dst_qf",
                  "_dst_q", "_t64_w", "_t64_ws",
-                 "_down_inv", "_down_pairs", "_ws_pool")
+                 "_down_inv", "_down_pairs", "_ws_pool", "_ws_lock")
 
     def __init__(self, src_moduli, dst_moduli, backend=None):
         self.src_moduli = tuple(int(q) for q in src_moduli)
@@ -510,6 +514,7 @@ class BConvPlan:
         self._src_kernels = [modmath.get_kernel(q, backend=be)
                              for q in self.src_moduli]
         self._ws_pool = []
+        self._ws_lock = threading.Lock()
         self.matrix_path = self._matrix_feasible()
         if self.matrix_path and self.k_in and self.k_out:
             # Every constant column below is built host-side, then
@@ -671,20 +676,21 @@ class BConvPlan:
     def _workspace(self, n: int) -> dict:
         """Check out a scratch-buffer set for length-``n`` inputs.
 
-        Buffers are pooled on the plan (list ``pop``/``append`` are
-        GIL-atomic, so concurrent converts simply allocate their own
-        set) — the steady state runs with zero large allocations.
+        Buffers are pooled on the plan and matched by length, so a
+        plan that serves two lengths (``rotate`` at N, a hoisted
+        ``mod_down_batch`` at r*N) keeps a warm set for each instead of
+        dropping the other's on every call; concurrent converts simply
+        allocate their own set — the steady state runs with zero large
+        allocations.
         Pool misses are ledger-counted as ``kernel.alloc.bconv``, the
         same way the NTT and KMU arenas count theirs (see
         :mod:`repro.backend.arena`), so "zero steady-state allocs" is
         asserted by the bench profile and CI, never assumed.
         """
-        try:
-            ws = self._ws_pool.pop()
-            if ws["n"] == n:
-                return ws
-        except IndexError:
-            pass
+        with self._ws_lock:
+            for i, ws in enumerate(self._ws_pool):
+                if ws["n"] == n:
+                    return self._ws_pool.pop(i)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.count("kernel.alloc.bconv")
@@ -709,7 +715,9 @@ class BConvPlan:
         return ws
 
     def _release(self, ws: dict) -> None:
-        if len(self._ws_pool) < 4:
+        with self._ws_lock:
+            if len(self._ws_pool) >= self._WS_POOL_SETS:
+                del self._ws_pool[0]        # least recently released
             self._ws_pool.append(ws)
 
     def _stack_input(self, limbs, n: int, out: np.ndarray) -> np.ndarray:

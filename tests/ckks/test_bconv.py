@@ -270,6 +270,36 @@ class TestBConvPlanCache:
         finally:
             obs_tracer.configure(enabled=False, reset=True)
 
+    def test_two_lengths_share_a_plan_without_reallocating(
+            self, rng, _fresh_bconv_cache):
+        """One plan serving N (``rotate``) and r*N (``mod_down_batch``)
+        keeps a warm workspace per length: interleaving them used to
+        drop and reallocate both sets on every call."""
+        src = _chain([(3, 28)])
+        dst = _chain([(2, 28)], exclude=src)
+        plan = get_bconv_plan(src, dst)
+        short = _uniform_poly(rng, src).limbs
+        long = _uniform_poly(rng, src, n=7 * N).limbs
+        want = [plan.convert(short), plan.convert(long)]       # warm-up
+        tracer = obs_tracer.configure(enabled=True, reset=True)
+        try:
+            for _ in range(3):
+                got = [plan.convert(short), plan.convert(long)]
+            assert tracer.counter_value("kernel.alloc.bconv") == 0
+        finally:
+            obs_tracer.configure(enabled=False, reset=True)
+        for got_limbs, want_limbs in zip(got, want):
+            for a, b in zip(got_limbs, want_limbs):
+                assert np.array_equal(a, b)
+
+    def test_workspace_pool_stays_bounded(self, rng, _fresh_bconv_cache):
+        src = _chain([(3, 28)])
+        dst = _chain([(2, 28)], exclude=src)
+        plan = get_bconv_plan(src, dst)
+        for r in range(1, plan._WS_POOL_SETS + 3):
+            plan.convert(_uniform_poly(rng, src, n=r * N).limbs)
+        assert len(plan._ws_pool) == plan._WS_POOL_SETS
+
 
 # -- duplicate-moduli guard (mod_up mis-pair regression) ------------------
 

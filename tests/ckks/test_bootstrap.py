@@ -49,7 +49,7 @@ class TestSetup:
         from repro.ckks import encoding
         rng = np.random.default_rng(1)
         c = rng.integers(-100, 100, n).astype(float)
-        emb = encoding._embedding_matrix(n, n // 2)
+        emb = encoding.reference_embedding_matrix(n)
         z = emb @ c
         w = bs.cts_a @ z + bs.cts_b @ np.conj(z)
         assert np.max(np.abs(w - (c[:n // 2] + 1j * c[n // 2:]))) < 1e-8

@@ -88,6 +88,24 @@ class TestAdditive:
         ct = ctx32.add_scalar(ctx32.encrypt(np.tile(a, 4)), 2.5)
         assert err(ctx32, ct, a + 2.5) < TOL
 
+    @pytest.mark.parametrize("level", [None, 1])
+    @pytest.mark.parametrize("scalar", [2.5, -1.75])
+    def test_add_scalar_matches_encoded_constant(self, ctx32, level, scalar):
+        """The direct EVAL-form constant is bit-identical to encoding
+        ``[value, 0, ..]`` and transforming it (the old construction)."""
+        from repro.ckks import rns
+        ct = ctx32.encrypt(np.tile(vec(ctx32, seed=4), 4), level=level)
+        n = ctx32.params.ring_degree
+        value = int(round(scalar * ct.scale))
+        constant = rns.from_big_ints([value] + [0] * (n - 1), ct.moduli,
+                                     n).to_eval()
+        got = ctx32.add_scalar(ct, scalar)
+        for limb, want in zip(got.c0.limbs, (ct.c0 + constant).limbs):
+            assert limb.dtype == want.dtype
+            assert np.array_equal(limb, want)
+        for limb, want in zip(got.c1.limbs, ct.c1.limbs):
+            assert np.array_equal(limb, want)
+
 
 class TestMultiplicative:
     @pytest.mark.parametrize("method", [HYBRID, KLSS])
