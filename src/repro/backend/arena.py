@@ -30,11 +30,6 @@ from repro.obs.tracer import get_tracer
 
 _TRACER = get_tracer()
 
-#: ledger domains wired into the bench ``--profile`` table and the CI
-#: ``ntt_fused`` gate.  Arbitrary strings are accepted; these are the
-#: ones the kernel tiers use.
-DOMAINS = ("ntt", "bconv", "kmu")
-
 
 class WorkspaceArena:
     """Keyed pool of device work buffers for one kernel plan.

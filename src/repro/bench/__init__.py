@@ -2,19 +2,14 @@
 
 Runs the Table 5 workloads (bootstrap, HELR training iterations,
 ResNet-20 trace slices) through the cycle simulator and writes
-``BENCH_sim.json`` (schema ``repro-bench/v10``): per-workload host
+``BENCH_sim.json`` (schema ``repro-bench/v11``): per-workload host
 wall-time, simulated latency, per-unit utilisation, Hemera cache-hit
 rate and HBM traffic; a ``micro`` section with modmul/NTT kernel
 microbenchmarks, the matrix-form base-conversion kernel against the
 per-pair scalar loop at Set-II-mini key-switch shapes (``bconv``),
 and a functional HELR-style step at toy or Set-II-shaped wide-word
 parameters (``--params toy|full``), including the width-path and
-conversion-path occupancy counters; an ``ntt_fused`` section
-timing the fused radix-4 lazy-reduction NTT tier against the
-radix-2 oracle at Set-II-mini shapes, with a width-grid
-bit-exactness differential and a warmed functional step whose
-``kernel.alloc.*`` workspace ledger must stay flat;
-a ``keyswitch`` section timing
+conversion-path occupancy counters; a ``keyswitch`` section timing
 the eval-domain AutoPlan gather, the fused KeyMultPlan and hoisted
 rotations against their pre-plan reference pipelines (with a traced
 zero-NTT check on the hoisting loop); a ``sched`` section with
@@ -38,11 +33,9 @@ from repro.bench.harness import (BENCH_SCHEMA, compare_reports,
                                  run_benchmarks, write_report)
 from repro.bench.keyswitch import run_keyswitch, validate_keyswitch
 from repro.bench.micro import run_micro, validate_micro
-from repro.bench.ntt_fused import run_ntt_fused, validate_ntt_fused
 from repro.bench.sched import run_sched, scaling_curve, validate_sched
 
 __all__ = ["BENCH_SCHEMA", "compare_reports", "run_benchmarks",
-           "run_keyswitch", "run_micro", "run_ntt_fused", "run_sched",
+           "run_keyswitch", "run_micro", "run_sched",
            "scaling_curve", "validate_keyswitch", "validate_micro",
-           "validate_ntt_fused", "validate_sched",
-           "write_report"]
+           "validate_sched", "write_report"]

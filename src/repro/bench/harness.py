@@ -24,7 +24,7 @@ import platform
 import sys
 import time
 
-BENCH_SCHEMA = "repro-bench/v10"
+BENCH_SCHEMA = "repro-bench/v11"
 DEFAULT_OUT = "BENCH_sim.json"
 DEFAULT_PARAMS_MODE = "full"
 QUICK_RESNET_OPS = 1500
@@ -99,7 +99,7 @@ def run_benchmarks(config=None, quick: bool = False,
     """Run every workload; returns the full report dict."""
     from repro import __version__, obs
     from repro.bench import (backend as backend_bench, dataflow,
-                             keyswitch, micro, ntt_fused, sched, serving)
+                             keyswitch, micro, sched, serving)
     from repro.hw.config import FAST_CONFIG
     from repro.sim.engine import Engine
 
@@ -114,7 +114,6 @@ def run_benchmarks(config=None, quick: bool = False,
             # the regression numbers must not depend on run order.
             workloads[name] = _measure(Engine(config), trace, repeats)
         micro_report = micro.run_micro(params_mode=params_mode, quick=quick)
-        ntt_fused_report = ntt_fused.run_ntt_fused(quick=quick)
         keyswitch_report = keyswitch.run_keyswitch(quick=quick)
         sched_report = sched.run_sched(quick=quick, clusters=clusters)
         throughput_report = sched.run_throughput(quick=quick,
@@ -146,7 +145,6 @@ def run_benchmarks(config=None, quick: bool = False,
         },
         "workloads": workloads,
         "micro": micro_report,
-        "ntt_fused": ntt_fused_report,
         "keyswitch": keyswitch_report,
         "sched": sched_report,
         "throughput": throughput_report,
@@ -187,9 +185,6 @@ def compare_reports(current: dict, baseline: dict,
     regressions.extend(_compare_micro(current.get("micro") or {},
                                       baseline.get("micro") or {},
                                       wall_tolerance))
-    regressions.extend(_compare_ntt_fused(current.get("ntt_fused") or {},
-                                          baseline.get("ntt_fused") or {},
-                                          wall_tolerance))
     regressions.extend(_compare_keyswitch(current.get("keyswitch") or {},
                                           baseline.get("keyswitch") or {},
                                           wall_tolerance))
@@ -345,54 +340,6 @@ def _compare_throughput(current: dict, baseline: dict,
     return regressions
 
 
-def _compare_ntt_fused(current: dict, baseline: dict,
-                       wall_tolerance: float) -> list[str]:
-    """Fused-NTT regressions against a baseline report.
-
-    Fused-tier walls per case get the loose host tolerance; the
-    speedup over the radix-2 oracle divides out most host variance so
-    shrinking below the baseline by the same factor is flagged too.
-    Steady-state allocation increments are exact integers: any growth
-    over a zero baseline is a workspace-pooling regression.  Pre-v10
-    baselines lack the section and are skipped.
-    """
-    if not current or not baseline:
-        return []
-    regressions = []
-    base_cases = baseline.get("cases", {})
-    for name, case in current.get("cases", {}).items():
-        base = base_cases.get(name, {})
-        if case.get("ring_degree") != base.get("ring_degree"):
-            continue
-        now_fused, ref_fused = case.get("radix4_best_s"), \
-            base.get("radix4_best_s")
-        if ref_fused and now_fused is not None \
-                and now_fused / ref_fused > 1.0 + wall_tolerance:
-            regressions.append(
-                f"ntt_fused.{name}: radix4_best_s {now_fused:.6g} vs "
-                f"baseline {ref_fused:.6g} "
-                f"(+{(now_fused / ref_fused - 1) * 100:.1f}%, "
-                f"tolerance {wall_tolerance * 100:.0f}%)")
-        now, ref = case.get("speedup"), base.get("speedup")
-        if ref and now is not None and now < ref / (1.0 + wall_tolerance):
-            regressions.append(
-                f"ntt_fused.{name}: speedup {now:.2f}x vs baseline "
-                f"{ref:.2f}x (-{(1 - now / ref) * 100:.0f}%, tolerance "
-                f"{wall_tolerance * 100:.0f}%)")
-    base_inc = (baseline.get("functional_alloc") or {}) \
-        .get("steady_alloc_increments", {})
-    cur_inc = (current.get("functional_alloc") or {}) \
-        .get("steady_alloc_increments", {})
-    for domain, ref in base_inc.items():
-        now = cur_inc.get(domain)
-        if now is not None and now > ref:
-            regressions.append(
-                f"ntt_fused.functional_alloc.{domain}: steady-state "
-                f"allocations {now} vs baseline {ref} (a warmed kernel "
-                "started allocating)")
-    return regressions
-
-
 def _compare_keyswitch(current: dict, baseline: dict,
                        wall_tolerance: float) -> list[str]:
     """Wall-time regressions in the keyswitch section.
@@ -545,9 +492,8 @@ def _format_table(report: dict) -> str:
         lines.append(
             f"micro: NTT N={ntt['ring_degree']} "
             f"q{ntt['modulus_bits']} wide {ntt['wide_best_s'] * 1e3:.2f} ms"
-            f" vs object {ntt['object_best_s'] * 1e3:.2f} ms "
-            f"({ntt['speedup_wide36_vs_object']:.1f}x, "
-            f"bar {ntt['min_required_speedup']:.0f}x)")
+            f", object reference {ntt['object_best_s'] * 1e3:.2f} ms "
+            f"(bit_exact={ntt['wide_matches_oracle']})")
         bconv = micro.get("bconv")
         if bconv:
             per_case = " ".join(
@@ -569,28 +515,6 @@ def _format_table(report: dict) -> str:
             f"matrix={functional.get('bconv', {}).get('matrix', 0)} "
             f"fallback="
             f"{functional.get('bconv', {}).get('object_fallback', 0)}")
-    fused = report.get("ntt_fused")
-    if fused:
-        lines.append("")
-        for name, case in fused["cases"].items():
-            lines.append(
-                f"ntt_fused: {name} N={case['ring_degree']} "
-                f"k={case['num_limbs']} radix4 "
-                f"{case['radix4_best_s'] * 1e3:.2f} ms vs radix2 "
-                f"{case['radix2_best_s'] * 1e3:.2f} ms "
-                f"({case['speedup']:.2f}x, "
-                f"bar {fused['min_required_speedup']:.1f}x, "
-                f"bit_exact={case['bit_exact']})")
-        alloc = fused["functional_alloc"]
-        warm = alloc["warmup_allocs"]
-        steady = alloc["steady_alloc_increments"]
-        lines.append(
-            f"ntt_fused: warmed {alloc['workload']} "
-            f"N={alloc['ring_degree']} step "
-            f"{alloc['steady_wall_s'] * 1e3:.0f} ms, kernel allocs "
-            + " ".join(f"{d}={warm.get(d, 0)}->{steady.get(d, 0)}"
-                       for d in sorted(warm))
-            + " (warmup->steady)")
     keyswitch = report.get("keyswitch")
     if keyswitch:
         auto = keyswitch["auto"]
@@ -721,23 +645,6 @@ def _format_table(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _format_profile(report: dict) -> str:
-    """The ``--profile`` table: kernel.alloc.* warmup vs steady state."""
-    alloc = (report.get("ntt_fused") or {}).get("functional_alloc", {})
-    warm = alloc.get("warmup_allocs", {})
-    steady = alloc.get("steady_alloc_increments", {})
-    header = f"{'kernel domain':<16} {'warmup allocs':>14} {'steady':>8}"
-    lines = [f"workspace ledger ({alloc.get('workload', '?')} "
-             f"N={alloc.get('ring_degree', '?')}):",
-             header, "-" * len(header)]
-    for domain in sorted(set(warm) | set(steady)):
-        lines.append(f"kernel.alloc.{domain:<4} {warm.get(domain, 0):>13d} "
-                     f"{steady.get(domain, 0):>8d}")
-    lines.append(f"{'total':<16} {sum(warm.values()):>14d} "
-                 f"{sum(steady.values()):>8d}")
-    return "\n".join(lines)
-
-
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     """Bench CLI flags (shared by ``repro bench`` and the wrapper)."""
     parser.add_argument("--quick", action="store_true",
@@ -758,10 +665,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated array backends to bench "
                              "(default: numpy, fake, plus any available "
                              "accelerator)")
-    parser.add_argument("--profile", action="store_true",
-                        help="print the kernel workspace-allocation "
-                             "ledger (kernel.alloc.* warmup vs steady "
-                             "state) after the results table")
     parser.add_argument("--baseline", default=None,
                         help="previous BENCH_*.json to regress against")
     parser.add_argument("--sim-tolerance", type=float,
@@ -788,7 +691,6 @@ def run_cli(args: argparse.Namespace) -> int:
     from repro.bench.dataflow import validate_dataflow
     from repro.bench.keyswitch import validate_keyswitch
     from repro.bench.micro import validate_micro
-    from repro.bench.ntt_fused import validate_ntt_fused
     from repro.bench.sched import validate_sched, validate_throughput
     from repro.bench.serving import validate_serving
     if getattr(args, "calibrate", False):
@@ -803,13 +705,9 @@ def run_cli(args: argparse.Namespace) -> int:
                             backends=backends)
     write_report(report, args.out)
     print(_format_table(report))
-    if getattr(args, "profile", False):
-        print()
-        print(_format_profile(report))
     print(f"\nwrote {args.out}"
           + (" (quick mode)" if args.quick else ""))
     violations = validate_micro(report["micro"]) \
-        + validate_ntt_fused(report["ntt_fused"]) \
         + validate_keyswitch(report["keyswitch"]) \
         + validate_sched(report["sched"]) \
         + validate_throughput(report["throughput"]) \

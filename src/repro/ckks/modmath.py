@@ -160,10 +160,8 @@ def mul_shoup_lazy(a, w, w_shoup, q):
     ``a`` the quotient estimate ``mulhi(a, w_shoup)`` undershoots the
     true quotient by at most one, so the wraps cancel and ``r`` is the
     exact representative of ``a*w mod q`` in ``[0, 2q)`` whenever
-    ``2q < 2^64``.  Every butterfly tier — scalar :class:`NttPlan`
-    stages, the batched radix-2 oracle, the fused radix-4 engine and
-    ``RowBatchNtt`` — multiplies through this one helper, so there is
-    exactly one lazy-reduction bug surface.
+    ``2q < 2^64``.  :func:`mul_shoup_lazy_into` is the same formula
+    into caller-owned scratch (the fused NTT engine's multiply).
     """
     return a * w - _mulhi(a, w_shoup) * q
 
@@ -321,6 +319,23 @@ def shoup_pair(w: int, modulus: int) -> tuple[np.uint64, np.uint64]:
     q = int(modulus)
     w = int(w) % q
     return np.uint64(w), np.uint64((w << 64) // q)
+
+
+def shoup_companions(w, modulus: int):
+    """``floor(w * 2^64 / q)`` for a uint64 array of residues ``w < q``:
+    :func:`shoup_pair`'s companion for operands that only exist as an
+    array (any ``q < 2^62``), computed where the array lives.
+
+    With ``R = floor(2^128 / q)``, ``floor(w * R / 2^64)`` is
+    ``w * r_hi + mulhi(w, r_lo)`` exactly and undershoots the quotient
+    by at most one (``w * (2^128 mod q) / (q * 2^64) < 1``), so the
+    remainder ``w * 2^64 - est * q`` lands in ``[0, 2q)`` — its low
+    word is ``-est * q`` mod 2^64 — and one fold finishes the job.
+    """
+    q = np.uint64(modulus)
+    r_hi, r_lo = barrett_constants(modulus)
+    est = w * r_hi + _mulhi(w, r_lo)
+    return est + ((_U64_ZERO - est * q) >= q)
 
 
 class ModulusKernel:

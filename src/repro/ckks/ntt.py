@@ -5,7 +5,7 @@ limb between *coefficient* representation and *evaluation* (point)
 representation so that polynomial multiplication in
 ``Z_q[X]/(X^N + 1)`` becomes element-wise multiplication.
 
-The implementation is the standard merged-twist radix-2 pair:
+The network is the standard merged-twist pair:
 
 * forward: Cooley-Tukey butterflies on bit-reversed powers of ``psi``
   (a primitive 2N-th root of unity), which folds the negacyclic
@@ -13,27 +13,30 @@ The implementation is the standard merged-twist radix-2 pair:
 * inverse: Gentleman-Sande butterflies on powers of ``psi^-1``
   followed by multiplication with ``N^-1``.
 
-Two butterfly tiers exist:
+There is one engine and one reference:
 
-* **radix-2 oracle** — stage-vectorised, canonically reduced after
-  every stage.  Retained as the bit-exactness reference for the fused
-  tier (and, on the object path, as per-group textbook loops).
-* **fused radix-4** (:class:`FusedNttEngine`, the default) — two
-  radix-2 stages merged into one pass over the limb tensor, values
-  riding in Harvey-style lazy domains between stages ([0, 4q) on the
-  forward network, [0, 2q) on the inverse; one correction pass at the
-  end instead of per-stage normalisation), every intermediate written
-  via ``out=``-chained ufuncs into an arena-pooled scratch block so a
-  warmed plan allocates nothing but its output.  Valid for any
-  ``q < 2^62`` — exactly the wide-path bound: all lazy sums stay
-  below ``4q < 2^64``.
+* **the engine** — :class:`FusedNttEngine`, the only butterfly every
+  modulus below 2^62 runs on: two radix-2 stages merged into one pass
+  over the limb tensor, values riding in Harvey-style lazy domains
+  between stages ([0, 4q) on the forward network, [0, 2q) on the
+  inverse; one correction pass at the end instead of per-stage
+  normalisation), every intermediate written via ``out=``-chained
+  ufuncs into an arena-pooled scratch block so a warmed plan allocates
+  nothing but its output.  All lazy sums stay below ``4q < 2^64``,
+  which is exactly the wide-path bound.  Its uint64 twiddle and Shoup
+  tables are derived once per ``(N, q)`` by :class:`NttPlan`
+  (:meth:`NttPlan.fused_tables`); :class:`BatchNttPlan` stacks them
+  per limb, and a scalar transform is the shared-modulus rows
+  transform (:meth:`NttPlan.forward_rows`) with one row.
+* **the reference** — the radix-2 network, one canonically reduced
+  stage per pass, on Python ints through
+  :class:`~repro.ckks.modmath.ModulusKernel`.  It is what
+  ``NttPlan(n, q, path=modmath.OBJECT)`` executes: the only path for
+  moduli above 62 bits, and the plan every bit-exactness test and the
+  serving layer's serial oracle compare the engine against.
 
-Both tiers emit the same slot ordering (``2*brv(i)+1``, see
+Both emit the same slot ordering (``2*brv(i)+1``, see
 :func:`eval_point_exponents`) and bit-identical canonical outputs.
-The twiddle tables follow the plan's width path (see
-:mod:`repro.ckks.modmath`): int64 on the narrow path, uint64 with
-precomputed Shoup companions on the wide path, Python ints on the
-exact object path.
 """
 
 from __future__ import annotations
@@ -47,11 +50,6 @@ import repro.backend as backend_mod
 from repro.backend.arena import WorkspaceArena
 from repro.ckks import modmath, primes
 from repro.obs.tracer import get_tracer
-
-#: default butterfly tier — fused merged-two-stage engine.
-RADIX_FUSED = 4
-#: the stage-per-pass bit-exactness oracle tier.
-RADIX_ORACLE = 2
 
 
 def bit_reverse_permutation(n: int) -> np.ndarray:
@@ -75,8 +73,8 @@ def eval_point_exponents(n: int) -> np.ndarray:
     (:class:`repro.ckks.rns.AutoPlan`) lean on this ordering to turn
     ``X -> X^g`` into a pure permutation of evaluation slots: slot
     holding point ``psi^e`` must move to the slot holding
-    ``psi^(e * g mod 2N)``.  The fused radix-4 tier merges stages
-    without reindexing, so the ordering is identical on every tier.
+    ``psi^(e * g mod 2N)``.  The fused engine merges stages without
+    reindexing, so it shares the reference network's ordering.
     """
     if n < 1 or n & (n - 1):
         raise ValueError("ring degree must be a power of two")
@@ -353,34 +351,28 @@ class NttPlan:
     modulus:
         NTT-friendly prime with ``modulus = 1 (mod 2N)``.
     path:
-        Optional width-path override (e.g. ``modmath.OBJECT`` to force
-        the exact arbitrary-precision oracle for a modulus that would
-        auto-select a faster path).  Defaults to the modulus's
-        auto-selected path.
-    radix:
-        Butterfly tier: :data:`RADIX_FUSED` (default — the scalar plan
-        delegates to a one-row :class:`FusedNttEngine`) or
-        :data:`RADIX_ORACLE` for the per-stage-normalised radix-2
-        reference.  The object path always runs its per-group loops.
+        Optional width-path override: ``modmath.OBJECT`` builds the
+        **reference** plan for a modulus that would auto-select the
+        fused datapath.  Defaults to the modulus's auto-selected path.
 
-    The plan owns the bit-reversed twiddle tables; limbs transform
-    in-place-style through :meth:`forward` / :meth:`inverse`.
+    A narrow or wide plan (``q < 2^62``) transforms on a shared-modulus
+    :class:`FusedNttEngine`; an object-path plan runs the radix-2
+    reference network (:meth:`_forward_stages` /
+    :meth:`_inverse_stages`) on Python ints.  The primitive is the
+    in-place ``(B, N)`` rows transform (:meth:`forward_rows` /
+    :meth:`inverse_rows`); the scalar :meth:`forward` /
+    :meth:`inverse` are that transform with ``B = 1``.
     """
 
     def __init__(self, ring_degree: int, modulus: int,
-                 path: str | None = None, backend=None,
-                 radix: int | None = None):
+                 path: str | None = None, backend=None):
         if ring_degree & (ring_degree - 1):
             raise ValueError("ring degree must be a power of two")
         if (modulus - 1) % (2 * ring_degree) != 0:
             raise ValueError(
                 f"modulus {modulus} is not NTT-friendly for N={ring_degree}")
-        radix = RADIX_FUSED if radix is None else int(radix)
-        if radix not in (RADIX_ORACLE, RADIX_FUSED):
-            raise ValueError(f"unsupported butterfly radix {radix}")
         self.n = ring_degree
         self.modulus = modulus
-        self.radix = radix
         self._kernel = modmath.get_kernel(modulus, path, backend)
         self.path = self._kernel.path
         self.backend = self._kernel.backend
@@ -391,47 +383,38 @@ class NttPlan:
         self._psi_rev = self._power_table(psi)
         self._psi_inv_rev = self._power_table(psi_inv)
         self._n_inv = modmath.inv_mod(ring_degree, modulus)
-        if self.path == modmath.WIDE:
+        if self.path != modmath.OBJECT:
+            # The one derivation of the Shoup companions: the batch
+            # plan and the serving layer reuse these through
+            # :meth:`fused_tables` instead of re-deriving them.
             kernel = self._kernel
             self._psi_rev_shoup = self.backend.from_host(
                 kernel.shoup_table(self._psi_rev))
             self._psi_inv_rev_shoup = self.backend.from_host(
                 kernel.shoup_table(self._psi_inv_rev))
-            self._n_inv_pair = kernel.shoup(self._n_inv)
-        else:
-            self._psi_rev_shoup = None
-            self._psi_inv_rev_shoup = None
-            self._n_inv_pair = None
-        # The fused engine is built lazily on first use: plans built
-        # only for their tables (the batch plan reuses them) never pay
-        # for uint64 re-tabulation or Shoup splitting.
+            self._n_inv_pair = modmath.shoup_pair(self._n_inv, modulus)
+        # The shared-modulus engine is built lazily on first use:
+        # plans built only for their tables (the batch plan stacks
+        # them) never pay for Shoup splitting or stage slicing.
         self._engine = None
 
-    @property
-    def fused(self) -> bool:
-        """Whether transforms run on the fused radix-4 engine."""
-        return self.radix == RADIX_FUSED and self.path != modmath.OBJECT
+    def fused_tables(self) -> tuple:
+        """``(psi, psi_shoup, psi_inv, psi_inv_shoup, n_inv_pair)`` as
+        the uint64 tables every fused butterfly runs on.
+
+        Narrow plans keep int64 twiddles; canonical residues
+        (``< q < 2^31``) fit both dtypes, so the uint64 tables are
+        reinterpreting views, not copies.
+        """
+        return (self._psi_rev.view(np.uint64), self._psi_rev_shoup,
+                self._psi_inv_rev.view(np.uint64),
+                self._psi_inv_rev_shoup, self._n_inv_pair)
 
     def _get_engine(self) -> FusedNttEngine:
         if self._engine is None:
-            kernel = self._kernel
             be = self.backend
-            if self.path == modmath.WIDE:
-                psi, psi_s = self._psi_rev, self._psi_rev_shoup
-                psi_i, psi_is = self._psi_inv_rev, self._psi_inv_rev_shoup
-                pair = self._n_inv_pair
-            else:
-                # Narrow plans keep int64 tables without Shoup
-                # companions; the uint64 engine is valid for any
-                # q < 2^62, so build uint64 copies once here.
-                psi = be.asarray(self._psi_rev, dtype=np.uint64)
-                psi_i = be.asarray(self._psi_inv_rev, dtype=np.uint64)
-                psi_s = be.from_host(kernel.shoup_table(self._psi_rev))
-                psi_is = be.from_host(
-                    kernel.shoup_table(self._psi_inv_rev))
-                pair = modmath.shoup_pair(self._n_inv, self.modulus)
             self._engine = FusedNttEngine(
-                self.n, self.modulus, psi, psi_s, psi_i, psi_is, pair,
+                self.n, self.modulus, *self.fused_tables(),
                 be, WorkspaceArena(be, "ntt"), per_row=False)
         return self._engine
 
@@ -446,24 +429,13 @@ class NttPlan:
         rev = bit_reverse_permutation(n)
         return self._kernel.asresidues(powers[rev])
 
-    def _stage_mul(self, values, twiddles, shoup):
-        """Butterfly-stage multiply: values (m, t) by twiddle column.
-
-        The wide path runs the shared lazy-Shoup helper — the same
-        multiply the batch oracle and the fused engine use — folded
-        back to canonical here because the radix-2 oracle keeps every
-        stage in ``[0, q)``.
-        """
-        if self.path == modmath.WIDE:
-            q = self._kernel._q64
-            r = modmath.mul_shoup_lazy(values, twiddles, shoup, q)
-            return np.where(r >= q, r - q, r)
-        return np.mod(values * twiddles, self.modulus)
+    # -- the reference: radix-2, one stage per pass, Python ints ---------
+    # Only object-path plans run these, so the fused engine is never
+    # checked against its own arithmetic.
 
     def _forward_stages(self, a: np.ndarray) -> None:
-        """Stage-vectorised Cooley-Tukey butterflies (narrow/wide)."""
+        """In-place Cooley-Tukey network on one length-N object row."""
         kernel = self._kernel
-        wide = self.path == modmath.WIDE
         t = self.n
         m = 1
         while m < self.n:
@@ -471,18 +443,15 @@ class NttPlan:
             view = a.reshape(m, 2 * t)
             lo = view[:, :t]
             hi = view[:, t:]
-            w = self._psi_rev[m:2 * m].reshape(m, 1)
-            ws = self._psi_rev_shoup[m:2 * m].reshape(m, 1) if wide else None
-            prod = self._stage_mul(hi, w, ws)
+            prod = kernel.mul(hi, self._psi_rev[m:2 * m].reshape(m, 1))
             new_hi = kernel.sub(lo, prod)
             view[:, :t] = kernel.add(lo, prod)
             view[:, t:] = new_hi
             m *= 2
 
     def _inverse_stages(self, a: np.ndarray) -> None:
-        """Stage-vectorised Gentleman-Sande butterflies (narrow/wide)."""
+        """In-place Gentleman-Sande network plus the ``N^-1`` scaling."""
         kernel = self._kernel
-        wide = self.path == modmath.WIDE
         t = 1
         m = self.n
         while m > 1:
@@ -490,86 +459,77 @@ class NttPlan:
             view = a.reshape(h, 2 * t)
             lo = view[:, :t]
             hi = view[:, t:]
-            w = self._psi_inv_rev[h:2 * h].reshape(h, 1)
-            ws = (self._psi_inv_rev_shoup[h:2 * h].reshape(h, 1)
-                  if wide else None)
             # diff must be taken before lo's slot is overwritten:
             # lo/hi are views into the working array.
             diff = kernel.sub(lo, hi)
             view[:, :t] = kernel.add(lo, hi)
-            view[:, t:] = self._stage_mul(diff, w, ws)
+            view[:, t:] = kernel.mul(
+                diff, self._psi_inv_rev[h:2 * h].reshape(h, 1))
             t *= 2
             m = h
+        a[:] = kernel.mul(a, self._n_inv)
 
-    # The object path keeps the textbook per-group loops below instead
-    # of sharing the stage-vectorised code: the oracle's value is that
-    # it is an independent, obviously-correct implementation, so a bug
-    # in the vectorised stages cannot cancel against itself when the
-    # property tests cross-check the two.
+    # -- transforms --------------------------------------------------------
+    def _transform_rows(self, a, inverse: bool) -> None:
+        if a.ndim != 2 or a.shape[1] != self.n:
+            raise ValueError("rows must be (B, N) for this plan")
+        if self.path == modmath.OBJECT:
+            stages = self._inverse_stages if inverse \
+                else self._forward_stages
+            for row in a:
+                stages(row)
+            return
+        if a.dtype != np.uint64 or not a.flags.c_contiguous:
+            # a reshape of anything else would transform a silent copy
+            raise ValueError("rows must be C-contiguous uint64")
+        if inverse:
+            self._get_engine().inverse(a)
+        else:
+            self._get_engine().forward(a)
 
-    def _forward_groups(self, a: np.ndarray) -> None:
-        """Per-group Cooley-Tukey butterflies (object-path oracle)."""
-        q = self.modulus
-        t = self.n
-        m = 1
-        while m < self.n:
-            t //= 2
-            for i in range(m):
-                w = int(self._psi_rev[m + i])
-                j1 = 2 * i * t
-                lo = a[j1:j1 + t]
-                hi = a[j1 + t:j1 + 2 * t]
-                prod = np.mod(hi * w, q)
-                a[j1 + t:j1 + 2 * t] = np.mod(lo - prod, q)
-                a[j1:j1 + t] = np.mod(lo + prod, q)
-            m *= 2
+    def forward_rows(self, a) -> None:
+        """In-place forward NTT of every row of a ``(B, N)`` stack.
 
-    def _inverse_groups(self, a: np.ndarray) -> None:
-        """Per-group Gentleman-Sande butterflies (object-path oracle)."""
-        q = self.modulus
-        t = 1
-        m = self.n
-        while m > 1:
-            h = m // 2
-            j1 = 0
-            for i in range(h):
-                w = int(self._psi_inv_rev[h + i])
-                lo = a[j1:j1 + t]
-                hi = a[j1 + t:j1 + 2 * t]
-                diff = np.mod(lo - hi, q)
-                a[j1:j1 + t] = np.mod(lo + hi, q)
-                a[j1 + t:j1 + 2 * t] = np.mod(diff * w, q)
-                j1 += 2 * t
-            t *= 2
-            m = h
+        Rows are canonical residues of this plan's modulus: a
+        C-contiguous uint64 array (an object array on the object
+        path).  ``B`` independent :meth:`forward` calls, bit for bit.
+        """
+        self._transform_rows(a, inverse=False)
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.count("ntt.rows_forward")
+            tracer.observe("ntt.rows_forward.rows", a.shape[0])
 
-    def _as_u64_rows(self, a: np.ndarray) -> np.ndarray:
-        """Reinterpret a canonical 1-D working array as (1, n) uint64.
+    def inverse_rows(self, a) -> None:
+        """In-place inverse NTT (``N^-1`` scaling included) of every
+        row of a ``(B, N)`` stack; see :meth:`forward_rows`."""
+        self._transform_rows(a, inverse=True)
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.count("ntt.rows_inverse")
+            tracer.observe("ntt.rows_inverse.rows", a.shape[0])
+
+    def _one_row(self, values) -> tuple:
+        """Fresh residue vector plus its ``(1, N)`` working view.
 
         Narrow residues are int64 but canonical (< q < 2^31), so the
-        dtype reinterpret is a free view in both directions.
+        uint64 reinterpret the engine wants is a free view.
         """
-        if a.dtype == np.int64:
-            return a.view(np.uint64).reshape(1, -1)
-        return a.reshape(1, -1)
+        a = self._kernel.asresidues(values)
+        if len(a) != self.n:
+            raise ValueError("limb length does not match the plan")
+        rows = a.view(np.uint64) if a.dtype == np.int64 else a
+        return a, rows.reshape(1, -1)
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficient form -> evaluation form (negacyclic NTT)."""
         tracer = get_tracer()
         start = perf_counter() if tracer.enabled else 0.0
-        a = self._kernel.asresidues(coeffs)
-        if len(a) != self.n:
-            raise ValueError("limb length does not match the plan")
-        if self.path == modmath.OBJECT:
-            self._forward_groups(a)
-        elif self.fused:
-            self._get_engine().forward(self._as_u64_rows(a))
-        else:
-            self._forward_stages(a)
+        a, rows = self._one_row(coeffs)
+        self._transform_rows(rows, inverse=False)
         if tracer.enabled:
             tracer.count("ntt.forward")
             tracer.count("ntt.path." + self.path)
-            tracer.count("ntt.tier.radix%d" % self.radix)
             tracer.observe("ntt.forward_s", perf_counter() - start)
         return a
 
@@ -577,29 +537,13 @@ class NttPlan:
         """Evaluation form -> coefficient form (inverse negacyclic NTT)."""
         tracer = get_tracer()
         start = perf_counter() if tracer.enabled else 0.0
-        kernel = self._kernel
-        a = kernel.asresidues(evals)
-        if len(a) != self.n:
-            raise ValueError("limb length does not match the plan")
-        if self.path == modmath.OBJECT:
-            self._inverse_groups(a)
-            out = kernel.mul(a, self._n_inv)
-        elif self.fused:
-            # The engine folds the N^-1 scaling into its final pass.
-            self._get_engine().inverse(self._as_u64_rows(a))
-            out = a
-        else:
-            self._inverse_stages(a)
-            if self.path == modmath.WIDE:
-                out = kernel.mul_shoup(a, *self._n_inv_pair)
-            else:
-                out = kernel.mul(a, self._n_inv)
+        a, rows = self._one_row(evals)
+        self._transform_rows(rows, inverse=True)
         if tracer.enabled:
             tracer.count("ntt.inverse")
             tracer.count("ntt.path." + self.path)
-            tracer.count("ntt.tier.radix%d" % self.radix)
             tracer.observe("ntt.inverse_s", perf_counter() - start)
-        return out
+        return a
 
 
 # -- batched multi-limb transforms ----------------------------------------
@@ -613,108 +557,66 @@ BATCH_PLAN_CACHE_MAXSIZE = 64
 
 
 class BatchNttPlan:
-    """Stage-vectorised NTT over every limb of one RNS basis at once.
+    """One fused NTT over every limb of one RNS basis at once.
 
     The per-limb :class:`NttPlan` loop spends most of its time in
     Python dispatch: ``k`` limbs times ``log2 N`` stages times a
     handful of kernel calls each.  This plan stacks all limbs whose
     modulus fits the uint64 datapath (``q < 2^62`` — both the narrow
-    and wide width paths) into one ``(k, N)`` array and per-basis
-    ``(k, N)`` twiddle/Shoup tables, so each butterfly stage is a
-    single set of whole-batch numpy ops with the per-limb modulus
-    broadcast as a ``(k, 1, 1)`` column.  This is the software shape
-    of the accelerator's NTTU operating on a whole limb set per
-    ModUp digit.
+    and wide width paths) into one ``(k, N)`` array and stacks their
+    scalar plans' :meth:`NttPlan.fused_tables` into per-basis
+    ``(k, N)`` tables, so each butterfly sweep of the per-row
+    :class:`FusedNttEngine` is a single set of whole-batch numpy ops
+    with the per-limb modulus broadcast as a ``(k, 1, 1)`` column.
+    This is the software shape of the accelerator's NTTU operating on
+    a whole limb set per ModUp digit.
 
-    ``radix=4`` (default) runs the zero-steady-state-allocation
-    :class:`FusedNttEngine`; ``radix=2`` keeps the per-stage
-    canonically-reduced butterflies as the bit-exactness oracle.
-    Limbs over the exact ``object`` path (moduli beyond 62 bits) fall
-    back to their scalar plans; results are bit-identical to the
-    per-limb plans on every path and every tier.
+    Limbs over the exact ``object`` path (moduli beyond 62 bits) run
+    their scalar reference plans; results are bit-identical to the
+    per-limb plans on every path.
     """
 
     def __init__(self, ring_degree: int, moduli: tuple[int, ...],
-                 backend=None, radix: int | None = None):
+                 backend=None):
         # Imported lazily: rns imports NttPlan from this module at
         # load time, but the shared bounded per-(N, q) plan cache
         # lives there and must be reused so batch and scalar callers
         # agree on tables.
         from repro.ckks.rns import get_plan
 
-        radix = RADIX_FUSED if radix is None else int(radix)
-        if radix not in (RADIX_ORACLE, RADIX_FUSED):
-            raise ValueError(f"unsupported butterfly radix {radix}")
         self.n = int(ring_degree)
         self.moduli = tuple(int(q) for q in moduli)
-        self.radix = radix
         # The batched butterflies are pure uint64 lazy-Shoup ops.
         be = backend_mod.kernel_backend(backend)
         self.backend = be
         self._kernels = [modmath.get_kernel(q, backend=be)
                          for q in self.moduli]
-        self._batch_rows: list[int] = []     # limb positions in the stack
-        self._object_rows: list[int] = []    # limb positions on the oracle
-        self._scalar_plans = {}
-        psi, psi_shoup = [], []
-        psi_inv, psi_inv_shoup = [], []
-        n_inv_w, n_inv_ws, q_col = [], [], []
-        for i, q in enumerate(self.moduli):
-            plan = get_plan(self.n, q, backend=be)
-            self._scalar_plans[i] = plan
-            kernel = self._kernels[i]
-            if kernel.path == modmath.OBJECT:
-                self._object_rows.append(i)
-                continue
-            self._batch_rows.append(i)
-            # Stacking happens host-side (the scalar plans' tables may
-            # be device-resident); the stacked copies go back through
-            # from_host below — one build-time transfer per table.
-            psi.append(backend_mod.to_host(plan._psi_rev)
-                       .astype(np.uint64, copy=False))
-            psi_inv.append(backend_mod.to_host(plan._psi_inv_rev)
-                           .astype(np.uint64, copy=False))
-            if kernel.path == modmath.WIDE:
-                psi_shoup.append(backend_mod.to_host(plan._psi_rev_shoup))
-                psi_inv_shoup.append(
-                    backend_mod.to_host(plan._psi_inv_rev_shoup))
-                w, ws = plan._n_inv_pair
-            else:
-                # Narrow plans keep int64 tables without Shoup
-                # companions; the uint64 lazy-Shoup butterflies are
-                # valid for any q < 2^62, so build companions here.
-                psi_shoup.append(kernel.shoup_table(plan._psi_rev))
-                psi_inv_shoup.append(kernel.shoup_table(plan._psi_inv_rev))
-                w, ws = modmath.shoup_pair(plan._n_inv, q)
-            n_inv_w.append(w)
-            n_inv_ws.append(ws)
-            q_col.append(np.uint64(q))
+        self._scalar_plans = [get_plan(self.n, q, backend=be)
+                              for q in self.moduli]
+        self._batch_rows = [                 # limb positions in the stack
+            i for i, kernel in enumerate(self._kernels)
+            if kernel.path != modmath.OBJECT]
+        self._object_rows = [                # limb positions on the oracle
+            i for i, kernel in enumerate(self._kernels)
+            if kernel.path == modmath.OBJECT]
         self._engine = None
         if self._batch_rows:
-            self._psi = be.from_host(np.stack(psi))
-            self._psi_shoup = be.from_host(np.stack(psi_shoup))
-            self._psi_inv = be.from_host(np.stack(psi_inv))
-            self._psi_inv_shoup = be.from_host(np.stack(psi_inv_shoup))
-            self._n_inv_w = be.from_host(
-                np.array(n_inv_w, dtype=np.uint64).reshape(-1, 1))
-            self._n_inv_ws = be.from_host(
-                np.array(n_inv_ws, dtype=np.uint64).reshape(-1, 1))
-            self._q = be.from_host(
-                np.array(q_col, dtype=np.uint64).reshape(-1, 1))
-            if radix == RADIX_FUSED:
-                self._engine = FusedNttEngine(
-                    self.n,
-                    [self.moduli[i] for i in self._batch_rows],
-                    self._psi, self._psi_shoup,
-                    self._psi_inv, self._psi_inv_shoup,
-                    (self._n_inv_w, self._n_inv_ws),
-                    be, WorkspaceArena(be, "ntt"), per_row=True)
-
-    # -- batched butterflies (uint64 lazy-Shoup datapath) ---------------
-    def _stack(self, limbs) -> np.ndarray:
-        a = self.backend.empty((len(self._batch_rows), self.n), np.uint64)
-        self._stack_into(limbs, a)
-        return a
+            # Stacking happens host-side (the scalar plans' tables may
+            # be device-resident); the stacked copies go back through
+            # from_host — one build-time transfer per table.
+            *tables, n_inv = zip(*(self._scalar_plans[i].fused_tables()
+                                   for i in self._batch_rows))
+            stacked = [be.from_host(np.stack(
+                [backend_mod.to_host(t) for t in table]))
+                for table in tables]
+            n_inv_pair = tuple(
+                be.from_host(np.array(col, dtype=np.uint64)
+                             .reshape(-1, 1))
+                for col in zip(*n_inv))
+            self._engine = FusedNttEngine(
+                self.n, [self.moduli[i] for i in self._batch_rows],
+                *stacked, n_inv_pair,
+                be, WorkspaceArena(be, "ntt"), per_row=True)
 
     def _stack_into(self, limbs, block) -> None:
         for row, i in enumerate(self._batch_rows):
@@ -736,49 +638,6 @@ class BatchNttPlan:
             else:
                 out[i] = a[row]
 
-    def _forward_stages(self, a: np.ndarray) -> None:
-        k = a.shape[0]
-        q = self._q[:, :, None]
-        t, m = self.n, 1
-        while m < self.n:
-            t //= 2
-            view = a.reshape(k, m, 2 * t)
-            lo = view[:, :, :t]
-            hi = view[:, :, t:]
-            w = self._psi[:, m:2 * m, None]
-            ws = self._psi_shoup[:, m:2 * m, None]
-            prod = modmath.mul_shoup_lazy(hi, w, ws, q)   # lazy: [0, 2q)
-            prod = np.where(prod >= q, prod - q, prod)
-            s = lo + prod
-            d = lo + (q - prod)
-            view[:, :, :t] = np.where(s >= q, s - q, s)
-            view[:, :, t:] = np.where(d >= q, d - q, d)
-            m *= 2
-
-    def _inverse_stages(self, a: np.ndarray) -> np.ndarray:
-        k = a.shape[0]
-        q = self._q[:, :, None]
-        t, m = 1, self.n
-        while m > 1:
-            h = m // 2
-            view = a.reshape(k, h, 2 * t)
-            lo = view[:, :, :t]
-            hi = view[:, :, t:]
-            w = self._psi_inv[:, h:2 * h, None]
-            ws = self._psi_inv_shoup[:, h:2 * h, None]
-            d = lo + (q - hi)
-            d = np.where(d >= q, d - q, d)
-            s = lo + hi
-            view[:, :, :t] = np.where(s >= q, s - q, s)
-            prod = modmath.mul_shoup_lazy(d, w, ws, q)
-            view[:, :, t:] = np.where(prod >= q, prod - q, prod)
-            t *= 2
-            m = h
-        qq = self._q
-        r = modmath.mul_shoup_lazy(a, self._n_inv_w, self._n_inv_ws, qq)
-        return np.where(r >= qq, r - qq, r)
-
-    # -- public API -----------------------------------------------------
     def _out_block(self, out):
         rows = len(self._batch_rows)
         if out is None:
@@ -787,85 +646,64 @@ class BatchNttPlan:
             raise ValueError("out block must be (batch_rows, N) uint64")
         return out
 
+    def _transform(self, limbs, out, inverse: bool) -> list:
+        if len(limbs) != len(self.moduli):
+            raise ValueError("limb count does not match the basis")
+        tracer = get_tracer()
+        start = perf_counter() if tracer.enabled else 0.0
+        result: list = [None] * len(limbs)
+        if self._batch_rows:
+            a = self._out_block(out)
+            self._stack_into(limbs, a)
+            if inverse:
+                self._engine.inverse(a)
+            else:
+                self._engine.forward(a)
+            self._unstack(a, result)
+        for i in self._object_rows:
+            plan = self._scalar_plans[i]
+            result[i] = plan.inverse(limbs[i]) if inverse \
+                else plan.forward(limbs[i])
+        if tracer.enabled:
+            name = "ntt.batch_inverse" if inverse else "ntt.batch_forward"
+            tracer.count(name)
+            for i in self._batch_rows:
+                tracer.count("ntt.path." + self._kernels[i].path)
+            tracer.observe(name + "_s", perf_counter() - start)
+        return result
+
     def forward(self, limbs, out=None) -> list:
         """Batched forward NTT; ``out`` may supply the output block.
 
-        On the fused tier the only steady-state allocation is the
-        output block itself — pass a caller-owned ``(len(batch_rows),
-        N)`` uint64 array as ``out`` to run fully allocation-free
-        (returned limbs are then views into that block).
+        The only steady-state allocation is the output block itself —
+        pass a caller-owned ``(len(batch_rows), N)`` uint64 array as
+        ``out`` to run fully allocation-free (returned limbs are then
+        views into that block).
         """
-        if len(limbs) != len(self.moduli):
-            raise ValueError("limb count does not match the basis")
-        tracer = get_tracer()
-        start = perf_counter() if tracer.enabled else 0.0
-        result: list = [None] * len(limbs)
-        if self._batch_rows:
-            if self._engine is not None:
-                a = self._out_block(out)
-                self._stack_into(limbs, a)
-                self._engine.forward(a)
-            else:
-                a = self._stack(limbs)
-                self._forward_stages(a)
-            self._unstack(a, result)
-        for i in self._object_rows:
-            result[i] = self._scalar_plans[i].forward(limbs[i])
-        if tracer.enabled:
-            tracer.count("ntt.batch_forward")
-            tracer.count("ntt.tier.radix%d" % self.radix)
-            for i in self._batch_rows:
-                tracer.count("ntt.path." + self._kernels[i].path)
-            tracer.observe("ntt.batch_forward_s", perf_counter() - start)
-        return result
+        return self._transform(limbs, out, inverse=False)
 
     def inverse(self, limbs, out=None) -> list:
         """Batched inverse NTT; ``out`` may supply the output block."""
-        if len(limbs) != len(self.moduli):
-            raise ValueError("limb count does not match the basis")
-        tracer = get_tracer()
-        start = perf_counter() if tracer.enabled else 0.0
-        result: list = [None] * len(limbs)
-        if self._batch_rows:
-            if self._engine is not None:
-                a = self._out_block(out)
-                self._stack_into(limbs, a)
-                self._engine.inverse(a)
-                self._unstack(a, result)
-            else:
-                a = self._stack(limbs)
-                self._unstack(self._inverse_stages(a), result)
-        for i in self._object_rows:
-            result[i] = self._scalar_plans[i].inverse(limbs[i])
-        if tracer.enabled:
-            tracer.count("ntt.batch_inverse")
-            tracer.count("ntt.tier.radix%d" % self.radix)
-            for i in self._batch_rows:
-                tracer.count("ntt.path." + self._kernels[i].path)
-            tracer.observe("ntt.batch_inverse_s", perf_counter() - start)
-        return result
+        return self._transform(limbs, out, inverse=True)
 
 
 @lru_cache(maxsize=BATCH_PLAN_CACHE_MAXSIZE)
 def _build_batch_plan(ring_degree: int, moduli: tuple[int, ...],
-                      backend, radix: int) -> BatchNttPlan:
-    return BatchNttPlan(ring_degree, moduli, backend, radix=radix)
+                      backend) -> BatchNttPlan:
+    return BatchNttPlan(ring_degree, moduli, backend)
 
 
 def get_batch_plan(ring_degree: int, moduli: tuple[int, ...],
-                   backend=None, radix: int | None = None) -> BatchNttPlan:
-    """Shared batch plan for one (N, basis, backend, radix) tuple.
+                   backend=None) -> BatchNttPlan:
+    """Shared batch plan for one (N, basis, backend) tuple.
 
     Bounded LRU cache keyed on the resolved backend singleton, so a
     mid-process ``backend.select`` builds fresh device-resident stacks
-    instead of serving another device's tables — and on the butterfly
-    radix tier, so the radix-2 oracle and the fused radix-4 plan for
-    the same basis never alias each other.
+    instead of serving another device's tables.
     """
-    radix = RADIX_FUSED if radix is None else int(radix)
     return _build_batch_plan(int(ring_degree),
                              tuple(int(q) for q in moduli),
-                             backend_mod.resolve(backend), radix)
+                             backend_mod.resolve(backend))
 
 
 def batch_plan_cache_info():
@@ -877,19 +715,17 @@ def clear_batch_plan_cache() -> None:
 
 
 def transform_limbs(limbs, moduli, ring_degree: int,
-                    inverse: bool = False, backend=None,
-                    radix: int | None = None) -> list:
+                    inverse: bool = False, backend=None) -> list:
     """Run every limb of one basis through a single batched NTT call.
 
     ``limbs[i]`` must be a residue vector modulo ``moduli[i]``.
     Returns the transformed limbs in basis order, bit-identical to
     looping :meth:`NttPlan.forward` / :meth:`NttPlan.inverse` per
     limb, but with one fused pass over a ``(k, N)`` stack instead of
-    ``k`` separate transforms.  ``radix`` selects the butterfly tier
-    (fused radix-4 by default; 2 for the oracle).
+    ``k`` separate transforms.
     """
     plan = get_batch_plan(int(ring_degree), tuple(int(q) for q in moduli),
-                          backend, radix=radix)
+                          backend)
     return plan.inverse(limbs) if inverse else plan.forward(limbs)
 
 

@@ -49,33 +49,27 @@ PLAN_CACHE_MAXSIZE = 256
 
 
 @lru_cache(maxsize=PLAN_CACHE_MAXSIZE)
-def _build_plan(ring_degree: int, modulus: int, backend,
-                radix: int) -> NttPlan:
+def _build_plan(ring_degree: int, modulus: int, backend) -> NttPlan:
     tracer = get_tracer()
     if tracer.enabled:
         start = perf_counter()
-        plan = NttPlan(ring_degree, modulus, backend=backend, radix=radix)
+        plan = NttPlan(ring_degree, modulus, backend=backend)
         tracer.count("rns.plan_builds")
         tracer.observe("rns.plan_build_s", perf_counter() - start)
         return plan
-    return NttPlan(ring_degree, modulus, backend=backend, radix=radix)
+    return NttPlan(ring_degree, modulus, backend=backend)
 
 
-def get_plan(ring_degree: int, modulus: int, backend=None,
-             radix: int | None = None) -> NttPlan:
-    """Shared NTT plan for one (N, q, backend, radix) tuple.
+def get_plan(ring_degree: int, modulus: int, backend=None) -> NttPlan:
+    """Shared NTT plan for one (N, q, backend) tuple.
 
     Bounded LRU, keyed on the resolved backend singleton so
     twiddle/Shoup tables built for one device are never served to
-    another — and on the butterfly radix tier, so the radix-2
-    bit-exactness oracle and the fused radix-4 plan for the same
-    (N, q) never alias.
+    another.  Reference plans (``NttPlan(n, q, path=modmath.OBJECT)``)
+    are built by their callers and never enter this cache.
     """
-    from repro.ckks import ntt as ntt_mod
-
-    radix = ntt_mod.RADIX_FUSED if radix is None else int(radix)
     return _build_plan(int(ring_degree), int(modulus),
-                       backend_mod.resolve(backend), radix)
+                       backend_mod.resolve(backend))
 
 
 def plan_cache_info():

@@ -21,7 +21,8 @@ the trace into an explicit dependency DAG and exploits it:
   per stream for merged multi-stream graphs.
 """
 
-from repro.sched.executor import (ExecutionCheck, FunctionalExecutor,
+from repro.sched.executor import (DatapathWidthError, ExecutionCheck,
+                                  FunctionalExecutor,
                                   StreamExecutionCheck)
 from repro.sched.graph import (DataflowGraph, GraphNode,
                                GraphValidationError)
@@ -44,6 +45,7 @@ __all__ = [
     "DEFAULT_PIPELINE_DEPTH",
     "DEFAULT_PREFETCH_SLOTS",
     "DataflowGraph",
+    "DatapathWidthError",
     "ExecutionCheck",
     "FunctionalExecutor",
     "GraphNode",

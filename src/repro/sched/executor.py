@@ -3,9 +3,8 @@
 The cycle model asserts the cluster schedule respects the dataflow
 DAG; this module *proves* it on real data.  Every ciphertext becomes a
 small RNS polynomial (``limbs x N`` residue matrix over NTT-friendly
-wide-path primes, exercising PR 2's vectorised kernels), and every
-trace op becomes a deterministic, order-sensitive transform of its
-ciphertext:
+primes) and every trace op becomes a deterministic, order-sensitive
+transform of its ciphertext:
 
 * plain ops apply an element-wise affine map ``x -> a*x + b`` with
   per-op pseudorandom ``a``/``b`` (affine maps do not commute);
@@ -16,13 +15,32 @@ ciphertext:
   (a signed permutation, non-commuting with non-constant affines).
 
 Running the DAG out of order therefore yields different bits with
-overwhelming probability.  :meth:`FunctionalExecutor.verify` executes
-the trace twice — serially in program order, and in parallel across a
-fork-based process pool over one shared-memory residue arena, with
-nodes dispatched purely by DAG readiness — and compares bit-for-bit.
-Each node touches only its own ciphertext's rows and the DAG chains
+overwhelming probability.
+
+This module holds the one copy of each moving part, shared with the
+serving layer (:mod:`repro.serve.engine`):
+
+* **one op body** — :func:`apply_op` transforms a ``(B, limbs, N)``
+  uint64 stack in place, ``B`` independent data seeds at once.  The
+  affine parameters derive from ``(seed, op index, limb)`` through a
+  vectorised SplitMix64 chain (:func:`op_params`), so row ``b`` of a
+  batch and a ``B = 1`` run on seed ``b`` evaluate the same function.
+  :class:`FunctionalExecutor` runs it at ``B = 1``, the serving layer
+  at ``B = batch``;
+* **one worker context** — :func:`worker_context`, per-process and
+  lazily cached, so a forked pool worker inherits or rebuilds it on
+  first use.  Its ``reference`` variant swaps the fused NTT for the
+  object-path reference plans (the serving layer's serial oracle);
+* **one DAG-ready dispatcher** — :func:`dispatch_ready`, and one
+  pooled run over a shared-memory arena (:func:`run_pooled`).
+
+:meth:`FunctionalExecutor.verify` executes a trace twice — serially in
+program order, and across a fork-based process pool with nodes
+dispatched purely by DAG readiness — and compares bit-for-bit.  Each
+node touches only its own ciphertext's rows and the DAG chains
 same-ciphertext nodes, so concurrent nodes never alias: bit-equality
-demonstrates the dependency discipline end to end.
+demonstrates the dependency discipline end to end.  A plain trace is
+the one-stream case of the merged multi-stream run.
 
 When the platform cannot fork a pool (restricted sandboxes), the
 parallel run degrades to in-process execution in DAG order — still a
@@ -36,95 +54,313 @@ import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import multiprocessing
 from multiprocessing import shared_memory
 
 import numpy as np
 
+import repro.backend as backend_mod
 from repro import obs
 from repro.ckks import modmath, primes
 from repro.ckks.ntt import NttPlan
+from repro.ckks.rns import get_plan
 from repro.core.optrace import OpTrace
 
 from repro.sched.graph import DataflowGraph, GraphNode
 
+_MASK = 0xFFFFFFFFFFFFFFFF
 _MIX = 0x9E3779B97F4A7C15  # golden-ratio odd constant for seed mixing
 
-
-def _rng(seed: int, *parts: int) -> np.random.Generator:
-    """Deterministic per-(op, limb) generator, identical everywhere."""
-    return np.random.default_rng(
-        [seed, *(int(p) & 0xFFFFFFFFFFFFFFFF for p in parts), _MIX])
+#: what a pool that cannot be created, or broke mid-run, raises
+POOL_ERRORS = (OSError, ValueError, PermissionError, BrokenProcessPool)
 
 
-# -- per-process kernel context (workers rebuild it on first use) --------
+class DatapathWidthError(ValueError):
+    """``prime_bits`` asks for moduli the ``(B, limbs, N)`` uint64
+    stacks cannot hold."""
 
-_CTX: dict | None = None
+
+def check_prime_bits(prime_bits: int) -> None:
+    """Reject moduli beyond the uint64 datapath (``modmath``'s wide
+    bound, 62 bits) before any prime search or allocation."""
+    if modmath.width_path(1 << (int(prime_bits) - 1)) == modmath.OBJECT:
+        raise DatapathWidthError(
+            f"prime_bits={prime_bits} is outside the uint64 datapath: "
+            f"the functional executors stack residues as uint64 and "
+            f"support at most 62-bit primes")
 
 
-def _build_context(moduli: tuple[int, ...], ring_degree: int,
-                   seed: int) -> dict:
+def derive_seed(base_seed: int, index: int) -> int:
+    """Independent data seed number ``index`` under ``base_seed``
+    (a stream of a merged run, a request of the serving layer);
+    index 0 keeps the base seed."""
+    return (base_seed ^ (index * _MIX)) & _MASK
+
+
+# -- seeded parameters: a vectorised SplitMix64 chain ----------------------
+# (Steele et al.)  The finaliser is a bijection on 64-bit words, so
+# distinct (seed, op, limb) tuples keep distinct parameter streams.
+
+_C1 = np.uint64(0x9E3779B97F4A7C15)
+_C2 = np.uint64(0xBF58476D1CE4E5B9)
+_C3 = np.uint64(0x94D049BB133111EB)
+_SHIFT30 = np.uint64(30)
+_SHIFT27 = np.uint64(27)
+_SHIFT31 = np.uint64(31)
+
+
+def splitmix64(x: np.ndarray) -> np.ndarray:
+    """Vectorised SplitMix64 finaliser over a uint64 array."""
+    z = x + _C1
+    z = (z ^ (z >> _SHIFT30)) * _C2
+    z = (z ^ (z >> _SHIFT27)) * _C3
+    return z ^ (z >> _SHIFT31)
+
+
+def _mix_key(*parts: int) -> np.uint64:
+    """One uint64 tweak from a few small integers (order-sensitive)."""
+    acc = 0
+    for part in parts:
+        acc = (acc * 0x100000001B3 + (int(part) & _MASK) + 1) & _MASK
+    return np.uint64(acc)
+
+
+def op_params(seeds: np.ndarray, index: int, limb: int, q: int,
+              counter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-seed affine parameters of op ``index`` on limb ``limb``.
+
+    ``seeds`` is the ``(B,)`` uint64 seed vector; returns
+    ``(scale (B,), offsets (B, N))`` with scales in ``[1, q-1]``
+    (invertible) and offsets canonical in ``[0, q)``.  The whole
+    derivation is uint64 wraparound arithmetic — identical bits for a
+    batch row and for a 1-seed evaluation.
+    """
+    base = splitmix64(seeds ^ _mix_key(index, limb))
+    scale = base % np.uint64(q - 1) + np.uint64(1)
+    offsets = splitmix64(base[:, None] + counter[None, :]) % np.uint64(q)
+    return scale, offsets
+
+
+def fresh_params(seeds: np.ndarray, ct_id: int, limb: int, q: int,
+                 counter: np.ndarray) -> np.ndarray:
+    """Per-seed initial residues ``(B, N)`` of ciphertext ``ct_id``."""
+    base = splitmix64(seeds ^ _mix_key(0x5EED, ct_id, limb))
+    return splitmix64(base[:, None] + counter[None, :]) % np.uint64(q)
+
+
+def seed_array(seeds, backend) -> np.ndarray:
+    """``(B,)`` uint64 seed vector resident on ``backend``."""
+    if backend.is_device_array(seeds) and seeds.dtype == np.uint64:
+        return seeds        # already uploaded by the caller
+    return backend.from_host(
+        np.array([int(s) & _MASK for s in seeds], dtype=np.uint64))
+
+
+# -- the op body ------------------------------------------------------------
+
+class RowNtt:
+    """One limb's negacyclic NTT over ``(B, N)`` uint64 rows.
+
+    A holder around one :class:`~repro.ckks.ntt.NttPlan`: copies the
+    rows and runs the copy through the plan's in-place rows entry
+    point, so every row equals the scalar plan's transform of that
+    row bit for bit.  ``reference=True`` holds the object-path
+    reference plan instead of the shared fused one (rows cross to
+    Python ints and back) — the oracle never shares butterflies with
+    what it vets.
+    """
+
+    def __init__(self, ring_degree: int, modulus: int, backend=None,
+                 reference: bool = False):
+        self.n = int(ring_degree)
+        self.modulus = int(modulus)
+        if reference:
+            self._plan = NttPlan(self.n, self.modulus,
+                                 path=modmath.OBJECT)
+        else:
+            self._plan = get_plan(self.n, self.modulus, backend=backend)
+        self.backend = self._plan.backend
+
+    def _transform(self, rows, inverse: bool) -> np.ndarray:
+        plan = self._plan
+        if plan.path == modmath.OBJECT:
+            a = np.array(backend_mod.to_host(rows), dtype=object)
+        else:
+            a = self.backend.asarray(rows, dtype=np.uint64, copy=True)
+        if inverse:
+            plan.inverse_rows(a)
+        else:
+            plan.forward_rows(a)
+        return a if a.dtype == np.uint64 else a.astype(np.uint64)
+
+    def forward(self, rows: np.ndarray) -> np.ndarray:
+        """Coefficient -> evaluation form, every row at once."""
+        return self._transform(rows, inverse=False)
+
+    def inverse(self, rows: np.ndarray) -> np.ndarray:
+        """Evaluation -> coefficient form, every row at once."""
+        return self._transform(rows, inverse=True)
+
+
+def _affine(rows: np.ndarray, scale: np.ndarray, offsets: np.ndarray,
+            q: int) -> np.ndarray:
+    """Canonical ``rows * scale + offsets mod q`` with one scalar per
+    row.  The scale is the fixed operand of its row, so the multiply
+    is the lazy Shoup one (exact in ``[0, 2q)`` for any ``q < 2^62``,
+    narrow moduli included); adding a canonical offset stays below
+    ``3q < 2^64`` and two folds finish."""
+    qq = np.uint64(q)
+    s = modmath.mul_shoup_lazy(
+        rows, scale[:, None],
+        modmath.shoup_companions(scale, q)[:, None], qq) + offsets
+    s = np.where(s >= qq, s - qq, s)
+    return np.where(s >= qq, s - qq, s)
+
+
+def apply_op(ct3: np.ndarray, index: int, rotation: int,
+             needs_key_switch: bool, seeds: np.ndarray,
+             ctx: dict) -> None:
+    """Apply op ``index``'s transform to one ciphertext's ``(B, limbs,
+    N)`` stack in place — row ``b`` under ``seeds[b]``."""
+    n = ctx["n"]
+    counter = ctx["counter"]
+    r = rotation % n if rotation else 0
+    for j, (q, ntt) in enumerate(zip(ctx["moduli"], ctx["ntts"])):
+        scale, offsets = op_params(seeds, index, j, q, counter)
+        rows = ct3[:, j, :]
+        if needs_key_switch:
+            evals = _affine(ntt.forward(rows), scale, offsets, q)
+            rows = ntt.inverse(evals)
+        else:
+            rows = _affine(rows, scale, offsets, q)
+        if r:
+            rows = np.roll(rows, r, axis=1)
+            head = rows[:, :r]
+            rows[:, :r] = np.where(head == 0, head, np.uint64(q) - head)
+        ct3[:, j, :] = rows
+
+
+def fresh_stack(ct_id: int, seeds: np.ndarray, ctx: dict) -> np.ndarray:
+    """Initial ``(B, limbs, N)`` residue stack of ciphertext ``ct_id``."""
+    moduli = ctx["moduli"]
+    stack = ctx["backend"].empty((len(seeds), len(moduli), ctx["n"]),
+                                 np.uint64)
+    for j, q in enumerate(moduli):
+        stack[:, j, :] = fresh_params(seeds, ct_id, j, q, ctx["counter"])
+    return stack
+
+
+@lru_cache(maxsize=8)
+def worker_context(moduli: tuple[int, ...], ring_degree: int,
+                   backend_name: str = "numpy", reference: bool = False,
+                   row_ntt: type = RowNtt) -> dict:
+    """Per-process op-body context (pool workers build it lazily).
+
+    Keyed by backend *name* (a plain string) so the cache key stays
+    picklable and workers rebuilding the context in a fork land on
+    the same entry.  The pooled shared-memory runs always use
+    ``"numpy"`` — the arena is host memory by construction.
+    ``row_ntt`` lets the serving layer hold its own
+    :class:`RowNtt` subclass, so its batch transforms stay
+    attributable under their own name.
+    """
+    be = backend_mod.get_backend(backend_name)
     return {
         "moduli": moduli,
         "n": ring_degree,
-        "seed": seed,
-        "kernels": [modmath.get_kernel(q) for q in moduli],
-        "plans": [NttPlan(ring_degree, q) for q in moduli],
+        "backend": be,
+        "counter": be.from_host(np.arange(1, ring_degree + 1,
+                                          dtype=np.uint64) * _C3),
+        "ntts": [row_ntt(ring_degree, q, backend=be, reference=reference)
+                 for q in moduli],
     }
 
 
-def _init_worker(moduli: tuple[int, ...], ring_degree: int,
-                 seed: int) -> None:
-    global _CTX
-    _CTX = _build_context(moduli, ring_degree, seed)
+# -- DAG-ready dispatch over a fork pool ------------------------------------
+
+def node_items(node: GraphNode) -> list[tuple]:
+    """``(op index, rotation, needs_key_switch)`` per member op."""
+    return [(index, op.rotation, op.needs_key_switch)
+            for index, op in zip(node.indices, node.ops)]
 
 
-def _apply_op(ct: np.ndarray, index: int, rotation: int,
-              needs_key_switch: bool, ctx: dict) -> None:
-    """Apply op ``index``'s transform to ciphertext rows in place."""
-    n = ctx["n"]
-    seed = ctx["seed"]
-    for j, (kernel, plan) in enumerate(zip(ctx["kernels"],
-                                           ctx["plans"])):
-        q = kernel.modulus
-        rng = _rng(seed, index, j)
-        scale = 1 + int(rng.integers(0, q - 1))  # nonzero: stays invertible
-        offset = kernel.asresidues(
-            rng.integers(0, q, size=n, dtype=np.uint64))
-        limb = ct[j]
-        if needs_key_switch:
-            evals = plan.forward(limb)
-            evals = kernel.add(kernel.mul_scalar(evals, scale), offset)
-            limb = plan.inverse(evals)
-        else:
-            limb = kernel.add(kernel.mul_scalar(limb, scale), offset)
-        r = rotation % n if rotation else 0
-        if r:
-            limb = np.roll(limb, r)
-            limb[:r] = kernel.neg(limb[:r])
-        ct[j] = limb
+def dispatch_ready(graph: DataflowGraph, submit, lanes: int) -> None:
+    """Run every node of ``graph`` purely by DAG readiness.
 
-
-def _run_node(shm_name: str, shape: tuple, slot: int,
-              items: list[tuple], seed: int | None = None) -> int:
-    """Pool task: apply one node's ops to its ciphertext slot.
-
-    ``seed`` overrides the worker context's base seed — merged
-    multi-stream runs replay stream ``s``'s nodes under that stream's
-    own seed, so each stream's bits match its independent serial run.
+    ``submit(nodes)`` starts one task over a list of ready nodes and
+    returns its future; a node is handed out only after its last
+    predecessor finished.  At most ``lanes`` tasks are in flight and
+    the ready nodes are shared out evenly among the free lanes (one
+    round trip per node keeps the dispatcher as busy as a worker;
+    DESIGN.md Sec. 12).  Worker exceptions surface here.
     """
+    indegree = {n.node_id: len(n.preds) for n in graph.nodes}
+    ready = [nid for nid, deg in indegree.items() if deg == 0]
+    in_flight: dict = {}
+    done = 0
+    while done < len(graph.nodes):
+        while ready and len(in_flight) < lanes:
+            share = -(-len(ready) // (lanes - len(in_flight)))
+            chunk, ready = ready[-share:], ready[:-share]
+            in_flight[submit([graph.node(nid) for nid in chunk])] = chunk
+        finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+        for future in finished:
+            chunk = in_flight.pop(future)
+            future.result()
+            done += len(chunk)
+            for nid in chunk:
+                for succ in graph.node(nid).succs:
+                    indegree[succ] -= 1
+                    if indegree[succ] == 0:
+                        ready.append(succ)
+
+
+def _run_nodes(shm_name: str, shape: tuple, tasks: list[tuple],
+               moduli: tuple[int, ...], ring_degree: int) -> None:
+    """Pool task: apply each ``(slot, items, seeds)`` node to its slot
+    of the shared arena (self-contained: the worker builds its context
+    on first use)."""
+    ctx = worker_context(tuple(moduli), int(ring_degree))
     shm = shared_memory.SharedMemory(name=shm_name)
     try:
         arena = np.ndarray(shape, dtype=np.uint64, buffer=shm.buf)
-        ct = arena[slot]
-        ctx = _CTX if seed is None or seed == _CTX["seed"] \
-            else {**_CTX, "seed": seed}
-        for index, rotation, needs_ks in items:
-            _apply_op(ct, index, rotation, needs_ks, ctx)
+        for slot, items, seeds in tasks:
+            seeds_arr = seed_array(seeds, ctx["backend"])
+            for index, rotation, needs_ks in items:
+                apply_op(arena[slot], index, rotation, needs_ks,
+                         seeds_arr, ctx)
     finally:
         shm.close()
-    return slot
+
+
+def run_pooled(pool, lanes: int, graph: DataflowGraph, stacks: list,
+               slot_of, seeds_of, moduli: tuple[int, ...],
+               ring_degree: int) -> list:
+    """One DAG-ready-order run over ``lanes`` workers of ``pool`` and a
+    shared-memory arena.
+
+    ``stacks[i]`` is the initial ``(B, limbs, N)`` uint64 stack of
+    slot ``i``; ``slot_of(node)`` / ``seeds_of(node)`` name the slot a
+    node transforms and the ``B`` seeds it runs under.  Returns the
+    final stacks.
+    """
+    shape = (len(stacks),) + tuple(stacks[0].shape)
+    shm = shared_memory.SharedMemory(
+        create=True, size=max(int(np.prod(shape)) * 8, 8))
+    try:
+        arena = np.ndarray(shape, dtype=np.uint64, buffer=shm.buf)
+        for slot, stack in enumerate(stacks):
+            arena[slot] = backend_mod.to_host(stack)
+        dispatch_ready(graph, lambda nodes: pool.submit(
+            _run_nodes, shm.name, shape,
+            [(slot_of(n), node_items(n), seeds_of(n)) for n in nodes],
+            moduli, ring_degree), lanes)
+        return [arena[slot].copy() for slot in range(len(stacks))]
+    finally:
+        shm.close()
+        shm.unlink()
 
 
 @dataclass
@@ -164,11 +400,12 @@ class FunctionalExecutor:
     def __init__(self, ring_degree: int = 256, num_limbs: int = 3,
                  prime_bits: int = 36, seed: int = 20250806,
                  persistent: bool = False):
+        check_prime_bits(prime_bits)
         self.ring_degree = ring_degree
         self.seed = seed
         self.moduli = tuple(primes.ntt_primes(
             num_limbs, prime_bits, ring_degree))
-        self._ctx = _build_context(self.moduli, ring_degree, seed)
+        self._ctx = worker_context(self.moduli, ring_degree)
         # Persistent mode keeps one fork pool alive across runs so a
         # server dispatching many small batches does not pay the pool
         # spin-up (fork + worker context build) per batch.
@@ -178,41 +415,25 @@ class FunctionalExecutor:
 
     # -- pool lifecycle ----------------------------------------------------
     def ensure_pool(self, workers: int) -> ProcessPoolExecutor:
-        """The resident fork pool: created on first use, reused across
-        runs, grown (recreated) when a caller needs more workers.
-        Raises ``OSError`` where fork is unavailable — callers fall
-        back exactly as with the per-run pools."""
+        """The fork pool: created on first use, reused across runs,
+        grown (recreated) when a caller needs more workers.  Raises
+        ``OSError`` where fork is unavailable — callers fall back to
+        in-process execution.  Non-persistent executors close it after
+        each run."""
         if self._pool is not None and workers <= self._pool_workers:
             obs.get_tracer().count("sched.executor.pool_reuse")
             return self._pool
         self.close()
-        ctx = multiprocessing.get_context("fork")
-        pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(self.moduli, self.ring_degree, self.seed))
-        self._pool = pool
+        self._pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"))
         self._pool_workers = workers
         obs.get_tracer().count("sched.executor.pool_create")
-        return pool
-
-    def _checkout_pool(self, workers: int
-                       ) -> tuple[ProcessPoolExecutor, bool]:
-        """A pool to run on plus whether the caller owns (must shut
-        down) it: the resident pool in persistent mode, a fresh
-        per-run pool otherwise."""
-        if self.persistent:
-            return self.ensure_pool(workers), False
-        ctx = multiprocessing.get_context("fork")
-        pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(self.moduli, self.ring_degree, self.seed))
-        return pool, True
+        return self._pool
 
     def close(self) -> None:
-        """Shut down the resident pool (idempotent; the executor
-        stays usable — the next persistent run re-creates it)."""
+        """Shut down the pool (idempotent; the executor stays usable
+        — the next parallel run re-creates it)."""
         pool, self._pool, self._pool_workers = self._pool, None, 0
         if pool is not None:
             pool.shutdown(wait=True)
@@ -231,34 +452,27 @@ class FunctionalExecutor:
     def stream_seed(self, stream: int) -> int:
         """Stream ``s``'s independent data seed (stream 0 keeps the
         base seed, so a 1-stream merged run equals the plain run)."""
-        return (self.seed ^ (stream * _MIX)) & 0xFFFFFFFFFFFFFFFF
+        return derive_seed(self.seed, stream)
 
-    def _fresh_ct(self, ct_id: int, seed: int | None = None) -> np.ndarray:
-        seed = self.seed if seed is None else seed
-        ct = np.empty((len(self.moduli), self.ring_degree),
-                      dtype=np.uint64)
-        for j, kernel in enumerate(self._ctx["kernels"]):
-            rng = _rng(seed, -1 - ct_id, j)
-            ct[j] = kernel.asresidues(rng.integers(
-                0, kernel.modulus, size=self.ring_degree,
-                dtype=np.uint64))
-        return ct
+    def _seeds(self, seed: int | None) -> np.ndarray:
+        return seed_array([self.seed if seed is None else seed],
+                          self._ctx["backend"])
 
     def initial_state(self, trace: OpTrace,
                       seed: int | None = None) -> dict[int, np.ndarray]:
-        return {ct: self._fresh_ct(ct, seed)
+        seeds = self._seeds(seed)
+        return {ct: fresh_stack(ct, seeds, self._ctx)[0]
                 for ct in self._ct_ids(trace)}
 
     # -- serial reference --------------------------------------------------
     def run_serial(self, trace: OpTrace,
                    seed: int | None = None) -> dict[int, np.ndarray]:
         """Program-order execution: the ground truth."""
-        ctx = self._ctx if seed is None or seed == self.seed \
-            else {**self._ctx, "seed": seed}
+        seeds = self._seeds(seed)
         state = self.initial_state(trace, seed)
         for index, op in enumerate(trace):
-            _apply_op(state[op.ct_id], index, op.rotation,
-                      op.needs_key_switch, ctx)
+            apply_op(state[op.ct_id][None], index, op.rotation,
+                     op.needs_key_switch, seeds, self._ctx)
         return state
 
     def run_serial_streams(self, streams) -> list[dict[int, np.ndarray]]:
@@ -268,16 +482,12 @@ class FunctionalExecutor:
                 for s, trace in enumerate(streams)]
 
     # -- parallel execution ------------------------------------------------
-    @staticmethod
-    def _node_items(node: GraphNode) -> list[tuple]:
-        return [(index, op.rotation, op.needs_key_switch)
-                for index, op in zip(node.indices, node.ops)]
-
     def run_parallel(self, trace: OpTrace,
                      graph: DataflowGraph | None = None,
                      workers: int = 2
                      ) -> tuple[dict[int, np.ndarray], bool]:
-        """DAG-ready-order execution over a process pool.
+        """DAG-ready-order execution over a process pool: the
+        one-stream case of :meth:`run_merged`.
 
         Returns ``(final state, ran_concurrently)``; the second item is
         False when the pool could not be created and the run fell back
@@ -285,67 +495,9 @@ class FunctionalExecutor:
         """
         if graph is None:
             graph = DataflowGraph.from_trace(trace)
-        ct_ids = self._ct_ids(trace)
-        slots = {ct: i for i, ct in enumerate(ct_ids)}
-        try:
-            return self._run_pool(trace, graph, ct_ids, slots, workers)
-        except (OSError, ValueError, PermissionError, BrokenProcessPool):
-            self.close()  # a broken resident pool must not be reused
-            obs.get_tracer().count("sched.executor.pool_fallback")
-            state = self._run_inline(trace, graph)
-            return state, False
+        states, concurrent = self.run_merged([trace], graph, workers)
+        return states[0], concurrent
 
-    def _run_pool(self, trace, graph, ct_ids, slots,
-                  workers) -> tuple[dict[int, np.ndarray], bool]:
-        shape = (len(ct_ids), len(self.moduli), self.ring_degree)
-        nbytes = int(np.prod(shape)) * 8
-        shm = shared_memory.SharedMemory(create=True, size=max(nbytes, 8))
-        pool, owned = None, False
-        try:
-            arena = np.ndarray(shape, dtype=np.uint64, buffer=shm.buf)
-            for ct in ct_ids:
-                arena[slots[ct]] = self._fresh_ct(ct)
-            pool, owned = self._checkout_pool(workers)
-            indegree = {n.node_id: len(n.preds) for n in graph.nodes}
-            ready = [nid for nid, deg in indegree.items() if deg == 0]
-            in_flight = {}
-            done = 0
-            while done < len(graph.nodes):
-                while ready:
-                    nid = ready.pop()
-                    node = graph.node(nid)
-                    future = pool.submit(
-                        _run_node, shm.name, shape,
-                        slots[node.ct_id], self._node_items(node))
-                    in_flight[future] = nid
-                finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    nid = in_flight.pop(future)
-                    future.result()  # surface worker exceptions
-                    done += 1
-                    for succ in graph.node(nid).succs:
-                        indegree[succ] -= 1
-                        if indegree[succ] == 0:
-                            ready.append(succ)
-            state = {ct: arena[slots[ct]].copy() for ct in ct_ids}
-            return state, True
-        finally:
-            if owned and pool is not None:
-                pool.shutdown(wait=True)
-            shm.close()
-            shm.unlink()
-
-    def _run_inline(self, trace, graph) -> dict[int, np.ndarray]:
-        """Fallback: DAG-order (not program-order) in-process run."""
-        state = self.initial_state(trace)
-        for nid in graph.topological_order():
-            node = graph.node(nid)
-            ct = state[node.ct_id]
-            for index, rotation, needs_ks in self._node_items(node):
-                _apply_op(ct, index, rotation, needs_ks, self._ctx)
-        return state
-
-    # -- merged multi-stream execution -------------------------------------
     def _merged_graph(self, streams) -> "DataflowGraph":
         from repro.sched.streams import merge_graphs
         return merge_graphs([DataflowGraph.from_trace(t)
@@ -359,8 +511,9 @@ class FunctionalExecutor:
         ``graph`` must be a stream-tagged merged graph whose node
         ``indices`` and ciphertext ids are *local* to each stream
         (what :func:`~repro.sched.streams.merge_graphs` and
-        :func:`~repro.sched.streams.replicate_graph` build); stream
-        ``s``'s nodes execute under ``stream_seed(s)``.  Returns the
+        :func:`~repro.sched.streams.replicate_graph` build; a plain
+        single-trace graph is the one-stream case); stream ``s``'s
+        nodes execute under ``stream_seed(s)``.  Returns the
         per-stream final states plus the concurrency flag.
         """
         streams = list(getattr(streams, "streams", streams))
@@ -374,68 +527,46 @@ class FunctionalExecutor:
         for s, trace in enumerate(streams):
             for ct in self._ct_ids(trace):
                 slots.setdefault((s, ct), len(slots))
+        stacks = self._fresh_stacks(slots)
         try:
-            return self._run_merged_pool(streams, graph, slots, workers)
-        except (OSError, ValueError, PermissionError, BrokenProcessPool):
+            stacks = run_pooled(
+                self.ensure_pool(workers), workers, graph, stacks,
+                lambda node: slots[(node.stream, node.ct_id)],
+                lambda node: [self.stream_seed(node.stream)],
+                self.moduli, self.ring_degree)
+            concurrent = True
+        except POOL_ERRORS:
             self.close()  # a broken resident pool must not be reused
             obs.get_tracer().count("sched.executor.pool_fallback")
-            return self._run_merged_inline(streams, graph, slots), False
-
-    def _run_merged_pool(self, streams, graph, slots,
-                         workers) -> tuple[list[dict], bool]:
-        shape = (len(slots), len(self.moduli), self.ring_degree)
-        nbytes = int(np.prod(shape)) * 8
-        shm = shared_memory.SharedMemory(create=True, size=max(nbytes, 8))
-        pool, owned = None, False
-        try:
-            arena = np.ndarray(shape, dtype=np.uint64, buffer=shm.buf)
-            for (s, ct), slot in slots.items():
-                arena[slot] = self._fresh_ct(ct, self.stream_seed(s))
-            pool, owned = self._checkout_pool(workers)
-            indegree = {n.node_id: len(n.preds) for n in graph.nodes}
-            ready = [nid for nid, deg in indegree.items() if deg == 0]
-            in_flight = {}
-            done = 0
-            while done < len(graph.nodes):
-                while ready:
-                    nid = ready.pop()
-                    node = graph.node(nid)
-                    future = pool.submit(
-                        _run_node, shm.name, shape,
-                        slots[(node.stream, node.ct_id)],
-                        self._node_items(node),
-                        self.stream_seed(node.stream))
-                    in_flight[future] = nid
-                finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    nid = in_flight.pop(future)
-                    future.result()  # surface worker exceptions
-                    done += 1
-                    for succ in graph.node(nid).succs:
-                        indegree[succ] -= 1
-                        if indegree[succ] == 0:
-                            ready.append(succ)
-            states = [{} for _ in streams]
-            for (s, ct), slot in slots.items():
-                states[s][ct] = arena[slot].copy()
-            return states, True
+            self._run_inline(graph, slots, stacks)
+            concurrent = False
         finally:
-            if owned and pool is not None:
-                pool.shutdown(wait=True)
-            shm.close()
-            shm.unlink()
+            if not self.persistent:
+                self.close()
+        return self._stream_states(streams, slots, stacks), concurrent
 
-    def _run_merged_inline(self, streams, graph, slots) -> list[dict]:
+    def _fresh_stacks(self, slots: dict) -> list:
+        """Initial ``(1, limbs, N)`` stack per ``(stream, ct)`` slot."""
+        return [fresh_stack(ct, self._seeds(self.stream_seed(s)),
+                            self._ctx) for s, ct in slots]
+
+    @staticmethod
+    def _stream_states(streams, slots: dict, stacks: list) -> list[dict]:
         states: list[dict] = [{} for _ in streams]
-        for (s, ct) in slots:
-            states[s][ct] = self._fresh_ct(ct, self.stream_seed(s))
+        for (s, ct), stack in zip(slots, stacks):
+            states[s][ct] = stack[0]
+        return states
+
+    def _run_inline(self, graph, slots: dict, stacks: list) -> None:
+        """Fallback: DAG-order (not program-order) in-process run,
+        in place on ``stacks``."""
         for nid in graph.topological_order():
             node = graph.node(nid)
-            ctx = {**self._ctx, "seed": self.stream_seed(node.stream)}
-            ct = states[node.stream][node.ct_id]
-            for index, rotation, needs_ks in self._node_items(node):
-                _apply_op(ct, index, rotation, needs_ks, ctx)
-        return states
+            seeds = self._seeds(self.stream_seed(node.stream))
+            ct3 = stacks[slots[(node.stream, node.ct_id)]]
+            for index, rotation, needs_ks in node_items(node):
+                apply_op(ct3, index, rotation, needs_ks, seeds,
+                         self._ctx)
 
     # -- the proof ---------------------------------------------------------
     def verify(self, trace: OpTrace,

@@ -1,26 +1,30 @@
 """Batch-vectorised functional compute substrate for serving.
 
-The serving layer's counterpart of
-:class:`repro.sched.executor.FunctionalExecutor`: every request's
-synthetic ciphertexts are ``limbs x N`` residue matrices over
-NTT-friendly primes, and every trace op is a deterministic,
-order-sensitive transform (affine map per limb, applied in the NTT
-domain for key-switch ops, plus the negacyclic shift for rotations).
-The difference is the execution geometry: a batch of B admitted
-requests runs as *stacked* ``(B, N)`` row arrays per limb, one
-whole-batch numpy pass per op instead of B interpreted passes — the
+The serving layer's geometry over the one op body of
+:mod:`repro.sched.executor`: every request's synthetic ciphertexts
+are ``limbs x N`` residue matrices over NTT-friendly primes, every
+trace op is :func:`~repro.sched.executor.apply_op` (affine map per
+limb, applied in the NTT domain for key-switch ops, plus the
+negacyclic shift for rotations), and a batch of B admitted requests
+runs as one *stacked* ``(B, limbs, N)`` array per ciphertext — one
+whole-batch numpy pass per op instead of B interpreted passes, the
 software shape of the accelerator amortising its pipelines across
-independent requests.
+independent requests.  Nothing here re-implements the op: this module
+holds the request-axis executor (:class:`ServeExecutor`), the digests,
+and :class:`RowBatchNtt`, the serving layer's name for the shared row
+transform.
 
 Cross-request batching is **bit-transparent** by construction:
 
 * per-op affine parameters derive from the request seed through a
   vectorised SplitMix64 chain — the serial oracle and the stacked
   path evaluate the *same function* of ``(seed, op index, limb)``;
-* the stacked NTT (:class:`RowBatchNtt`) runs the exact lazy-Shoup
-  butterfly formulas of :class:`repro.ckks.ntt.BatchNttPlan` with the
-  batch axis over requests instead of limbs, bit-identical to the
-  scalar :class:`repro.ckks.ntt.NttPlan` per row;
+* the stacked NTT runs the request rows through the limb's
+  :class:`repro.ckks.ntt.NttPlan` rows entry point (one
+  shared-modulus fused engine), bit-identical to the scalar plan per
+  row, while the serial oracle runs the same op body at ``B = 1`` on
+  the object-path **reference** plans — the fused engine never vets
+  itself;
 * all residues stay canonical (``[0, q)``), so mathematically equal
   intermediate values are bit-identical regardless of kernel path.
 
@@ -34,244 +38,40 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from multiprocessing import shared_memory
 
 import repro.backend as backend_mod
 from repro import obs
-from repro.ckks import modmath, primes
+from repro.ckks import primes
 from repro.core.optrace import OpTrace
+from repro.sched.executor import (POOL_ERRORS, RowNtt, apply_op,
+                                  check_prime_bits, fresh_stack,
+                                  run_pooled, seed_array, worker_context)
 from repro.sched.graph import DataflowGraph
 
 from repro.serve.jobs import request_seed
 
-_MASK = 0xFFFFFFFFFFFFFFFF
-# SplitMix64 constants (Steele et al.): the finaliser is a bijection
-# on 64-bit words, so distinct (seed, op, limb) tuples keep distinct
-# parameter streams.
-_C1 = np.uint64(0x9E3779B97F4A7C15)
-_C2 = np.uint64(0xBF58476D1CE4E5B9)
-_C3 = np.uint64(0x94D049BB133111EB)
-_SHIFT30 = np.uint64(30)
-_SHIFT27 = np.uint64(27)
-_SHIFT31 = np.uint64(31)
 
-
-def splitmix64(x: np.ndarray) -> np.ndarray:
-    """Vectorised SplitMix64 finaliser over a uint64 array."""
-    z = x + _C1
-    z = (z ^ (z >> _SHIFT30)) * _C2
-    z = (z ^ (z >> _SHIFT27)) * _C3
-    return z ^ (z >> _SHIFT31)
-
-
-def _mix_key(*parts: int) -> np.uint64:
-    """One uint64 tweak from a few small integers (order-sensitive)."""
-    acc = 0
-    for part in parts:
-        acc = (acc * 0x100000001B3 + (int(part) & _MASK) + 1) & _MASK
-    return np.uint64(acc)
-
-
-def op_params(seeds: np.ndarray, index: int, limb: int, q: int,
-              counter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-request affine parameters of op ``index`` on limb ``limb``.
-
-    ``seeds`` is the ``(B,)`` uint64 request-seed vector; returns
-    ``(scale (B,), offsets (B, N))`` with scales in ``[1, q-1]``
-    (invertible) and offsets canonical in ``[0, q)``.  The whole
-    derivation is uint64 wraparound arithmetic — identical bits for a
-    batch row and for a 1-request serial evaluation.
-    """
-    base = splitmix64(seeds ^ _mix_key(index, limb))
-    scale = base % np.uint64(q - 1) + np.uint64(1)
-    offsets = splitmix64(base[:, None] + counter[None, :]) % np.uint64(q)
-    return scale, offsets
-
-
-def fresh_params(seeds: np.ndarray, ct_id: int, limb: int, q: int,
-                 counter: np.ndarray) -> np.ndarray:
-    """Per-request initial residues of ciphertext ``ct_id``."""
-    base = splitmix64(seeds ^ _mix_key(0x5EED, ct_id, limb))
-    return splitmix64(base[:, None] + counter[None, :]) % np.uint64(q)
-
-
-class RowBatchNtt:
-    """Negacyclic NTT over ``(B, N)`` rows sharing one modulus.
+class RowBatchNtt(RowNtt):
+    """Negacyclic NTT over ``(B, N)`` request rows sharing one modulus.
 
     :class:`repro.ckks.ntt.BatchNttPlan` batches the *limb* axis of
     one RNS basis; serving batches the *request* axis of one limb.
-    Because every row shares the same modulus, the butterflies run
-    with a scalar ``q`` and the plan's own ``(N,)`` twiddle tables —
-    no per-row table stacking, no Python loop over rows.  The rows
-    ride the same fused radix-4 lazy-reduction engine
-    (:class:`repro.ckks.ntt.FusedNttEngine`) as ``BatchNttPlan``, so
-    results are bit-identical to running the scalar
-    :class:`repro.ckks.ntt.NttPlan` on each row — which is exactly
-    what the serial oracle does, on radix-2 plans, so the fused tier
-    never vets itself.
-
-    Moduli beyond the 62-bit uint64 datapath (the exact ``object``
-    path) fall back to a per-row scalar-plan loop.
+    This is :class:`~repro.sched.executor.RowNtt` — a holder around
+    the limb's scalar plan, no tables of its own — under the serving
+    layer's name: ``forward`` / ``inverse`` are defined here so a
+    profiler wrapping them attributes the stacked transforms to
+    serving rather than to the scheduler's executor.
     """
-
-    def __init__(self, ring_degree: int, modulus: int, backend=None):
-        from repro.ckks.ntt import FusedNttEngine
-        from repro.ckks.rns import get_plan
-
-        self.n = int(ring_degree)
-        self.modulus = int(modulus)
-        self._kernel = modmath.get_kernel(self.modulus, backend=backend)
-        self.backend = self._kernel.backend
-        self._plan = get_plan(self.n, self.modulus, backend=backend)
-        self.vectorised = self._kernel.path != modmath.OBJECT
-        if not self.vectorised:
-            self._engine = None
-            return
-        plan = self._plan
-        kernel = self._kernel
-        be = self.backend
-        # The scalar plan's tables are already resident on the same
-        # backend; only the dtype view changes here (narrow kernels
-        # keep int64 residues, the butterflies want uint64).
-        self._psi = be.asarray(plan._psi_rev, dtype=np.uint64)
-        self._psi_inv = be.asarray(plan._psi_inv_rev, dtype=np.uint64)
-        if kernel.path == modmath.WIDE:
-            self._psi_shoup = plan._psi_rev_shoup
-            self._psi_inv_shoup = plan._psi_inv_rev_shoup
-            w, ws = plan._n_inv_pair
-        else:
-            # shoup_table returns a host array: one upload, at build.
-            self._psi_shoup = be.from_host(
-                kernel.shoup_table(plan._psi_rev))
-            self._psi_inv_shoup = be.from_host(
-                kernel.shoup_table(plan._psi_inv_rev))
-            w, ws = modmath.shoup_pair(plan._n_inv, self.modulus)
-        self._n_inv_w = np.uint64(w)
-        self._n_inv_ws = np.uint64(ws)
-        self._q = np.uint64(self.modulus)
-        self._engine = FusedNttEngine(
-            self.n, self.modulus, self._psi, self._psi_shoup,
-            self._psi_inv, self._psi_inv_shoup, (w, ws), be,
-            backend_mod.WorkspaceArena(be, "ntt"), per_row=False)
-
-    def _rows(self, rows: np.ndarray) -> np.ndarray:
-        a = self.backend.asarray(rows, dtype=np.uint64, copy=True)
-        if a.ndim != 2 or a.shape[1] != self.n:
-            raise ValueError("rows must be (B, N) for this plan")
-        return a
-
-    def _loop(self, rows: np.ndarray, inverse: bool) -> np.ndarray:
-        transform = self._plan.inverse if inverse else self._plan.forward
-        return np.stack([np.asarray(transform(row), dtype=np.uint64)
-                         for row in np.asarray(rows)])
 
     def forward(self, rows: np.ndarray) -> np.ndarray:
         """Coefficient -> evaluation form, every row at once."""
-        if not self.vectorised:
-            return self._loop(rows, inverse=False)
-        a = self._rows(rows)
-        self._engine.forward(a)
-        return a
+        return super().forward(rows)
 
     def inverse(self, rows: np.ndarray) -> np.ndarray:
         """Evaluation -> coefficient form, every row at once."""
-        if not self.vectorised:
-            return self._loop(rows, inverse=True)
-        a = self._rows(rows)
-        self._engine.inverse(a)
-        return a
-
-
-# -- stacked op application ------------------------------------------------
-
-def _mulmod(kernel, rows: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Canonical ``rows * scale mod q`` with a per-request scalar
-    column: the limb kernel's exact elementwise multiply (128-bit
-    Barrett on the wide path), results back in uint64."""
-    out = kernel.mul(kernel.asresidues(rows, copy=False),
-                     kernel.asresidues(scale[:, None], copy=False))
-    return kernel.backend.asarray(out, dtype=np.uint64)
-
-
-def _apply_batch_op(ct3: np.ndarray, index: int, rotation: int,
-                    needs_ks: bool, seeds: np.ndarray, ctx: dict) -> None:
-    """Apply op ``index``'s transform to one ciphertext's ``(B,
-    limbs, N)`` stack in place — all requests at once."""
-    n = ctx["n"]
-    counter = ctx["counter"]
-    for j, (q, kernel, row_ntt) in enumerate(zip(ctx["moduli"],
-                                                 ctx["kernels"],
-                                                 ctx["row_ntts"])):
-        scale, offsets = op_params(seeds, index, j, q, counter)
-        rows = ct3[:, j, :]
-        if needs_ks:
-            evals = row_ntt.forward(rows)
-            evals = _addmod(_mulmod(kernel, evals, scale), offsets, q)
-            rows = row_ntt.inverse(evals)
-        else:
-            rows = _addmod(_mulmod(kernel, rows, scale), offsets, q)
-        r = rotation % n if rotation else 0
-        if r:
-            rows = np.roll(rows, r, axis=1)
-            rows[:, :r] = _negmod(rows[:, :r], q)
-        ct3[:, j, :] = rows
-
-
-def _addmod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    s = a + b
-    qq = np.uint64(q)
-    return np.where(s >= qq, s - qq, s)
-
-
-def _negmod(a: np.ndarray, q: int) -> np.ndarray:
-    qq = np.uint64(q)
-    return np.where(a == 0, a, qq - a)
-
-
-@lru_cache(maxsize=8)
-def _batch_context(moduli: tuple[int, ...], ring_degree: int,
-                   backend_name: str = "numpy") -> dict:
-    """Per-process stacked-execution context (workers build lazily).
-
-    Keyed by backend *name* (a plain string) so the cache key stays
-    picklable and workers rebuilding the context in a fork land on
-    the same entry.  The pooled shared-memory path always passes
-    ``"numpy"`` — the arena is host memory by construction.
-    """
-    be = backend_mod.get_backend(backend_name)
-    return {
-        "moduli": moduli,
-        "n": ring_degree,
-        "backend": be,
-        "counter": be.from_host(np.arange(1, ring_degree + 1,
-                                          dtype=np.uint64) * _C3),
-        "kernels": [modmath.get_kernel(q, backend=be) for q in moduli],
-        "row_ntts": [RowBatchNtt(ring_degree, q, backend=be)
-                     for q in moduli],
-    }
-
-
-def _run_batch_node(shm_name: str, shape: tuple, slot: int,
-                    items: list[tuple], seeds: list[int],
-                    moduli: tuple[int, ...], ring_degree: int) -> int:
-    """Pool task: apply one node's ops to one ciphertext's batch
-    stack inside the shared arena (self-contained: rebuilds its
-    context in the worker on first use)."""
-    ctx = _batch_context(tuple(moduli), int(ring_degree))
-    seeds_arr = np.array(seeds, dtype=np.uint64)
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        arena = np.ndarray(shape, dtype=np.uint64, buffer=shm.buf)
-        ct3 = arena[slot]
-        for index, rotation, needs_ks in items:
-            _apply_batch_op(ct3, index, rotation, needs_ks,
-                            seeds_arr, ctx)
-    finally:
-        shm.close()
-    return slot
+        return super().inverse(rows)
 
 
 @dataclass
@@ -290,112 +90,72 @@ class ServeExecutor:
     """Executes one shape over a batch of request seeds, stacked.
 
     ``run_serial`` is the per-request oracle (program order, one
-    request); ``run_batch`` is the production path (program order,
-    all requests stacked per op); ``run_batch_pooled`` dispatches
-    per-node stacked tasks over a resident
-    :class:`~repro.sched.executor.FunctionalExecutor` fork pool in
-    DAG-ready order.  All three produce bit-identical per-request
-    states.
+    request, reference NTT plans); ``run_batch`` is the production
+    path (program order, all requests stacked per op);
+    ``run_batch_pooled`` dispatches stacked tasks of ready nodes over a
+    resident :class:`~repro.sched.executor.FunctionalExecutor` fork
+    pool in DAG-ready order.  All three run the one op body and
+    produce bit-identical per-request states.
     """
 
     def __init__(self, ring_degree: int = 256, num_limbs: int = 3,
                  prime_bits: int = 36, seed: int = 20250806,
                  backend=None):
+        check_prime_bits(prime_bits)
         self.ring_degree = int(ring_degree)
         self.seed = int(seed)
         self.moduli = tuple(primes.ntt_primes(
             num_limbs, prime_bits, ring_degree))
         self.backend = backend_mod.resolve(backend)
-        self._ctx = _batch_context(self.moduli, self.ring_degree,
-                                   self.backend.name)
+        self._ctx = worker_context(self.moduli, self.ring_degree,
+                                   self.backend.name,
+                                   row_ntt=RowBatchNtt)
 
     # -- seeds ----------------------------------------------------------
     def request_seed(self, request_id: int) -> int:
         return request_seed(self.seed, request_id)
 
-    def _seed_array(self, seeds) -> np.ndarray:
-        be = self._ctx["backend"]
-        if be.is_device_array(seeds) and seeds.dtype == np.uint64:
-            return seeds        # already uploaded by the caller
-        return be.from_host(
-            np.array([int(s) & _MASK for s in seeds], dtype=np.uint64))
-
     # -- state ----------------------------------------------------------
     def _ct_ids(self, trace: OpTrace) -> list[int]:
         return sorted({op.ct_id for op in trace})
 
+    def _fresh(self, trace: OpTrace, seeds_arr: np.ndarray,
+               ctx: dict) -> dict[int, np.ndarray]:
+        return {ct: fresh_stack(ct, seeds_arr, ctx)
+                for ct in self._ct_ids(trace)}
+
     def initial_state(self, trace: OpTrace,
                       seeds) -> dict[int, np.ndarray]:
         """ct id -> ``(B, limbs, N)`` fresh residue stack."""
-        seeds_arr = self._seed_array(seeds)
-        counter = self._ctx["counter"]
-        be = self._ctx["backend"]
-        state = {}
-        for ct in self._ct_ids(trace):
-            stack = be.empty((len(seeds_arr), len(self.moduli),
-                              self.ring_degree), np.uint64)
-            for j, q in enumerate(self.moduli):
-                stack[:, j, :] = fresh_params(seeds_arr, ct, j, q,
-                                              counter)
-            state[ct] = stack
+        return self._fresh(
+            trace, seed_array(seeds, self._ctx["backend"]), self._ctx)
+
+    def _run(self, trace: OpTrace, seeds, ctx: dict
+             ) -> dict[int, np.ndarray]:
+        seeds_arr = seed_array(seeds, ctx["backend"])
+        state = self._fresh(trace, seeds_arr, ctx)
+        for index, op in enumerate(trace):
+            apply_op(state[op.ct_id], index, op.rotation,
+                     op.needs_key_switch, seeds_arr, ctx)
         return state
 
     # -- serial oracle ---------------------------------------------------
     def run_serial(self, trace: OpTrace,
                    seed: int) -> dict[int, np.ndarray]:
-        """Program-order single-request run: the ground truth.  Uses
-        the same parameter derivation as the stacked path on a
-        1-element seed vector, with scalar per-limb kernels."""
-        state = {ct: stack[0].copy()
-                 for ct, stack in self.initial_state(trace,
-                                                     [seed]).items()}
-        from repro.ckks.ntt import RADIX_ORACLE
-        from repro.ckks.rns import get_plan
-
-        seeds_arr = self._seed_array([seed])
-        counter = self._ctx["counter"]
-        kernels = self._ctx["kernels"]
-        n = self.ring_degree
-        # Radix-2 oracle-tier plans, deliberately: the serial oracle
-        # must not share the fused butterflies the stacked path runs.
-        plans = [get_plan(n, row_ntt.modulus, radix=RADIX_ORACLE)
-                 for row_ntt in self._ctx["row_ntts"]]
-        for index, op in enumerate(trace):
-            ct = state[op.ct_id]
-            for j, q in enumerate(self.moduli):
-                kernel, plan = kernels[j], plans[j]
-                scale, offsets = op_params(seeds_arr, index, j, q,
-                                           counter)
-                limb = ct[j]
-                if op.needs_key_switch:
-                    # The scalar NttPlan, deliberately: the oracle
-                    # must not share the stacked butterflies it vets.
-                    evals = np.asarray(plan.forward(limb),
-                                       dtype=np.uint64)[None, :]
-                    evals = _addmod(_mulmod(kernel, evals, scale),
-                                    offsets, q)
-                    limb = np.asarray(plan.inverse(evals[0]),
-                                      dtype=np.uint64)
-                else:
-                    limb = _addmod(_mulmod(kernel, limb[None, :],
-                                           scale), offsets, q)[0]
-                r = op.rotation % n if op.rotation else 0
-                if r:
-                    limb = np.roll(limb, r)
-                    limb[:r] = _negmod(limb[:r], q)
-                ct[j] = limb
-        return state
+        """Program-order single-request run: the ground truth.  The
+        same op body at ``B = 1``, on the object-path reference NTT
+        plans (host-side) — the oracle must not share the fused
+        butterflies the stacked path runs."""
+        reference = worker_context(self.moduli, self.ring_degree,
+                                   reference=True)
+        return {ct: stack[0] for ct, stack
+                in self._run(trace, [seed], reference).items()}
 
     # -- stacked execution -----------------------------------------------
     def run_batch(self, trace: OpTrace, seeds) -> dict[int, np.ndarray]:
         """Program-order whole-batch run: each op transforms its
         ciphertext's ``(B, limbs, N)`` stack in one vectorised pass."""
-        seeds_arr = self._seed_array(seeds)
-        state = self.initial_state(trace, seeds_arr)
-        for index, op in enumerate(trace):
-            _apply_batch_op(state[op.ct_id], index, op.rotation,
-                            op.needs_key_switch, seeds_arr, self._ctx)
-        return state
+        return self._run(trace, seeds, self._ctx)
 
     def run_batch_pooled(self, trace: OpTrace, seeds,
                          executor, workers: int = 4
@@ -403,64 +163,24 @@ class ServeExecutor:
         """DAG-ready-order stacked run over ``executor``'s resident
         fork pool (:meth:`FunctionalExecutor.ensure_pool`); falls
         back to the in-process stacked run when the pool cannot be
-        created, returning ``parallel=False``."""
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        seeds_list = [int(s) & _MASK for s in seeds]
-        graph = DataflowGraph.from_trace(trace)
+        created or breaks, returning ``parallel=False``."""
+        seeds_list = [int(s) for s in seeds]    # picklable
         ct_ids = self._ct_ids(trace)
         slots = {ct: i for i, ct in enumerate(ct_ids)}
-        shape = (len(ct_ids), len(seeds_list), len(self.moduli),
-                 self.ring_degree)
+        initial = self.initial_state(trace, seeds_list)
         try:
-            pool = executor.ensure_pool(workers)
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(int(np.prod(shape)) * 8, 8))
-        except (OSError, ValueError, PermissionError,
-                BrokenProcessPool):
-            obs.get_tracer().count("serve.pool_fallback")
-            return self.run_batch(trace, seeds_list), False
-        try:
-            arena = np.ndarray(shape, dtype=np.uint64, buffer=shm.buf)
-            for ct, stack in self.initial_state(trace,
-                                                seeds_list).items():
-                arena[slots[ct]] = backend_mod.to_host(stack)
-            indegree = {nd.node_id: len(nd.preds) for nd in graph.nodes}
-            ready = [nid for nid, deg in indegree.items() if deg == 0]
-            in_flight: dict = {}
-            done = 0
-            while done < len(graph.nodes):
-                while ready:
-                    nid = ready.pop()
-                    node = graph.node(nid)
-                    items = [(idx, op.rotation, op.needs_key_switch)
-                             for idx, op in zip(node.indices, node.ops)]
-                    future = pool.submit(
-                        _run_batch_node, shm.name, shape,
-                        slots[node.ct_id], items, seeds_list,
-                        self.moduli, self.ring_degree)
-                    in_flight[future] = nid
-                finished, _ = wait(in_flight,
-                                   return_when=FIRST_COMPLETED)
-                for future in finished:
-                    nid = in_flight.pop(future)
-                    future.result()
-                    done += 1
-                    for succ in graph.node(nid).succs:
-                        indegree[succ] -= 1
-                        if indegree[succ] == 0:
-                            ready.append(succ)
-            state = {ct: arena[slots[ct]].copy() for ct in ct_ids}
-            return state, True
-        except (OSError, ValueError, PermissionError,
-                BrokenProcessPool):
+            stacks = run_pooled(
+                executor.ensure_pool(workers), workers,
+                DataflowGraph.from_trace(trace),
+                [initial[ct] for ct in ct_ids],
+                lambda node: slots[node.ct_id],
+                lambda node: seeds_list,
+                self.moduli, self.ring_degree)
+        except POOL_ERRORS:
             executor.close()
             obs.get_tracer().count("serve.pool_fallback")
             return self.run_batch(trace, seeds_list), False
-        finally:
-            shm.close()
-            shm.unlink()
+        return dict(zip(ct_ids, stacks)), True
 
     # -- digests ---------------------------------------------------------
     def digest_row(self, state: dict[int, np.ndarray],
@@ -486,7 +206,7 @@ class ServeExecutor:
     # -- the proof --------------------------------------------------------
     def verify_batch(self, trace: OpTrace, seeds) -> ServeCheck:
         """Stacked run vs per-request serial oracle, bit-for-bit."""
-        seeds_list = [int(s) & _MASK for s in seeds]
+        seeds_list = [int(s) for s in seeds]
         batched = self.run_batch(trace, seeds_list)
         mismatched = []
         for row, seed in enumerate(seeds_list):

@@ -7,12 +7,13 @@ they agree on ``(kind, shape)`` — same params, same level schedule,
 same op sequence — which is what :class:`repro.serve.batcher.BatchKey`
 captures.
 
-Per-request data seeds reuse the stream-mix scheme of
-:class:`repro.sched.executor.FunctionalExecutor`
-(``seed ^ request_id * MIX`` with the golden-ratio odd constant), so
-concurrent encrypts are reproducible and non-colliding: request ``r``
-always produces the same bits, and distinct requests never share a
-generator stream.
+Per-request data seeds are the stream seeds of
+:class:`repro.sched.executor.FunctionalExecutor` — one function,
+:func:`repro.sched.executor.derive_seed` (``seed ^ request_id * MIX``
+with the golden-ratio odd constant), under the serving layer's name
+:func:`request_seed` — so concurrent encrypts are reproducible and
+non-colliding: request ``r`` always produces the same bits, and
+distinct requests never share a parameter stream.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.core.optrace import OpTrace, TraceBuilder
-from repro.sched.executor import _MIX
+from repro.sched.executor import derive_seed as request_seed  # noqa: F401
 
 # -- job kinds -------------------------------------------------------------
 
@@ -30,15 +31,6 @@ ENCRYPT = "encrypt"
 EVAL = "eval"
 DECRYPT = "decrypt"
 JOB_KINDS = (ENCODE, ENCRYPT, EVAL, DECRYPT)
-
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
-
-
-def request_seed(base_seed: int, request_id: int) -> int:
-    """Request ``r``'s data seed: the executor's stream-mix scheme
-    keyed by the request id (request 0 keeps the base seed)."""
-    return (base_seed ^ (request_id * _MIX)) & _SEED_MASK
-
 
 # -- shapes ----------------------------------------------------------------
 

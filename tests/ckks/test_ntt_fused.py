@@ -1,12 +1,16 @@
-"""Fused radix-4 NTT tier: differential, allocation and cache keying.
+"""The fused NTT engine against the one reference; allocation ledger.
 
 The fused engine (merged two-stage butterflies, cross-stage lazy
 reduction, arena-pooled workspaces) must be **bit-identical** to the
-per-stage-normalised radix-2 oracle across the whole supported width
-grid, and a warmed plan must allocate nothing: both are asserted
-here, the first by hypothesis-driven differentials against the oracle
-and the schoolbook convolution reference, the second by FakeBackend's
-device-allocation counter and the ``kernel.alloc.ntt`` obs ledger.
+reference — the radix-2 network on Python ints that
+``NttPlan(n, q, path=modmath.OBJECT)`` executes — across the whole
+supported width grid, in both engine modes (shared modulus: scalar
+plans and the rows entry point; per-row moduli: batch plans), and a
+warmed plan must allocate nothing.  The reference itself is anchored
+to the schoolbook negacyclic convolution, so the chain of trust is
+schoolbook -> reference -> engine.  Allocation is asserted by
+FakeBackend's device-allocation counter and the ``kernel.alloc.ntt``
+obs ledger.
 """
 
 import numpy as np
@@ -15,9 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 import repro.backend as backend_mod
 from repro import obs
-from repro.ckks import primes
-from repro.ckks.ntt import (RADIX_FUSED, RADIX_ORACLE,
-                            clear_batch_plan_cache, get_batch_plan,
+from repro.ckks import modmath, primes
+from repro.ckks.ntt import (NttPlan, clear_batch_plan_cache,
+                            get_batch_plan,
                             negacyclic_convolution_reference)
 from repro.ckks.rns import clear_plan_cache, get_plan
 
@@ -42,19 +46,54 @@ def _host(arr) -> np.ndarray:
     return np.asarray(backend_mod.to_host(arr), dtype=np.uint64)
 
 
+def _reference(n: int, q: int) -> NttPlan:
+    """The one reference: the object-path plan of the same (N, q)."""
+    plan = NttPlan(n, q, path=modmath.OBJECT)
+    assert plan.path == modmath.OBJECT
+    return plan
+
+
+class TestReference:
+    """The reference network itself, against the schoolbook product —
+    at a narrow, a wide and a beyond-uint64 modulus."""
+
+    @pytest.mark.parametrize("bits", (28, 36, 70))
+    def test_pointwise_product_is_negacyclic_convolution(self, bits):
+        n = 16
+        q = _prime(bits, n)
+        plan = _reference(n, q)
+        rng = np.random.default_rng(bits)
+        a = [int(v) % q for v in rng.integers(0, 2**62, size=n)]
+        b = [int(v) % q for v in rng.integers(0, 2**62, size=n)]
+        product = plan.forward(a) * plan.forward(b) % q
+        np.testing.assert_array_equal(
+            plan.inverse(product),
+            negacyclic_convolution_reference(a, b, q))
+
+    @pytest.mark.parametrize("bits", (28, 36, 70))
+    def test_roundtrip_is_identity(self, bits):
+        q = _prime(bits)
+        plan = _reference(N, q)
+        x = [int(v) % q for v in
+             np.random.default_rng(bits).integers(0, 2**62, size=N)]
+        assert list(plan.inverse(plan.forward(x))) == x
+
+
 class TestScalarDifferential:
-    """Fused scalar plans against the radix-2 oracle, per width."""
+    """Fused scalar plans against the reference, per width."""
 
     @settings(deadline=None, max_examples=60)
     @given(bits=st.sampled_from(WIDTHS),
            n_log2=st.integers(min_value=1, max_value=8),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_forward_inverse_match_oracle(self, bits, n_log2, seed):
+        # n_log2 sweeps odd and even stage counts: an odd count keeps
+        # one radix-2 sweep beside the merged radix-4 ones.
         n = 1 << n_log2
         q = _prime(bits, n)
-        fused = get_plan(n, q, radix=RADIX_FUSED)
-        oracle = get_plan(n, q, radix=RADIX_ORACLE)
-        assert fused.fused and not oracle.fused
+        fused = get_plan(n, q)
+        oracle = _reference(n, q)
+        assert fused.path != modmath.OBJECT
         x = _limb(q, n, seed)
         fwd_fused = _host(fused.forward(x.copy()))
         fwd_oracle = _host(oracle.forward(x.copy()))
@@ -70,8 +109,8 @@ class TestScalarDifferential:
         # All-(q-1) inputs drive every butterfly through the top of
         # its lazy domain — the headroom proof's worst case.
         q = _prime(bits)
-        fused = get_plan(N, q, radix=RADIX_FUSED)
-        oracle = get_plan(N, q, radix=RADIX_ORACLE)
+        fused = get_plan(N, q)
+        oracle = _reference(N, q)
         x = np.full(N, q - 1, dtype=np.uint64)
         fwd = _host(fused.forward(x.copy()))
         np.testing.assert_array_equal(fwd, _host(oracle.forward(x.copy())))
@@ -84,8 +123,7 @@ class TestScalarDifferential:
     def test_pointwise_product_is_negacyclic_convolution(self, bits):
         n = 16
         q = _prime(bits, n)
-        plan = get_plan(n, q)          # default tier is the fused one
-        assert plan.radix == RADIX_FUSED
+        plan = get_plan(n, q)
         rng = np.random.default_rng(bits)
         a = rng.integers(0, q, size=n, dtype=np.uint64)
         b = rng.integers(0, q, size=n, dtype=np.uint64)
@@ -106,8 +144,55 @@ class TestScalarDifferential:
             _host(plan.forward(plan.inverse(x.copy()))), x)
 
 
+class TestRowsEntryPoint:
+    """Shared-modulus mode: the in-place ``(B, N)`` rows transform is
+    ``B`` independent scalar transforms, bit for bit."""
+
+    @pytest.mark.parametrize("batch", (1, 3, 16))
+    @pytest.mark.parametrize("bits", (28, 36, 62))
+    def test_rows_equal_independent_scalar_calls(self, bits, batch):
+        q = _prime(bits)
+        plan = get_plan(N, q)
+        rows = np.stack([_limb(q, N, 100 * bits + b)
+                         for b in range(batch)])
+        rows[0] = q - 1                     # worst case rides along
+        fwd = rows.copy()
+        plan.forward_rows(fwd)
+        for b in range(batch):
+            np.testing.assert_array_equal(
+                fwd[b], _host(plan.forward(rows[b])))
+        inv = fwd.copy()
+        plan.inverse_rows(inv)
+        for b in range(batch):
+            np.testing.assert_array_equal(
+                inv[b], _host(plan.inverse(fwd[b])))
+        np.testing.assert_array_equal(inv, rows)
+
+    @pytest.mark.parametrize("batch", (1, 3))
+    def test_rows_match_reference_rows(self, batch):
+        q = _prime(36)
+        rows = np.stack([_limb(q, N, 40 + b) for b in range(batch)])
+        fused = rows.copy()
+        get_plan(N, q).forward_rows(fused)
+        boxed = rows.astype(object)
+        _reference(N, q).forward_rows(boxed)
+        np.testing.assert_array_equal(fused, boxed.astype(np.uint64))
+
+    def test_misshapen_rows_rejected(self):
+        plan = get_plan(N, _prime(36))
+        with pytest.raises(ValueError):
+            plan.forward_rows(np.zeros((2, N // 2), dtype=np.uint64))
+        with pytest.raises(ValueError):
+            plan.inverse_rows(np.zeros(N, dtype=np.uint64))
+        with pytest.raises(ValueError):     # a strided view is not in place
+            plan.forward_rows(np.zeros((2, 2 * N), dtype=np.uint64)[:, ::2])
+        with pytest.raises(ValueError):
+            plan.forward_rows(np.zeros((2, N), dtype=np.int64))
+
+
 class TestBatchDifferential:
-    """Fused batch plans against the radix-2 batch oracle."""
+    """Per-row mode: fused batch plans against per-limb reference
+    plans."""
 
     def _basis(self, n: int) -> tuple[int, ...]:
         return (tuple(primes.ntt_primes(2, 28, n))
@@ -115,18 +200,20 @@ class TestBatchDifferential:
                 + tuple(primes.ntt_primes(1, 60, n)))
 
     @settings(deadline=None, max_examples=20)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_forward_inverse_match_oracle(self, seed):
-        moduli = self._basis(N)
-        fused = get_batch_plan(N, moduli, radix=RADIX_FUSED)
-        oracle = get_batch_plan(N, moduli, radix=RADIX_ORACLE)
-        limbs = [_limb(q, N, seed + i) for i, q in enumerate(moduli)]
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n_log2=st.sampled_from((5, 6)))
+    def test_forward_inverse_match_oracle(self, seed, n_log2):
+        n = 1 << n_log2
+        moduli = self._basis(n)
+        fused = get_batch_plan(n, moduli)
+        oracles = [_reference(n, q) for q in moduli]
+        limbs = [_limb(q, n, seed + i) for i, q in enumerate(moduli)]
         fwd_fused = fused.forward(limbs)
-        fwd_oracle = oracle.forward(limbs)
+        fwd_oracle = [o.forward(x) for o, x in zip(oracles, limbs)]
         for a, b in zip(fwd_fused, fwd_oracle):
             np.testing.assert_array_equal(_host(a), _host(b))
         inv_fused = fused.inverse(fwd_fused)
-        inv_oracle = oracle.inverse(fwd_oracle)
+        inv_oracle = [o.inverse(x) for o, x in zip(oracles, fwd_oracle)]
         for a, b, x in zip(inv_fused, inv_oracle, limbs):
             np.testing.assert_array_equal(_host(a), _host(b))
             np.testing.assert_array_equal(_host(a), x)
@@ -152,12 +239,9 @@ class TestBatchDifferential:
                  for i in range(2)]
         fwd = plan.forward(limbs)
         for i, q in enumerate(moduli):
-            scalar = get_plan(n, q, radix=RADIX_ORACLE)
             got = np.asarray(backend_mod.to_host(fwd[i]),
                              dtype=object) % q
-            want = np.asarray(
-                backend_mod.to_host(scalar.forward(limbs[i])),
-                dtype=object) % q
+            want = _reference(n, q).forward(limbs[i])
             np.testing.assert_array_equal(got, want)
 
 
@@ -215,46 +299,8 @@ class TestZeroAllocation:
             clear_batch_plan_cache()
 
 
-class TestRadixCacheKeying:
-    """Oracle and fused plans for one (n, moduli, backend) never alias."""
-
-    def test_scalar_plan_cache_keys_radix(self):
-        q = _prime(28)
-        fused = get_plan(N, q, radix=RADIX_FUSED)
-        oracle = get_plan(N, q, radix=RADIX_ORACLE)
-        assert fused is not oracle
-        assert get_plan(N, q) is fused              # default tier
-        assert get_plan(N, q, radix=RADIX_ORACLE) is oracle
-
-    def test_batch_plan_cache_keys_radix(self):
-        moduli = tuple(primes.ntt_primes(2, 28, N))
-        fused = get_batch_plan(N, moduli, radix=RADIX_FUSED)
-        oracle = get_batch_plan(N, moduli, radix=RADIX_ORACLE)
-        assert fused is not oracle
-        assert fused.radix == RADIX_FUSED
-        assert oracle.radix == RADIX_ORACLE
-        assert get_batch_plan(N, moduli) is fused
-
-    def test_invalid_radix_rejected(self):
-        q = _prime(28)
-        with pytest.raises(ValueError):
-            get_plan(N, q, radix=3)
-        with pytest.raises(ValueError):
-            get_batch_plan(N, (q,), radix=8)
-
-    def test_eviction_still_bounded_with_radix_keys(self):
-        from repro.ckks.rns import PLAN_CACHE_MAXSIZE, plan_cache_info
-
-        clear_plan_cache()
-        try:
-            half = PLAN_CACHE_MAXSIZE // 2 + 4
-            for q in primes.ntt_primes(half, 18, 32):
-                get_plan(32, q, radix=RADIX_FUSED)
-                get_plan(32, q, radix=RADIX_ORACLE)
-            info = plan_cache_info()
-            assert info.currsize <= PLAN_CACHE_MAXSIZE
-        finally:
-            clear_plan_cache()
+class TestPlanCacheChurn:
+    """An evicted and rebuilt plan still agrees with the reference."""
 
     def test_rebuilt_fused_plan_still_bit_exact_after_churn(self):
         from repro.ckks.rns import PLAN_CACHE_MAXSIZE
@@ -264,11 +310,12 @@ class TestRadixCacheKeying:
             n = 32
             q = primes.ntt_primes(1, 28, n)[0]
             x = _limb(q, n, 3)
-            reference = _host(get_plan(n, q,
-                                       radix=RADIX_ORACLE).forward(x.copy()))
+            original = get_plan(n, q)
+            reference = _host(_reference(n, q).forward(x.copy()))
             for churn_q in primes.ntt_primes(PLAN_CACHE_MAXSIZE + 4, 18, n):
                 get_plan(n, churn_q)
-            rebuilt = get_plan(n, q, radix=RADIX_FUSED)
+            rebuilt = get_plan(n, q)
+            assert rebuilt is not original
             np.testing.assert_array_equal(
                 _host(rebuilt.forward(x.copy())), reference)
         finally:

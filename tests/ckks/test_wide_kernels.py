@@ -65,6 +65,12 @@ class TestElementwiseMatchesOracle:
             w, w_shoup = wide.shoup(s)
             assert [int(v) for v in wide.mul_shoup(a, w, w_shoup)] == want
 
+    def test_shoup_companions_match_python_ints(self, q):
+        w = np.array(_vector(q, 7), dtype=np.uint64)
+        got = modmath.shoup_companions(w, q)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [(int(v) << 64) // q for v in w]
+
     def test_to_signed(self, q):
         a, ao, wide, oracle = _as_wide_and_oracle(_vector(q, 6), q)
         assert ([int(v) for v in wide.to_signed(a)]

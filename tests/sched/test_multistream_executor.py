@@ -133,16 +133,19 @@ class TestStreamIndependence:
 
 
 class TestExecutionPaths:
-    def test_inline_fallback_matches_pool(self, ex36, trace):
+    def test_inline_fallback_matches_pool(self, ex36, trace, monkeypatch):
         """The inline (no process pool) path computes the same bits."""
         graph = ex36._merged_graph([trace] * 2)
-        slots = {}
-        for nid in range(len(graph.nodes)):
-            node = graph.node(nid)
-            slots.setdefault((node.stream, node.ct_id), len(slots))
-        inline = ex36._run_merged_inline([trace] * 2, graph, slots)
         pooled, _ = ex36.run_merged([trace] * 2, graph=graph,
                                     workers=2)
+
+        def no_fork(workers):
+            raise OSError("fork unavailable")
+
+        monkeypatch.setattr(ex36, "ensure_pool", no_fork)
+        inline, concurrent = ex36.run_merged([trace] * 2, graph=graph,
+                                             workers=2)
+        assert not concurrent
         for s in range(2):
             for ct in pooled[s]:
                 assert np.array_equal(inline[s][ct], pooled[s][ct]), \

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.ckks import primes
 from repro.ckks.rns import get_plan
 from repro.core.optrace import TraceBuilder
-from repro.sched.executor import FunctionalExecutor
+from repro.sched.executor import DatapathWidthError, FunctionalExecutor
 from repro.serve.engine import RowBatchNtt, ServeExecutor
-from repro.serve.jobs import get_shape
+from repro.serve.jobs import get_shape, request_seed
+from repro.serve.server import FheServer, ServerConfig
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,42 @@ class TestRowBatchNtt:
             assert np.array_equal(stacked[i], expected), i
 
 
+class TestRowsCounters:
+    """Serve's stacked transforms are visible to ``repro.obs`` through
+    the plan's rows entry point, and only when obs is on."""
+
+    def _counters(self, enabled: bool) -> dict:
+        q = primes.ntt_primes(1, 36, 64)[0]
+        batch = RowBatchNtt(64, q)
+        rows = np.random.default_rng(10).integers(
+            0, q, size=(5, 64), dtype=np.uint64)
+        obs.configure(enabled=enabled, reset=True)
+        try:
+            batch.inverse(batch.forward(rows))
+            batch.forward(rows[:2])
+            tracer = obs.get_tracer()
+            return {"counters": tracer.counters_with_prefix("ntt."),
+                    "rows": tracer.snapshot()["histograms"].get(
+                        "ntt.rows_forward.rows")}
+        finally:
+            obs.configure(enabled=False, reset=True)
+
+    def test_rows_transforms_counted_with_row_count(self):
+        seen = self._counters(enabled=True)
+        assert seen["counters"]["ntt.rows_forward"] == 2
+        assert seen["counters"]["ntt.rows_inverse"] == 1
+        assert seen["rows"]["count"] == 2
+        assert seen["rows"]["total"] == 5 + 2
+        # one tier, one counter set: no scalar or tier counters move
+        assert not any(name.startswith(("ntt.tier.", "ntt.forward",
+                                        "ntt.inverse"))
+                       for name in seen["counters"])
+
+    def test_nothing_counted_with_obs_disabled(self):
+        seen = self._counters(enabled=False)
+        assert seen["counters"] == {} and seen["rows"] is None
+
+
 class TestStackedBitExactness:
     @pytest.mark.parametrize("batch", [1, 3, 8])
     def test_batch_matches_serial_oracle(self, executor, batch):
@@ -87,6 +125,20 @@ class TestStackedBitExactness:
         assert executor.digest_row(with_1, 0) == digest
         assert executor.digest_row(with_99, 0) == digest
 
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_serial_equals_every_batch_row(self, executor, batch):
+        """``run_serial`` (the op body at B=1 on the reference plans)
+        equals row ``b`` of ``run_batch`` for every ``b``."""
+        trace = mixed_trace()
+        seeds = [executor.request_seed(r) for r in range(batch)]
+        batched = executor.run_batch(trace, seeds)
+        for row, seed in enumerate(seeds):
+            serial = executor.run_serial(trace, seed)
+            assert set(serial) == set(batched)
+            for ct in serial:
+                assert np.array_equal(serial[ct], batched[ct][row]), \
+                    (row, ct)
+
     def test_serial_digest_equals_batch_row_digest(self, executor):
         trace = mixed_trace()
         seeds = [executor.request_seed(r) for r in range(3)]
@@ -95,6 +147,53 @@ class TestStackedBitExactness:
             serial = executor.run_serial(trace, seed)
             assert executor.digest_serial(serial) \
                 == executor.digest_row(batched, row)
+
+
+# (base seed, request id) -> digest of the ``helr-mini-step`` shape on
+# the default ServeExecutor geometry, computed at the commit before the
+# executors were merged onto one op body: "same bits" is checked here,
+# not asserted.
+PINNED_DIGESTS = {
+    (20250806, 0): "78fed9259ab717360392978c4c5bcef0",
+    (20250806, 7): "78746b0054792debf73e3abb4ebe3a0a",
+    (0xC0FFEE, 12345): "7aa5dd8dcbf06ddb08ee5b5da2a065af",
+}
+
+
+class TestPinnedDigests:
+    @pytest.mark.parametrize("base, rid", sorted(PINNED_DIGESTS))
+    def test_served_digest_keeps_its_bits(self, base, rid):
+        ex = ServeExecutor(seed=base)
+        trace = get_shape("helr-mini-step")
+        seed = request_seed(base, rid)
+        want = PINNED_DIGESTS[(base, rid)]
+        assert ex.digest_serial(ex.run_serial(trace, seed)) == want
+        batched = ex.run_batch(trace, [request_seed(base, rid + 1), seed])
+        assert ex.digest_row(batched, 1) == want
+
+
+class TestPrimeBits:
+    """The ``(B, limbs, N)`` uint64 stacks hold moduli up to 62 bits;
+    wider ones are refused by name before any prime search."""
+
+    @pytest.mark.parametrize("bits", [31, 62])
+    def test_uint64_datapath_widths_accepted(self, bits):
+        ex = ServeExecutor(ring_degree=64, num_limbs=2, prime_bits=bits)
+        assert all(q.bit_length() == bits for q in ex.moduli)
+        seeds = [ex.request_seed(r) for r in range(3)]
+        check = ex.verify_batch(mixed_trace(), seeds)
+        assert check.bit_exact, check.mismatched
+
+    @pytest.mark.parametrize("bits", [63, 66])
+    def test_wider_primes_rejected_by_name(self, bits, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("prime search ran before the check")
+
+        monkeypatch.setattr(primes, "ntt_primes", no_search)
+        with pytest.raises(DatapathWidthError, match="prime_bits"):
+            ServeExecutor(ring_degree=64, prime_bits=bits)
+        with pytest.raises(DatapathWidthError, match="prime_bits"):
+            FheServer(ServerConfig(ring_degree=64, prime_bits=bits))
 
 
 class TestPooledBackend:
@@ -115,3 +214,27 @@ class TestPooledBackend:
         for ct in reference:
             assert np.array_equal(np.asarray(state[ct], dtype=np.uint64),
                                   reference[ct]), (ct, parallel)
+
+    def test_forced_fallback_is_counted_and_bit_exact(self, executor,
+                                                      monkeypatch):
+        trace = mixed_trace()
+        seeds = [executor.request_seed(r) for r in range(3)]
+        pool_host = FunctionalExecutor(ring_degree=64, num_limbs=2,
+                                       persistent=True)
+
+        def no_fork(workers):
+            raise OSError("fork unavailable")
+
+        monkeypatch.setattr(pool_host, "ensure_pool", no_fork)
+        obs.configure(enabled=True, reset=True)
+        try:
+            state, parallel = executor.run_batch_pooled(
+                trace, seeds, pool_host, workers=2)
+            fallbacks = obs.get_tracer().counter_value(
+                "serve.pool_fallback")
+        finally:
+            obs.configure(enabled=False, reset=True)
+        assert not parallel and fallbacks == 1
+        reference = executor.run_batch(trace, seeds)
+        for ct in reference:
+            assert np.array_equal(state[ct], reference[ct]), ct

@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.sched.executor import _MIX, FunctionalExecutor
+from repro.sched.executor import _MIX, FunctionalExecutor, derive_seed
 from repro.serve.jobs import request_seed
 from repro.serve.loadgen import format_report, percentile, run_loadgen
 from repro.serve.server import FheServer, ServerConfig
@@ -22,6 +22,9 @@ def small_config(**overrides):
 class TestRequestSeeds:
     """Satellite regression: serve-path seeding is the executor's
     stream-mix scheme keyed by request id."""
+
+    def test_request_and_stream_seed_are_one_function(self):
+        assert request_seed is derive_seed
 
     def test_matches_executor_stream_mix(self):
         executor = FunctionalExecutor(ring_degree=16, num_limbs=1,

@@ -94,7 +94,7 @@ class TestBenchCommand:
 
     def test_bench_quick_writes_schema(self, report_path):
         data = json.loads(report_path.read_text())
-        assert data["schema"] == "repro-bench/v10"
+        assert data["schema"] == "repro-bench/v11"
         assert data["quick"] is True
         assert set(data["workloads"]) == {"Bootstrap", "HELR256",
                                           "HELR1024", "ResNet-20"}
@@ -116,20 +116,6 @@ class TestBenchCommand:
         functional = data["micro"]["functional"]
         assert functional["bconv"].get("matrix", 0) > 0
         assert functional["bconv"].get("object_fallback", 0) == 0
-
-    def test_bench_ntt_fused_section(self, report_path):
-        data = json.loads(report_path.read_text())
-        fused = data["ntt_fused"]
-        assert set(fused["cases"]) == {"set_ii_mini", "n16384"}
-        for name, case in fused["cases"].items():
-            assert case["bit_exact"] is True, name
-            assert case["radix4_best_s"] > 0 and case["radix2_best_s"] > 0
-        assert fused["speedup_set_ii_mini"] >= \
-            fused["min_required_speedup"]
-        assert all(fused["bit_exact_grid"].values())
-        increments = fused["functional_alloc"]["steady_alloc_increments"]
-        assert set(increments) >= {"ntt", "bconv", "kmu"}
-        assert not any(increments.values()), increments
 
     def test_bench_records_required_metrics(self, report_path):
         from repro.sim.engine import UNIT_NAMES
