@@ -12,7 +12,11 @@ hybrid-vs-KLSS crossover.
 The unit costs differ between kernels (the NTT's strided butterflies
 run slower per modmul than BLAS-backed BConv MACs), which is exactly
 why the measured crossover can sit at a different level than the
-count-based one.
+count-based one.  They also differ between the software TBM's two
+multiplier modes, so the NTT, KeyMult and element-wise costs are
+measured twice: on the 36/44-bit Q chain (what a hybrid switch runs
+on) and on the 60-bit T words (``wide_*``, what KLSS's wide half
+runs on).
 """
 
 from __future__ import annotations
@@ -39,74 +43,61 @@ def _best(fn, reps: int) -> float:
     return min(walls)
 
 
-def _calibration_setup(n: int):
-    """Set-II-mini context pieces reused across the kernel timings."""
-    from repro.bench.micro import _bconv_bases
-    params, q_chain, specials = _bconv_bases(n)
-    return params, q_chain, specials
-
-
 def calibrate_kernel_costs(ring_degree: int = CALIBRATE_RING_DEGREE,
                            reps: int = 5,
                            inner: int = 4) -> MeasuredKernelCosts:
     """Time each kernel class; return seconds-per-modop unit costs."""
+    from repro.bench.micro import _bconv_bases
     from repro.ckks import modmath, rns
+    from repro.ckks.context import CkksContext
+    from repro.ckks.keys import HYBRID, KLSS
+    from repro.ckks.keyswitch.hybrid import get_key_mult_plan
     from repro.ckks.ntt import transform_limbs
 
     n = ring_degree
-    params, q_chain, specials = _calibration_setup(n)
-    rng = np.random.default_rng(7)
-    k = len(q_chain)
-
-    # NTT: one batched forward pass over the full Q chain.
-    limbs = [modmath.random_uniform(n, q, rng) for q in q_chain]
-    ntt_wall = _best(
-        lambda: [transform_limbs(limbs, q_chain, n) for _ in range(inner)],
-        reps) / inner
-    ntt_unit = ntt_wall / (k * cost.ntt_ops(n))
-
-    # BConv: the ModDown shape (specials -> Q) on the matrix path.
-    src = specials
-    poly = rns.RnsPoly([modmath.random_uniform(n, q, rng) for q in src],
-                       src, rns.COEFF)
-    plan = rns.get_bconv_plan(src, q_chain)
-    bconv_wall = _best(
-        lambda: [plan.convert(poly.limbs) for _ in range(inner)],
-        reps) / inner
-    bconv_unit = bconv_wall / cost.bconv_ops(n, len(src), len(q_chain))
-
-    # KeyMult: the fused plan at the top-level hybrid shape.
-    from repro.ckks.context import CkksContext
-    from repro.ckks.keys import HYBRID
-    from repro.ckks.keyswitch.hybrid import get_key_mult_plan
+    params, q_chain, specials = _bconv_bases(n)
     ctx = CkksContext(params, seed=13)
     level = params.max_level
-    key = ctx.evaluation_key(HYBRID, level, "mult")
-    kmu_plan = get_key_mult_plan(key)
-    shape = cost.HybridShape.at_level(params, level)
-    stacked = rng.integers(
-        0, 2 ** 30, size=(key.num_digits, len(key.moduli), n),
-        dtype=np.uint64)
-    if kmu_plan is not None:
-        kmu_wall = _best(
-            lambda: [kmu_plan.accumulate(stacked) for _ in range(inner)],
-            reps) / inner
-    else:  # pragma: no cover - mini params always fit the fused budgets
-        kmu_wall = bconv_wall
-    kmu_unit = kmu_wall / (2.0 * shape.beta * (shape.k + shape.p) * n)
+    rng = np.random.default_rng(7)
 
-    # Element-wise: one full-width modular multiply per limb.
-    q = q_chain[0]
-    kernel = modmath.get_kernel(q)
-    a = modmath.random_uniform(n, q, rng)
-    b = modmath.random_uniform(n, q, rng)
-    ew_wall = _best(
-        lambda: [kernel.mul(a, b) for _ in range(inner)], reps) / inner
-    ew_unit = ew_wall / n
+    def timed(fn) -> float:
+        return _best(lambda: [fn() for _ in range(inner)], reps) / inner
+
+    def ntt_unit(moduli) -> float:
+        """One batched forward pass over the basis, per butterfly."""
+        limbs = [modmath.random_uniform(n, q, rng) for q in moduli]
+        return (timed(lambda: transform_limbs(limbs, moduli, n))
+                / (len(moduli) * cost.ntt_ops(n)))
+
+    def keymult_unit(method: str) -> float:
+        """The fused plan on a top-level key, per product."""
+        key = ctx.evaluation_key(method, level, "mult")
+        plan = get_key_mult_plan(key)
+        shape = (key.num_digits, len(key.moduli), n)
+        stacked = rng.integers(0, 2 ** 30, size=shape, dtype=np.uint64)
+        return timed(lambda: plan.accumulate(stacked)) / (2.0 * stacked.size)
+
+    def elementwise_unit(q: int) -> float:
+        """One full-width modular multiply per coefficient."""
+        kernel = modmath.get_kernel(q)
+        a = modmath.random_uniform(n, q, rng)
+        b = modmath.random_uniform(n, q, rng)
+        return timed(lambda: kernel.mul(a, b)) / n
+
+    # BConv: the ModDown shape (specials -> Q) on the matrix path.
+    poly = rns.RnsPoly([modmath.random_uniform(n, q, rng)
+                        for q in specials], specials, rns.COEFF)
+    plan = rns.get_bconv_plan(specials, q_chain)
+    bconv_unit = (timed(lambda: plan.convert(poly.limbs))
+                  / cost.bconv_ops(n, len(specials), len(q_chain)))
 
     return MeasuredKernelCosts(
-        ntt=ntt_unit, bconv=bconv_unit, keymult=kmu_unit,
-        elementwise=ew_unit,
+        ntt=ntt_unit(q_chain), bconv=bconv_unit,
+        keymult=keymult_unit(HYBRID),
+        elementwise=elementwise_unit(q_chain[0]),
+        wide_ntt=ntt_unit(ctx.t_moduli),
+        wide_keymult=keymult_unit(KLSS),
+        wide_elementwise=elementwise_unit(ctx.t_moduli[0]),
         meta=(("ring_degree", n), ("params", params.name),
               ("reps", reps)))
 

@@ -24,7 +24,7 @@ import platform
 import sys
 import time
 
-BENCH_SCHEMA = "repro-bench/v11"
+BENCH_SCHEMA = "repro-bench/v12"
 DEFAULT_OUT = "BENCH_sim.json"
 DEFAULT_PARAMS_MODE = "full"
 QUICK_RESNET_OPS = 1500
@@ -494,6 +494,11 @@ def _format_table(report: dict) -> str:
             f"q{ntt['modulus_bits']} wide {ntt['wide_best_s'] * 1e3:.2f} ms"
             f", object reference {ntt['object_best_s'] * 1e3:.2f} ms "
             f"(bit_exact={ntt['wide_matches_oracle']})")
+        lines.append(
+            f"micro: software TBM 60-bit / 36-bit mode cost: modmul "
+            f"{micro['modmul']['tbm_ratio']:.1f}x, per-limb batch NTT "
+            f"{ntt['tbm_ratio']:.1f}x (hardware TBM issue ratio "
+            f"{micro['tbm_issue_ratio']:.0f}x)")
         bconv = micro.get("bconv")
         if bconv:
             per_case = " ".join(
@@ -503,8 +508,7 @@ def _format_table(report: dict) -> str:
             lines.append(
                 f"micro: BConv N={bconv['ring_degree']} matrix vs loop "
                 f"{bconv['speedup_aggregate']:.1f}x aggregate "
-                f"(bar {bconv['min_required_speedup']:.0f}x, "
-                f"bit_exact={bconv['bit_exact']}) {per_case}")
+                f"(bit_exact={bconv['bit_exact']}) {per_case}")
         lines.append(
             f"micro: {functional['workload']} @ {functional['params']}: "
             f"keygen {functional['keygen_wall_s'] * 1e3:.0f} ms, "
@@ -531,14 +535,12 @@ def _format_table(report: dict) -> str:
             f"keyswitch: KMU fused d={kmu['num_digits']} tier={kmu['tier']} "
             f"{kmu['fused_best_s'] * 1e3:.2f} ms vs loop "
             f"{kmu['reference_best_s'] * 1e3:.2f} ms ({kmu['speedup']:.1f}x, "
-            f"bar {kmu['min_required_speedup']:.1f}x, "
             f"bit_exact={kmu['bit_exact']})")
         lines.append(
             f"keyswitch: hoisted {hoisted['rotations']} rot @ "
             f"{hoisted['params']}: stage {hoisted['stage_speedup']:.1f}x "
             f"(bar {hoisted['min_required_stage_speedup']:.0f}x), pipeline "
-            f"{hoisted['pipeline_speedup']:.1f}x "
-            f"(bar {hoisted['min_required_pipeline_speedup']:.1f}x), "
+            f"{hoisted['pipeline_speedup']:.1f}x, "
             f"loop_ntt_calls={hoisted['loop_ntt_calls']}, "
             f"bit_exact={hoisted['bit_exact']}")
         sweep = keyswitch.get("bsgs_sweep", {}).get("points", {})
@@ -746,9 +748,13 @@ def _run_calibration(args: argparse.Namespace) -> int:
     path = getattr(args, "calibration_out", None) or calibrate.DEFAULT_OUT
     calibrate.write_calibration(report, path)
     costs = report["kernel_costs"]
-    print("measured kernel unit costs (s/modop):")
+    print("measured kernel unit costs (s/modop), 36-bit mode and, "
+          "where the multiplier differs, 60-bit mode:")
     for name in ("ntt", "bconv", "keymult", "elementwise"):
-        print(f"  {name:<12} {costs[name]:.3e}")
+        wide = costs.get("wide_" + name)
+        print(f"  {name:<12} {costs[name]:.3e}" + (
+            f"   wide {wide:.3e} ({wide / costs[name]:.1f}x)"
+            if wide is not None else ""))
     crossover = report["crossover"]
     analytic = crossover["analytic_level"]
     measured = crossover["measured_level"]

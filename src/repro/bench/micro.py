@@ -3,23 +3,31 @@
 Three sections feed the ``micro`` block of BENCH_sim.json:
 
 * ``modmul`` — element-wise modular multiplication at each width path
-  (narrow int64 / wide uint64 Barrett at 36, 60 and near-2^62 bits /
-  forced-object oracle), the software analogue of timing the TBM's
-  36-bit and 60-bit modes in isolation.
+  (narrow int64 / wide uint64 in 36-bit mode at 36 bits and in 60-bit
+  mode at 60 and near-2^62 bits / forced-object oracle), the software
+  analogue of timing the TBM's 36-bit and 60-bit modes in isolation.
+  ``tbm_ratio`` is the measured 60-bit / 36-bit cost ratio, recorded
+  next to the hardware TBM's issue ratio (2 narrow products per cycle
+  against 1 wide); a reported number, no bar.
 * ``ntt`` — the N=4096 negacyclic NTT at a 36-bit and a 60-bit prime
   on the fused engine, cross-checked element-wise against the
   object-path reference plan (``wide_matches_oracle``, the gated
   bit).  The reference's own wall is recorded, not gated: a ratio
-  against an in-tree oracle measures how slow the oracle is.
+  against an in-tree oracle measures how slow the oracle is.  The
+  scalar plans run the shared-modulus engine (64-bit multiply at
+  either width); the per-limb cost in each multiplier mode is timed
+  on 4-limb batch plans and recorded as ``tbm_ratio``.
 * ``bconv`` — the matrix-form base-conversion kernel (the software
   BConvU) against the per-pair scalar loop it replaced, at the three
   conversion shapes one Set-II-mini hybrid key-switch actually runs:
   ModUp digit 0 (alpha limbs incl. the 44-bit first prime onto the
   complement), ModUp digit 1 (the short tail digit onto the widest
   target), and ModDown (specials back onto Q).  Results are
-  bit-exactness-checked against the oracle before timing, and the
-  plan-cache hit/miss counters are recorded from a separate traced
-  pass.
+  bit-exactness-checked against the oracle before timing (the gate);
+  the speedup over the loop is recorded without a bar, because the
+  loop is ``ModulusKernel.mul_scalar`` and gets faster whenever the
+  kernel does.  The plan-cache hit/miss counters are recorded from a
+  separate traced pass.
 * ``functional`` — one HELR-style step (encrypt, PMult + rescale,
   HMult/hybrid + rescale, HMult/KLSS + rescale, HRot, decrypt) at
   either toy (``--params toy``) or Set-II-shaped wide-word parameters
@@ -38,15 +46,12 @@ import time
 
 import numpy as np
 
-# Acceptance bar: the matrix-form BConv kernel must beat the per-pair
-# scalar loop by at least this factor, aggregated over the Set-II-mini
-# key-switch shapes.
-MIN_BCONV_SPEEDUP = 5.0
 # The functional step decrypt must land this close to the clear-text
 # result, or the kernels are fast but wrong.
 MAX_FUNCTIONAL_ERROR = 1e-2
 
 NTT_RING_DEGREE = 4096
+NTT_BATCH_LIMBS = 4            # limbs per batch plan of the TBM ratio
 MODMUL_SIZE = 4096
 BCONV_RING_DEGREE = 1024
 
@@ -91,12 +96,13 @@ def _modmul_section(quick: bool) -> dict:
         "cases": cases,
         "speedup_wide36_vs_object": (cases["object36"]["best_s"]
                                      / cases["wide36"]["best_s"]),
+        "tbm_ratio": cases["wide60"]["best_s"] / cases["wide36"]["best_s"],
     }
 
 
 def _ntt_section(quick: bool) -> dict:
     from repro.ckks import modmath, primes
-    from repro.ckks.ntt import NttPlan
+    from repro.ckks.ntt import NttPlan, get_batch_plan
 
     n = NTT_RING_DEGREE
     wide_reps = 5 if quick else 20
@@ -117,6 +123,16 @@ def _ntt_section(quick: bool) -> dict:
     wide60_plan = NttPlan(n, q60)
     x60 = rng.integers(0, q60, size=n, dtype=np.uint64)
     wide60_best = _best(lambda: wide60_plan.forward(x60), wide_reps)
+    per_limb = {}
+    for bits in (36, 60):
+        moduli = tuple(primes.ntt_primes(NTT_BATCH_LIMBS, bits, n))
+        plan = get_batch_plan(n, moduli)
+        limbs = [rng.integers(0, q, size=n, dtype=np.uint64)
+                 for q in moduli]
+        block = plan.backend.empty((len(moduli), n), np.uint64)
+        plan.forward(limbs, out=block)       # warm the arena
+        per_limb[bits] = _best(lambda: plan.forward(limbs, out=block),
+                               wide_reps) / len(moduli)
     return {
         "ring_degree": n,
         "modulus_bits": q36.bit_length(),
@@ -124,6 +140,9 @@ def _ntt_section(quick: bool) -> dict:
         "wide_best_s": wide_best,
         "object_best_s": object_best,
         "wide60_best_s": wide60_best,
+        "batch36_per_limb_s": per_limb[36],
+        "batch60_per_limb_s": per_limb[60],
+        "tbm_ratio": per_limb[60] / per_limb[36],
     }
 
 
@@ -215,7 +234,6 @@ def _bconv_section(quick: bool) -> dict:
         "cases": cases,
         "bit_exact": bit_exact,
         "speedup_aggregate": loop_total / matrix_total,
-        "min_required_speedup": MIN_BCONV_SPEEDUP,
         "plan_counters": counters,
     }
 
@@ -305,8 +323,15 @@ def _functional_section(params_mode: str, quick: bool) -> dict:
 
 def run_micro(params_mode: str = "full", quick: bool = False) -> dict:
     """The full ``micro`` block for the bench report."""
+    from repro.core.tbm import TunableBitMultiplier
+
+    tbm = TunableBitMultiplier()
     return {
         "params_mode": params_mode,
+        # narrow products per cycle over wide ones: what the two
+        # measured ``tbm_ratio`` figures stand next to
+        "tbm_issue_ratio": (tbm.products_per_cycle(wide=False)
+                            / tbm.products_per_cycle(wide=True)),
         "modmul": _modmul_section(quick),
         "ntt": _ntt_section(quick),
         "bconv": _bconv_section(quick),
@@ -324,11 +349,6 @@ def validate_micro(micro: dict) -> list[str]:
     if not bconv.get("bit_exact", False):
         violations.append(
             "bconv: matrix kernel disagrees with the object-path oracle")
-    bconv_speedup = bconv.get("speedup_aggregate", 0.0)
-    if bconv_speedup < MIN_BCONV_SPEEDUP:
-        violations.append(
-            f"bconv: aggregate speedup {bconv_speedup:.1f}x over the "
-            f"per-pair loop is below the {MIN_BCONV_SPEEDUP:.0f}x bar")
     if bconv.get("plan_counters", {}).get("object_fallback"):
         violations.append(
             "bconv: conversions fell back onto the object path at "

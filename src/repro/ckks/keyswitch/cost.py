@@ -333,31 +333,72 @@ class MeasuredKernelCosts:
     keymult: float      # seconds per KeyMult modmul
     elementwise: float  # seconds per element-wise modmul
     meta: tuple = ()    # provenance key-value pairs, e.g. ring degree
+    # The same kernels on 60-bit-mode limbs (KLSS's wide words), where
+    # the software TBM runs its other multiplier; ``None`` prices a
+    # wide op like a narrow one.  BConv has one cost: its
+    # multiply-accumulate is the float64 matrix product at any width.
+    wide_ntt: float | None = None
+    wide_keymult: float | None = None
+    wide_elementwise: float | None = None
 
-    def seconds(self, ops: KernelOps) -> float:
-        """Wall-clock estimate for one analytic op count."""
-        return (ops.ntt * self.ntt + ops.bconv * self.bconv
-                + ops.keymult * self.keymult
-                + ops.elementwise * self.elementwise)
+    def seconds(self, ops: KernelOps, wide: KernelOps | None = None) -> float:
+        """Wall-clock estimate for ``ops`` on 36-bit-mode limbs plus
+        ``wide`` on 60-bit-mode limbs."""
+        total = (ops.ntt * self.ntt + ops.bconv * self.bconv
+                 + ops.keymult * self.keymult
+                 + ops.elementwise * self.elementwise)
+        if wide is not None:
+            total += (wide.ntt * _or(self.wide_ntt, self.ntt)
+                      + wide.bconv * self.bconv
+                      + wide.keymult * _or(self.wide_keymult, self.keymult)
+                      + wide.elementwise * _or(self.wide_elementwise,
+                                               self.elementwise))
+        return total
 
     def as_dict(self) -> dict:
-        return {"ntt": self.ntt, "bconv": self.bconv,
-                "keymult": self.keymult,
-                "elementwise": self.elementwise,
-                "meta": dict(self.meta)}
+        out = {"ntt": self.ntt, "bconv": self.bconv,
+               "keymult": self.keymult,
+               "elementwise": self.elementwise,
+               "meta": dict(self.meta)}
+        out.update((name, getattr(self, name)) for name in _WIDE_COSTS
+                   if getattr(self, name) is not None)
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeasuredKernelCosts":
         return cls(ntt=float(data["ntt"]), bconv=float(data["bconv"]),
                    keymult=float(data["keymult"]),
                    elementwise=float(data["elementwise"]),
-                   meta=tuple(sorted(dict(data.get("meta", {})).items())))
+                   meta=tuple(sorted(dict(data.get("meta", {})).items())),
+                   **{name: float(data[name]) for name in _WIDE_COSTS
+                      if data.get(name) is not None})
+
+
+_WIDE_COSTS = ("wide_ntt", "wide_keymult", "wide_elementwise")
+
+
+def _or(value, default):
+    return default if value is None else value
+
+
+def klss_keyswitch_split(params: CkksParams, level: int,
+                         hoisting: int = 1) -> tuple[KernelOps, KernelOps]:
+    """(narrow, wide) split of :func:`klss_keyswitch_ops`: KeyMult and
+    the wide halves of decompose and recover run on 60-bit words."""
+    dec_narrow, dec_wide = klss_decompose_split(params, level)
+    rec_narrow, rec_wide = klss_recover_split(params, level)
+    return (dec_narrow + rec_narrow.scaled(hoisting),
+            dec_wide + (klss_keymult_ops(params, level)
+                        + rec_wide).scaled(hoisting))
 
 
 def keyswitch_seconds(method: str, params: CkksParams, level: int,
                       costs: MeasuredKernelCosts,
                       hoisting: int = 1) -> float:
-    """Measured-cost estimate of one key-switch in seconds."""
+    """Measured-cost estimate of one key-switch in seconds: hybrid
+    runs on narrow limbs throughout, KLSS partly on wide words."""
+    if method == "klss":
+        return costs.seconds(*klss_keyswitch_split(params, level, hoisting))
     return costs.seconds(keyswitch_ops(method, params, level, hoisting))
 
 

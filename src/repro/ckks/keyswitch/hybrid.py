@@ -29,6 +29,8 @@ from repro.ckks.ntt import transform_limbs
 from repro.ckks.rns import RnsPoly
 from repro.obs.tracer import get_tracer
 
+_U64_ONE = np.uint64(1)
+
 
 def digits_to_eval(digits: list[RnsPoly]) -> list[RnsPoly]:
     """Forward-NTT every limb of every digit in one batched call.
@@ -86,13 +88,21 @@ class KeyMultPlan:
     into two ``(d, k, N)`` uint64 weight tensors (``b`` and ``a``
     halves), and :meth:`accumulate` computes ``sum_j digit_j * w_j``
     with the reduction *deferred across all digits* — the
-    output-stationary dataflow of FAST's KMU systolic array.  Two
-    accumulation tiers, chosen from the worst-case bit budget
+    output-stationary dataflow of FAST's KMU systolic array.  Three
+    accumulation tiers, chosen from the widest modulus and the digit
+    count (:func:`_kmu_tier`), with the worst-case bit budget
     ``2 * max_bits + ceil(log2 d)``:
 
     * ``u64`` (budget <= 64): raw wrapping-uint64 products summed
       directly, one ``np.mod`` per limb at the end.  Covers narrow
       (<= 31-bit) moduli at any realistic digit count.
+    * ``float`` (every modulus below 2^46, ``2 q d <= 2^49``): each
+      product comes out of the float-quotient multiply
+      (:func:`repro.ckks.modmath.mul_float_lazy_var_into`) already
+      folded to ``[0, 2q)`` and is summed in uint64; the sum stays
+      below 2^49, so one more float-quotient step and a fold reduce
+      it.  3 scratch blocks; the tier of a hybrid key over 36/44-bit
+      primes.
     * ``hilo`` (budget <= 126): exact 128-bit products via
       :func:`repro.ckks.modmath.mul128` accumulated as a carry-tracked
       (hi, lo) split-limb pair, one :func:`~repro.ckks.modmath.
@@ -106,7 +116,7 @@ class KeyMultPlan:
     """
 
     __slots__ = ("moduli", "num_digits", "n", "tier", "backend", "_w",
-                 "_w32", "_q_col", "_r_hi", "_r_lo", "_r_lo32",
+                 "_w32", "_q_col", "_q_inv", "_r_hi", "_r_lo32",
                  "_r_hi32", "_kernels", "_arena")
 
     def __init__(self, key: KeySwitchKey, backend=None):
@@ -134,16 +144,21 @@ class KeyMultPlan:
         self._w = be.from_host(w)
         self._q_col = be.from_host(
             np.array(self.moduli, dtype=np.uint64).reshape(-1, 1))
-        consts = [modmath.barrett_constants(q) for q in self.moduli]
-        self._r_hi = be.from_host(np.array(
-            [c[0] for c in consts], dtype=np.uint64).reshape(-1, 1))
-        self._r_lo = be.from_host(np.array(
-            [c[1] for c in consts], dtype=np.uint64).reshape(-1, 1))
-        # The hilo tier runs the split-operand 128-bit kernels: weight
-        # and Barrett-ratio tables pre-split once into uint32 halves.
-        self._w32 = modmath.split32(self._w) if tier == "hilo" else None
-        self._r_lo32 = modmath.split32(self._r_lo)
-        self._r_hi32 = modmath.split32(self._r_hi)
+        if tier == "float":
+            self._q_inv = be.from_host(np.array(
+                [modmath.float_companion(1, q) for q in self.moduli]
+            ).reshape(-1, 1))
+        elif tier == "hilo":
+            # The split-operand 128-bit kernels: weight and
+            # Barrett-ratio tables pre-split once into uint32 halves.
+            consts = [modmath.barrett_constants(q) for q in self.moduli]
+            self._r_hi = be.from_host(np.array(
+                [c[0] for c in consts], dtype=np.uint64).reshape(-1, 1))
+            r_lo = be.from_host(np.array(
+                [c[1] for c in consts], dtype=np.uint64).reshape(-1, 1))
+            self._w32 = modmath.split32(self._w)
+            self._r_lo32 = modmath.split32(r_lo)
+            self._r_hi32 = modmath.split32(self._r_hi)
         self._arena = backend_mod.WorkspaceArena(be, "kmu")
 
     def stack(self, decomposed: list[RnsPoly]) -> np.ndarray:
@@ -192,6 +207,20 @@ class KeyMultPlan:
                     np.multiply(stacked[j], w[j], out=prod)
                     np.add(acc, prod, out=acc)
                 np.mod(acc, self._q_col, out=res[half])
+        elif self.tier == "float":
+            term, *s = arena.take_many("float", 3, (k, n))
+            q, q_inv = self._q_col, self._q_inv
+            for half in range(2):
+                w, acc = self._w[half], res[half]
+                modmath.mul_float_lazy_var_into(
+                    stacked[0], w[0], q_inv, q, acc, s)
+                for j in range(1, d):
+                    modmath.mul_float_lazy_var_into(
+                        stacked[j], w[j], q_inv, q, term, s)
+                    np.add(acc, term, out=acc)
+                # acc < 2qd <= 2^49: times one, by the same multiply
+                modmath.mul_float_lazy_into(acc, _U64_ONE, q_inv, q, acc, s)
+                modmath.cond_sub_into(acc, q, term)
         else:
             hi, lo, p_hi, p_lo = arena.take_many("hilo", 4, (k, n))
             s = arena.take_many("scratch", 8, (k, n))
@@ -224,10 +253,13 @@ def _kmu_tier(moduli, num_digits: int) -> str | None:
     if any(modmath.width_path(q) == modmath.OBJECT for q in moduli):
         return None
     bits = max(int(q).bit_length() for q in moduli)
-    budget = 2 * bits + max(0, num_digits - 1).bit_length()
-    if budget <= 64:
+    log_d = max(0, num_digits - 1).bit_length()
+    if 2 * bits + log_d <= 64:
         return "u64"
-    if budget <= 126:
+    if all(modmath.fits_float_quotient(q) for q in moduli) \
+            and bits + 1 + log_d <= 49:
+        return "float"
+    if 2 * bits + log_d <= 126:
         return "hilo"
     return None
 
@@ -434,23 +466,15 @@ FOLD_CACHE_MAXSIZE = 64
 @lru_cache(maxsize=FOLD_CACHE_MAXSIZE)
 def _fold_scalars(p_moduli: tuple[int, ...],
                   q_moduli: tuple[int, ...]):
-    """Hoisted ``P mod q_i`` residues (with Shoup pairs) per Q limb.
+    """Hoisted ``P mod q_i`` residues per Q limb.
 
     Used by the fused ModDown+Rescale to fold the tensor ``d`` parts
     into the key-switch accumulator as ``acc_i + (P mod q_i) * d_i``.
     Bounded LRU: keys are (P basis, Q basis) pairs, one entry per
-    level actually exercised.  The cache is deliberately *not* keyed
-    by backend: the entries are python/uint64 scalars, identical on
-    every backend, and the consuming kernels wrap them as needed.
+    level actually exercised.
     """
     big_p = rns.product(p_moduli)
-    out = []
-    for q in q_moduli:
-        w = big_p % q
-        kernel = modmath.get_kernel(q)
-        pair = kernel.shoup(w) if kernel.dtype == np.uint64 else None
-        out.append((w, pair))
-    return tuple(out)
+    return tuple(big_p % q for q in q_moduli)
 
 
 def _fold_aux_into(acc: RnsPoly, d: RnsPoly, q_count: int) -> list:
@@ -460,17 +484,10 @@ def _fold_aux_into(acc: RnsPoly, d: RnsPoly, q_count: int) -> list:
     change: ``z_i = acc_i + (P mod q_i) * d_i``.
     """
     q_moduli = acc.moduli[:q_count]
-    p_moduli = acc.moduli[q_count:]
-    scalars = _fold_scalars(p_moduli, q_moduli)
-    rows = []
-    for i, q in enumerate(q_moduli):
-        w, pair = scalars[i]
-        if pair is not None:
-            term = modmath.get_kernel(q).mul_shoup(d.limbs[i], *pair)
-        else:
-            term = modmath.mul_scalar(d.limbs[i], w, q)
-        rows.append(modmath.add(acc.limbs[i], term, q))
-    return rows
+    scalars = _fold_scalars(acc.moduli[q_count:], q_moduli)
+    return [modmath.add(acc.limbs[i],
+                        modmath.mul_scalar(d.limbs[i], scalars[i], q), q)
+            for i, q in enumerate(q_moduli)]
 
 
 def _mod_down_rescale_ready(acc0: RnsPoly, acc1: RnsPoly,
@@ -601,7 +618,7 @@ def mod_down_rescale_reference(
         raise ValueError("tensor part must live on the Q basis")
     scalars = _fold_scalars(p_moduli, q_moduli)
     z_rows = [modmath.add(acc.limbs[i],
-                          modmath.mul_scalar(d.limbs[i], scalars[i][0], q),
+                          modmath.mul_scalar(d.limbs[i], scalars[i], q),
                           q)
               for i, q in enumerate(q_moduli)]
     keep = q_count - drop

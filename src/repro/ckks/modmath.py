@@ -9,16 +9,36 @@ datapath width per operation (Sec. 4.2, 36-bit vs 60-bit mode):
 * ``narrow`` — ``int64`` arrays for moduli up to 31 bits, so that a
   product of two reduced residues fits a signed 64-bit integer.  This
   is the path the scaled-down toy parameter sets run on.
-* ``wide`` — ``uint64`` arrays for moduli up to 62 bits.  Products are
-  formed exactly as 128-bit (hi, lo) pairs via 32-bit-limb schoolbook
-  multiplication and reduced with a vectorised Barrett reduction
-  using the precomputed per-modulus constant ``floor(2^128 / q)``.
-  Multiplications by a fixed operand (twiddles, CRT scalars) use
-  Shoup's precomputed-quotient trick with a single lazy final
-  subtraction.  This is the path the paper's full-size 36/60-bit
-  parameter sets (Set-I/Set-II) run on.
+* ``wide`` — ``uint64`` arrays for moduli up to 62 bits, with two
+  multipliers behind it, picked from the modulus alone by
+  :func:`fits_float_quotient` (the TBM's two modes):
+
+  - **36-bit mode**, ``q < 2^46``: the quotient ``floor(a*w/q)`` fits
+    a float64 with room to spare, so a modular multiply is the
+    float-quotient lazy multiply :func:`mul_float_lazy_into`, 5 ufunc
+    passes (:func:`mul_float_lazy_var_into` for two variable
+    operands, 6), plus one fold.
+  - **60-bit mode**, ``2^46 <= q < 2^62``: products are formed
+    exactly as 128-bit (hi, lo) pairs via 32-bit-limb schoolbook
+    multiplication and reduced with a vectorised Barrett reduction
+    using the precomputed per-modulus constant ``floor(2^128 / q)``;
+    multiplications by a fixed operand (twiddles, CRT scalars) use
+    Shoup's precomputed-quotient trick (:func:`mul_shoup_lazy_into`,
+    20 passes: a 64x64 ``mulhi`` costs 17 of them).
+
+  Both multiplies return the exact representative in ``[0, 2q)``
+  (quotient estimate short by at most one), so every lazy-domain
+  consumer (the NTT engine's ``[0, 4q)`` / ``[0, 2q)`` discipline,
+  the KeyMult accumulator) is the same code in either mode.  This is
+  the path the paper's full-size 36/60-bit parameter sets
+  (Set-I/Set-II) run on.
 * ``object`` — arbitrary-precision Python integers.  Exactness oracle
   for the wide kernels and the only path for moduli beyond 62 bits.
+
+Why 46 bits and why ``a < 2^49``: the float multiply admits any
+operand below ``2^49`` against a reduced ``w < q`` (the proof is in
+:func:`mul_float_lazy_into`), and the NTT engine's widest lazy value
+is ``4q - 1``; ``4q <= 2^48 < 2^49`` exactly when ``q < 2^46``.
 
 Per-modulus constants live in a :class:`ModulusKernel` plan, cached by
 :func:`get_kernel`.  The module-level functions keep their historic
@@ -50,6 +70,12 @@ _INT64_SAFE_BITS = 31
 # q < 2^62 so that the (< 3q) pre-subtraction remainder and the lazy
 # Shoup product (< 2q) both fit in uint64 with slack.
 _WIDE_SAFE_BITS = 62
+# Largest modulus for the float-quotient multiply: an NTT lazy value
+# (< 4q) must stay below the 2^49 the float64 quotient estimate admits.
+_FLOAT_QUOTIENT_BITS = 46
+# Shrinks a float companion so three roundings cannot push the
+# quotient estimate above the true quotient (mul_float_lazy_into).
+_FLOAT_SHRINK = 1.0 - 2.0 ** -50
 
 _PATH_RANK = {NARROW: 0, WIDE: 1, OBJECT: 2}
 
@@ -71,6 +97,17 @@ def width_path(modulus: int) -> str:
     if bits <= _WIDE_SAFE_BITS:
         return WIDE
     return OBJECT
+
+
+def fits_float_quotient(modulus: int) -> bool:
+    """Whether ``modulus`` runs the float-quotient multiply (36-bit
+    mode, ``q < 2^46``) rather than the 64-bit Shoup/Barrett one.
+
+    The one switch between the two wide multipliers: the per-row NTT
+    engine, :class:`ModulusKernel` and the KeyMult tiers all ask this
+    and nothing else.
+    """
+    return int(modulus).bit_length() <= _FLOAT_QUOTIENT_BITS
 
 
 def uses_int64(modulus: int) -> bool:
@@ -243,19 +280,83 @@ def mul128_into(a, b_lo, b_hi, out_hi, out_lo, s):
     np.add(out_hi, s3, out=out_hi)
 
 
-def mul_shoup_lazy_into(a, w, ws_lo, ws_hi, q, out, s):
+def mul_shoup_lazy_into(a, w, ws, q, out, s):
     """:func:`mul_shoup_lazy` into ``out``, no allocations.
 
-    ``ws_lo``/``ws_hi`` are the :func:`split32` halves of the Shoup
+    ``ws`` is the :func:`split32` ``(lo, hi)`` pair of the Shoup
     companion table; ``s`` is 5 uint64 scratch buffers (4 for
     :func:`mulhi_into` plus one holding the wrap product ``a*w``).
     ``out`` may alias ``a``.
     """
     s5 = s[4]
     np.multiply(a, w, out=s5)                   # a*w mod 2^64
-    mulhi_into(a, ws_lo, ws_hi, out, s[:4])     # quotient estimate
+    mulhi_into(a, ws[0], ws[1], out, s[:4])     # quotient estimate
     np.multiply(out, q, out=out)
     np.subtract(s5, out, out=out)               # exact in [0, 2q)
+
+
+def float_companion(w, modulus):
+    """``(w / q) * (1 - 2^-50)`` as float64: the fixed-operand
+    companion of :func:`mul_float_lazy_into`, for a reduced residue
+    ``w < q < 2^46`` (scalar or uint64 array, converted exactly).
+    Refuses a wider modulus: the multiply is not exact there."""
+    if not fits_float_quotient(modulus):
+        raise ValueError(
+            f"modulus {modulus} ({int(modulus).bit_length()} bits) is "
+            f"beyond the {_FLOAT_QUOTIENT_BITS}-bit float-quotient mode")
+    if isinstance(w, (int, np.integer)):
+        return np.float64(int(w) / int(modulus) * _FLOAT_SHRINK)
+    wf = w.astype(np.float64)
+    np.divide(wf, np.float64(int(modulus)), out=wf)
+    np.multiply(wf, _FLOAT_SHRINK, out=wf)
+    return wf
+
+
+def mul_float_lazy_into(a, w, wf, q, out, s):
+    """Float-quotient lazy multiply: ``out = a*w - trunc(a*wf) * q``
+    in wrapping uint64, the exact representative of ``a*w mod q`` in
+    ``[0, 2q)`` — :func:`mul_shoup_lazy_into`'s contract in 5 ufunc
+    passes instead of 20.
+
+    Requires ``q < 2^46`` (:func:`fits_float_quotient`), a reduced
+    ``w < q`` with ``wf = float_companion(w, q)``, and ``a < 2^49``.
+    Proof: let ``x = a*w/q < a < 2^49``.  ``a`` converts to float64
+    exactly, and the estimate ``a * wf`` carries three roundings (the
+    division, the shrink, this product), each within a factor
+    ``1 +- 2^-53``, so ``est = x * (1 - 2^-50) * (1 + e)`` with
+    ``|e| < 3 * 2^-53 + 2^-104``.  Above: ``(1 - 8u)(1 + 3u) < 1`` at
+    ``u = 2^-53``, so ``est <= x``.  Below: ``x - est < 11u * x <
+    11 * 2^-53 * 2^49 < 1``.  With ``est`` in ``(x - 1, x]``,
+    ``trunc(est)`` is ``floor(x)`` or one less, so the remainder is
+    in ``[0, 2q)``, below ``2^64``, and the mod-2^64 wraps of the two
+    products cancel.
+
+    ``s`` is 2 uint64 scratch buffers (the wrap product, and the
+    estimate, viewed as float64); ``out`` may alias ``a`` but neither
+    scratch buffer, and ``wf`` may be that estimate view.
+    """
+    prod = s[0]
+    est = s[1].view(np.float64)
+    np.multiply(a, w, out=prod)                 # a*w mod 2^64
+    np.multiply(a, wf, out=est)                 # quotient estimate
+    np.copyto(out, est, casting="unsafe")       # truncates toward zero
+    np.multiply(out, q, out=out)
+    np.subtract(prod, out, out=out)             # exact in [0, 2q)
+
+
+def mul_float_lazy_var_into(a, b, q_inv, q, out, s):
+    """:func:`mul_float_lazy_into` for two variable operands: the
+    companion ``b * q_inv`` is formed on the fly.
+
+    ``b < q`` canonical, ``a < 2^49``, ``q_inv = float_companion(1,
+    q)`` (scalar or per-row column).  One more rounding than the fixed
+    form: ``(1 - 8u)(1 + 4u) < 1`` and ``12u * 2^49 < 1``, so the same
+    proof gives the same ``[0, 2q)`` contract.  Scratch and aliasing
+    as the fixed form.
+    """
+    est = s[1].view(np.float64)
+    np.multiply(b, q_inv, out=est)
+    mul_float_lazy_into(a, b, est, q, out, s)
 
 
 def cond_sub_into(a, bound, scratch) -> None:
@@ -342,14 +443,25 @@ class ModulusKernel:
     """Per-modulus arithmetic plan: width path plus reduction constants.
 
     The plan object is the software TBM: one kernel runs either the
-    narrow int64 datapath or the wide split-limb Barrett datapath (or
-    the exact object oracle), chosen once per modulus.  Residue arrays
-    handed to the binary ops are assumed reduced; :meth:`asresidues`
-    is the boundary that establishes that invariant.
+    narrow int64 datapath or the wide uint64 datapath (or the exact
+    object oracle), chosen once per modulus, and a wide kernel is
+    built in one of the TBM's two modes: below 2^46
+    (:func:`fits_float_quotient`) every multiply is the float-quotient
+    one, 8 ufunc passes with the fold; from 2^46 up it is the exact
+    128-bit product with Barrett reduction (or Shoup's trick for a
+    fixed operand), about 60 (22).  ``bench/micro.py`` reports the
+    measured cost ratio of the two modes next to the hardware TBM's
+    2:1 issue ratio.
+
+    Residue arrays handed to the binary ops must be **canonical**
+    (``< q``); :meth:`asresidues` is the boundary that establishes
+    that invariant.  The 60-bit mode happens to tolerate more (its
+    Barrett step is exact for any product below 2^126); the 36-bit
+    mode does not, so no caller may rely on it.
     """
 
     __slots__ = ("modulus", "path", "dtype", "bits", "backend",
-                 "_q64", "_r_hi", "_r_lo", "_half")
+                 "_q64", "_r_hi", "_r_lo", "_half", "_q_inv")
 
     def __init__(self, modulus: int, path: str | None = None,
                  backend=None):
@@ -369,6 +481,9 @@ class ModulusKernel:
         self.path = path
         self.bits = modulus.bit_length()
         self._half = modulus // 2
+        # 1/q as a float companion on a wide kernel in 36-bit mode;
+        # None is 60-bit mode (and every other path).
+        self._q_inv = None
         if path == OBJECT:
             # The object oracle is host-only by definition (boxed
             # Python ints); pinning it to numpy is the documented
@@ -382,9 +497,9 @@ class ModulusKernel:
         elif path == WIDE:
             self.dtype = np.uint64
             self._q64 = np.uint64(modulus)
-            ratio = (1 << 128) // modulus
-            self._r_hi = np.uint64(ratio >> 64)
-            self._r_lo = np.uint64(ratio & 0xFFFFFFFFFFFFFFFF)
+            self._r_hi, self._r_lo = barrett_constants(modulus)
+            if fits_float_quotient(modulus):
+                self._q_inv = float_companion(1, modulus)
         else:
             self.dtype = object
 
@@ -457,14 +572,22 @@ class ModulusKernel:
     def _mul_scalar(self, a, scalar: int) -> np.ndarray:
         s = self._scalar(scalar)
         if self.path == WIDE:
-            w, w_shoup = self.shoup(s)
-            return self._mul_shoup(self._coerce(a), w, w_shoup)
+            return self._mul_shoup(self._coerce(a), *self.shoup(s))
         return np.mod(a * s, self.modulus)
 
-    def _mul_shoup(self, a, w, w_shoup) -> np.ndarray:
+    def _mul_shoup(self, a, w, companion) -> np.ndarray:
         q = self._q64
-        r = mul_shoup_lazy(a, w, w_shoup, q)   # lazy: exact in [0, 2q)
-        return np.where(r >= q, r - q, r)
+        if self._q_inv is None:
+            r = mul_shoup_lazy(a, w, companion, q)
+            prod = r - q
+        else:
+            # mul_float_lazy_into, allocating its own out and scratch
+            r = (a * companion).astype(np.uint64)
+            np.multiply(r, q, out=r)
+            prod = a * w
+            np.subtract(prod, r, out=r)
+            np.subtract(r, q, out=prod)
+        return np.minimum(r, prod, out=r)       # [0, 2q) -> [0, q)
 
     # -- constructors / conversions -----------------------------------
     def zeros(self, n: int) -> np.ndarray:
@@ -524,43 +647,46 @@ class ModulusKernel:
         return np.mod(-a, self.modulus)
 
     def mul(self, a, b) -> np.ndarray:
-        """Element-wise ``(a * b) mod q``; ``b`` may be a scalar."""
+        """Element-wise ``(a * b) mod q``; ``b`` may be a scalar.
+
+        Array operands must be canonical residues (``< q``).
+        """
         self._tick()
         if isinstance(b, (int, np.integer)):
             return self._mul_scalar(a, int(b))
         if self.path == WIDE:
-            hi, lo = _mul128(self._coerce(a), self._coerce(b))
+            a, b = self._coerce(a), self._coerce(b)
+            if self._q_inv is not None:
+                # the variable-operand form: b's companion on the fly
+                return self._mul_shoup(a, b, b * self._q_inv)
+            hi, lo = _mul128(a, b)
             return _barrett128(hi, lo, self._q64, self._r_hi, self._r_lo)
         return np.mod(a * b, self.modulus)
 
     def mul_scalar(self, a, scalar: int) -> np.ndarray:
+        """``(a * scalar) mod q`` for canonical ``a`` and any int
+        ``scalar`` (reduced here)."""
         self._tick()
         return self._mul_scalar(a, int(scalar))
 
-    # -- Shoup fixed-operand multiplication (wide path) -----------------
-    def shoup(self, w: int) -> tuple[np.uint64, np.uint64]:
-        """Precompute ``(w, floor(w * 2^64 / q))`` for :meth:`mul_shoup`."""
-        w = self._scalar(w)
-        return np.uint64(w), np.uint64((w << 64) // self.modulus)
+    # -- fixed-operand multiplication (wide path) -----------------------
+    def shoup(self, w: int) -> tuple:
+        """Precompute ``(w mod q, companion)`` for :meth:`mul_shoup`.
 
-    def shoup_table(self, table) -> np.ndarray:
-        """Vectorised Shoup companions for a table of residues.
-
-        Returns a *host* uint64 array (it iterates Python ints); plan
-        builders that keep the companions device-resident wrap the
-        result in ``backend.from_host`` once, at build.
+        The companion is this kernel's business: Shoup's
+        ``floor(w * 2^64 / q)`` in 60-bit mode,
+        :func:`float_companion` in 36-bit mode.
         """
-        q = self.modulus
-        table = backend_mod.to_host(table)
-        boxed = np.empty(len(table), dtype=object)
-        boxed[:] = [int(w) for w in table]
-        return ((boxed << 64) // q).astype(np.uint64)
+        w = self._scalar(w)
+        if self._q_inv is not None:
+            return np.uint64(w), float_companion(w, self.modulus)
+        return np.uint64(w), np.uint64((w << 64) // self.modulus)
 
     def mul_shoup(self, a, w, w_shoup) -> np.ndarray:
         """Lazy-reduction multiply by precomputed operands (wide only).
 
-        ``w``/``w_shoup`` come from :meth:`shoup` / :meth:`shoup_table`
-        (scalars or broadcastable arrays).  Exact result in [0, q).
+        ``w``/``w_shoup`` come from :meth:`shoup`; ``a`` must be
+        canonical.  Exact result in [0, q).
         """
         if self.path != WIDE:
             raise ValueError(f"mul_shoup requires the wide path, "

@@ -23,11 +23,26 @@ There is one engine and one reference:
   normalisation), every intermediate written via ``out=``-chained
   ufuncs into an arena-pooled scratch block so a warmed plan allocates
   nothing but its output.  All lazy sums stay below ``4q < 2^64``,
-  which is exactly the wide-path bound.  Its uint64 twiddle and Shoup
-  tables are derived once per ``(N, q)`` by :class:`NttPlan`
-  (:meth:`NttPlan.fused_tables`); :class:`BatchNttPlan` stacks them
-  per limb, and a scalar transform is the shared-modulus rows
-  transform (:meth:`NttPlan.forward_rows`) with one row.
+  which is exactly the wide-path bound.  Its twiddle tables and their
+  multiply companions are derived once per ``(N, q)`` by
+  :class:`NttPlan` (:meth:`NttPlan.fused_tables`);
+  :class:`BatchNttPlan` stacks them per limb, and a scalar transform
+  is the shared-modulus rows transform (:meth:`NttPlan.forward_rows`)
+  with one row.
+
+  The sweeps are one network; the twiddle multiply under them comes in
+  the software TBM's two modes (:mod:`repro.ckks.modmath`), fixed per
+  engine.  *60-bit mode*, any ``q < 2^62``: Shoup's multiply on a
+  uint64 companion ``floor(w * 2^64 / q)``, 20 ufunc passes because
+  numpy has no 64x64 ``mulhi``.  *36-bit mode*, ``q < 2^46``: the
+  float-quotient multiply on a float64 companion ``w / q``, 5 passes.
+  Both return the exact representative in ``[0, 2q)``, so the domain
+  discipline above does not know which one ran; the float form needs
+  its operand below 2^49, and the widest lazy value is ``4q - 1 <
+  2^48`` — which is why the mode ends at 46 bits.  A
+  :class:`BatchNttPlan` puts each limb row on the engine of its mode
+  (:func:`~repro.ckks.modmath.fits_float_quotient`, nothing else);
+  shared-modulus plans run 60-bit mode at every width.
 * **the reference** — the radix-2 network, one canonically reduced
   stage per pass, on Python ints through
   :class:`~repro.ckks.modmath.ModulusKernel`.  It is what
@@ -81,12 +96,6 @@ def eval_point_exponents(n: int) -> np.ndarray:
     return 2 * bit_reverse_permutation(n) + 1
 
 
-def _split_scalar(ws) -> tuple[np.uint32, np.uint32]:
-    """32-bit halves of one uint64 Shoup companion as numpy scalars."""
-    w = int(ws)
-    return np.uint32(w & 0xFFFFFFFF), np.uint32(w >> 32)
-
-
 class FusedNttEngine:
     """Radix-4 merged-stage lazy-reduction butterfly engine.
 
@@ -95,66 +104,86 @@ class FusedNttEngine:
     limb transform) or shared ``(n,)`` (one modulus for all rows —
     scalar plans and the serving layer's request batching).
 
+    One butterfly network, two twiddle multiplies, fixed at build by
+    ``float_quotient``: the 64-bit Shoup multiply
+    (:func:`~repro.ckks.modmath.mul_shoup_lazy_into`, companions
+    pre-split into uint32 halves) for any ``q < 2^62``, or the
+    float-quotient multiply (:func:`~repro.ckks.modmath.
+    mul_float_lazy_into`, float64 companions: the same table bytes)
+    when every modulus is below 2^46.  Both have one contract, which
+    is all the sweeps rely on.
+
     Domain discipline (the headroom proof, per width):
 
-    * every twiddle multiply is the shared lazy-Shoup helper — exact
-      representative in ``[0, 2q)`` for *any* uint64 input, because
-      the quotient estimate ``mulhi(a, ws)`` undershoots the true
-      quotient by at most 1 when ``w < q``;
+    * every twiddle multiply returns the exact representative in
+      ``[0, 2q)`` for a reduced ``w < q``: the quotient estimate
+      undershoots the true quotient by at most 1.  The Shoup form
+      admits *any* uint64 input; the float form inputs below 2^49,
+      and the widest value either network holds is ``4q - 1 < 2^48``
+      for ``q < 2^46``.
     * forward (Cooley-Tukey): stage inputs live in ``[0, 4q)``.  The
       two added operands are folded to ``[0, 2q)`` with one
       branch-free conditional subtraction each, the two multiplied
-      operands feed the Shoup multiply unfolded; sums are then
+      operands feed the multiply unfolded; sums are then
       ``< 2q + 2q = 4q``, so the invariant holds and nothing exceeds
       ``4q < 2^64`` — which is precisely ``q < 2^62``, the wide-path
       bound (:data:`repro.ckks.modmath._WIDE_SAFE_BITS`).  26/28/31-bit
       narrow moduli ride the same datapath with even more slack.
     * inverse (Gentleman-Sande): stage values stay in ``[0, 2q)`` —
       sums are folded once, differences are computed as
-      ``a + (2q - b) < 4q`` and immediately consumed by a Shoup
-      multiply that re-normalises to ``[0, 2q)``.
-    * one final correction pass (two folds forward, shoup-scale plus
-      one fold inverse) lands canonical ``[0, q)`` residues.
+      ``a + (2q - b) < 4q`` and immediately consumed by a multiply
+      that re-normalises to ``[0, 2q)``.
+    * one final correction pass (two folds forward, scale by
+      ``N^-1`` plus one fold inverse) lands canonical ``[0, q)``
+      residues.
 
     All scratch comes from a :class:`~repro.backend.arena
     .WorkspaceArena`: six flat ``R * n/2`` buffers per distinct row
-    count, allocated on first use (a ledger-counted pool miss) and
-    reused forever after — the steady state is zero allocations.
+    count (four in float-quotient mode), allocated on first use (a
+    ledger-counted pool miss) and reused forever after — the steady
+    state is zero allocations.
     """
 
-    def __init__(self, ring_degree: int, moduli, psi, psi_shoup,
-                 psi_inv, psi_inv_shoup, n_inv_pair, backend, arena,
-                 per_row: bool):
+    def __init__(self, ring_degree: int, moduli, psi, psi_companion,
+                 psi_inv, psi_inv_companion, n_inv_pair, backend, arena,
+                 per_row: bool, float_quotient: bool = False):
         self.n = int(ring_degree)
         self.backend = backend
         self.arena = arena
         self.per_row = per_row
-        # Pre-split Shoup companions once (uint32 halves: saves two
-        # splits per multiply and half the table bytes).
+        self.float_quotient = float_quotient
+        ni_w, ni_ws = n_inv_pair
+        companions = (psi_companion, psi_inv_companion, ni_ws)
+        if float_quotient:
+            if not all(modmath.fits_float_quotient(q) for q in
+                       (moduli if per_row else (moduli,))):
+                raise ValueError(
+                    "float-quotient mode needs every modulus below 2^46")
+            self._mul, self._nbufs = modmath.mul_float_lazy_into, 4
+        else:
+            # Pre-split Shoup companions once (uint32 halves: saves two
+            # splits per multiply and half the table bytes).
+            self._mul, self._nbufs = modmath.mul_shoup_lazy_into, 6
+            companions = tuple(modmath.split32(c) for c in companions)
         self._w_f = psi
-        self._ws_f = modmath.split32(psi_shoup)
         self._w_i = psi_inv
-        self._ws_i = modmath.split32(psi_inv_shoup)
+        self._ws_f, self._ws_i, self._ni_ws = companions
         if per_row:
             qs = np.array([int(q) for q in moduli], dtype=np.uint64)
             self._q3 = backend.from_host(qs.reshape(-1, 1, 1))
             self._q2_3 = backend.from_host((qs * 2).reshape(-1, 1, 1))
             self._q2d = self._q3[:, :, 0]
             self._q2_2d = self._q2_3[:, :, 0]
-            ni_w, ni_ws = n_inv_pair            # (k, 1) device columns
-            self._ni_w = ni_w
-            self._ni_ws = modmath.split32(ni_ws)
+            self._ni_w = ni_w                   # (k, 1) device column
         else:
             q = int(moduli)
             self._q3 = self._q2d = np.uint64(q)
             self._q2_3 = self._q2_2d = np.uint64(2 * q)
-            ni_w, ni_ws = n_inv_pair            # scalar pair
             self._ni_w = np.uint64(ni_w)
-            self._ni_ws = _split_scalar(ni_ws)
         # Per-stage twiddle views are pure slicing — built once here,
         # zero per-call cost.  Merged (radix-4) entries carry three
-        # twiddle triples (w, ws_lo, ws_hi): the first-stage column
-        # and the even/odd second-stage columns.
+        # (twiddle, companion) pairs: the first-stage column and the
+        # even/odd second-stage columns.
         stages = self.n.bit_length() - 1
         self._fwd: list = []
         m = 1
@@ -181,6 +210,11 @@ class FusedNttEngine:
             self._inv.append(("r2", 1, self.n // 2,
                               (self._tw_i(1, 2),)))
 
+    @property
+    def mode(self) -> str:
+        """The TBM mode these rows occupy (``ntt.path.<mode>``)."""
+        return "wide36" if self.float_quotient else "wide60"
+
     def _tw_f(self, start, stop, step=1):
         return self._slice(self._w_f, self._ws_f, start, stop, step)
 
@@ -188,18 +222,19 @@ class FusedNttEngine:
         return self._slice(self._w_i, self._ws_i, start, stop, step)
 
     def _slice(self, w, ws, start, stop, step):
-        lo, hi = ws
         if self.per_row:
-            return (w[:, start:stop:step, None],
-                    lo[:, start:stop:step, None],
-                    hi[:, start:stop:step, None])
-        return (w[None, start:stop:step, None],
-                lo[None, start:stop:step, None],
-                hi[None, start:stop:step, None])
+            def cut(table):
+                return table[:, start:stop:step, None]
+        else:
+            def cut(table):
+                return table[None, start:stop:step, None]
+        if self.float_quotient:
+            return cut(w), cut(ws)
+        return cut(w), (cut(ws[0]), cut(ws[1]))
 
     def _scratch(self, rows: int) -> tuple:
         size = rows * max(self.n // 2, 1)
-        return self.arena.take_many(("fused", rows), 6, (size,))
+        return self.arena.take_many(("fused", rows), self._nbufs, (size,))
 
     # -- forward (Cooley-Tukey, [0, 4q) lazy domain) --------------------
     def forward(self, a) -> None:
@@ -227,7 +262,8 @@ class FusedNttEngine:
             modmath.cond_sub_into(part, self._q2d, scr)
 
     def _fwd_r4(self, view, tw, q, q2, work) -> None:
-        (w1, w1lo, w1hi), (w2, w2lo, w2hi), (w3, w3lo, w3hi) = tw
+        (w1, c1), (w2, c2), (w3, c3) = tw
+        mul = self._mul
         x0 = view[:, :, 0]
         x1 = view[:, :, 1]
         x2 = view[:, :, 2]
@@ -237,33 +273,33 @@ class FusedNttEngine:
         # first half-stage: (x0, x2) and (x1, x3), twiddle w1
         modmath.cond_sub_into(x0, q2, s1)
         modmath.cond_sub_into(x1, q2, s1)
-        modmath.mul_shoup_lazy_into(x2, w1, w1lo, w1hi, q, T, s)
+        mul(x2, w1, c1, q, T, s)
         np.subtract(q2, T, out=s1)
         np.add(x0, s1, out=x2)                  # b2 = x0 - w1*x2
         np.add(x0, T, out=x0)                   # b0 = x0 + w1*x2
-        modmath.mul_shoup_lazy_into(x3, w1, w1lo, w1hi, q, T, s)
+        mul(x3, w1, c1, q, T, s)
         np.subtract(q2, T, out=s1)
         np.add(x1, s1, out=x3)                  # b3 = x1 - w1*x3
         np.add(x1, T, out=x1)                   # b1 = x1 + w1*x3
         # second half-stage: (b0, b1) by w2, (b2, b3) by w3
         modmath.cond_sub_into(x0, q2, s1)
         modmath.cond_sub_into(x2, q2, s1)
-        modmath.mul_shoup_lazy_into(x1, w2, w2lo, w2hi, q, T, s)
+        mul(x1, w2, c2, q, T, s)
         np.subtract(q2, T, out=s1)
         np.add(x0, s1, out=x1)                  # c1
         np.add(x0, T, out=x0)                   # c0
-        modmath.mul_shoup_lazy_into(x3, w3, w3lo, w3hi, q, T, s)
+        mul(x3, w3, c3, q, T, s)
         np.subtract(q2, T, out=s1)
         np.add(x2, s1, out=x3)                  # c3
         np.add(x2, T, out=x2)                   # c2
 
     def _fwd_r2(self, view, tw, q, q2, work) -> None:
-        w, wlo, whi = tw
+        w, c = tw
         lo = view[:, :, 0]
         hi = view[:, :, 1]
         T, s1 = work[0], work[1]
         modmath.cond_sub_into(lo, q2, s1)
-        modmath.mul_shoup_lazy_into(hi, w, wlo, whi, q, T, work[1:])
+        self._mul(hi, w, c, q, T, work[1:])
         np.subtract(q2, T, out=s1)
         np.add(lo, s1, out=hi)
         np.add(lo, T, out=lo)
@@ -292,53 +328,51 @@ class FusedNttEngine:
         for col in range(0, self.n, half):
             part = a[:, col:col + half]
             s = tuple(b[:part.size].reshape(part.shape) for b in bufs)
-            modmath.mul_shoup_lazy_into(
-                part, self._ni_w, self._ni_ws[0], self._ni_ws[1],
-                qd, part, s)
+            self._mul(part, self._ni_w, self._ni_ws, qd, part, s)
             modmath.cond_sub_into(part, qd, s[0])
 
     def _inv_r4(self, view, tw, q, q2, work) -> None:
-        (we, welo, wehi), (wo, wolo, wohi), (w2, w2lo, w2hi) = tw
+        (we, ce), (wo, co), (w2, c2) = tw
+        mul = self._mul
         x0 = view[:, :, 0]
         x1 = view[:, :, 1]
         x2 = view[:, :, 2]
         x3 = view[:, :, 3]
         T, s1 = work[0], work[1]
-        s = (work[2], work[3], work[4], work[5], T)
+        s = work[2:] + (T,)
         # first half-stage: (x0, x1) by we, (x2, x3) by wo
         np.subtract(q2, x1, out=s1)
         np.add(s1, x0, out=s1)                  # x0 - x1 (+2q)
         np.add(x0, x1, out=x0)
         modmath.cond_sub_into(x0, q2, work[2])  # b0
-        modmath.mul_shoup_lazy_into(s1, we, welo, wehi, q, x1, s)
+        mul(s1, we, ce, q, x1, s)
         np.subtract(q2, x3, out=s1)
         np.add(s1, x2, out=s1)
         np.add(x2, x3, out=x2)
         modmath.cond_sub_into(x2, q2, work[2])  # b2
-        modmath.mul_shoup_lazy_into(s1, wo, wolo, wohi, q, x3, s)
+        mul(s1, wo, co, q, x3, s)
         # second half-stage: (b0, b2) and (b1, b3), shared twiddle w2
         np.subtract(q2, x2, out=s1)
         np.add(s1, x0, out=s1)
         np.add(x0, x2, out=x0)
         modmath.cond_sub_into(x0, q2, work[2])  # c0
-        modmath.mul_shoup_lazy_into(s1, w2, w2lo, w2hi, q, x2, s)
+        mul(s1, w2, c2, q, x2, s)
         np.subtract(q2, x3, out=s1)
         np.add(s1, x1, out=s1)
         np.add(x1, x3, out=x1)
         modmath.cond_sub_into(x1, q2, work[2])  # c1
-        modmath.mul_shoup_lazy_into(s1, w2, w2lo, w2hi, q, x3, s)
+        mul(s1, w2, c2, q, x3, s)
 
     def _inv_r2(self, view, tw, q, q2, work) -> None:
-        w, wlo, whi = tw
+        w, c = tw
         lo = view[:, :, 0]
         hi = view[:, :, 1]
         T, s1 = work[0], work[1]
-        s = (work[2], work[3], work[4], work[5], T)
         np.subtract(q2, hi, out=s1)
         np.add(s1, lo, out=s1)
         np.add(lo, hi, out=lo)
         modmath.cond_sub_into(lo, q2, work[2])
-        modmath.mul_shoup_lazy_into(s1, w, wlo, whi, q, hi, s)
+        self._mul(s1, w, c, q, hi, work[2:] + (T,))
 
 
 class NttPlan:
@@ -384,35 +418,50 @@ class NttPlan:
         self._psi_inv_rev = self._power_table(psi_inv)
         self._n_inv = modmath.inv_mod(ring_degree, modulus)
         if self.path != modmath.OBJECT:
-            # The one derivation of the Shoup companions: the batch
+            # The one derivation of the multiply companions: the batch
             # plan and the serving layer reuse these through
             # :meth:`fused_tables` instead of re-deriving them.
-            kernel = self._kernel
-            self._psi_rev_shoup = self.backend.from_host(
-                kernel.shoup_table(self._psi_rev))
-            self._psi_inv_rev_shoup = self.backend.from_host(
-                kernel.shoup_table(self._psi_inv_rev))
+            self._psi_rev_shoup = modmath.shoup_companions(
+                self._psi_rev.view(np.uint64), modulus)
+            self._psi_inv_rev_shoup = modmath.shoup_companions(
+                self._psi_inv_rev.view(np.uint64), modulus)
             self._n_inv_pair = modmath.shoup_pair(self._n_inv, modulus)
         # The shared-modulus engine is built lazily on first use:
         # plans built only for their tables (the batch plan stacks
         # them) never pay for Shoup splitting or stage slicing.
         self._engine = None
 
-    def fused_tables(self) -> tuple:
-        """``(psi, psi_shoup, psi_inv, psi_inv_shoup, n_inv_pair)`` as
-        the uint64 tables every fused butterfly runs on.
+    def fused_tables(self, float_quotient: bool = False) -> tuple:
+        """``(psi, psi_companion, psi_inv, psi_inv_companion,
+        n_inv_pair)``: the tables one :class:`FusedNttEngine` mode
+        runs on — the uint64 Shoup companions, or with
+        ``float_quotient`` the float64 ones (``q < 2^46`` only;
+        derived here on request, since only batch-plan builds ask and
+        they stack a copy: a plan the serving layer holds pays no
+        bytes for them).
 
         Narrow plans keep int64 twiddles; canonical residues
         (``< q < 2^31``) fit both dtypes, so the uint64 tables are
         reinterpreting views, not copies.
         """
-        return (self._psi_rev.view(np.uint64), self._psi_rev_shoup,
-                self._psi_inv_rev.view(np.uint64),
+        psi = self._psi_rev.view(np.uint64)
+        psi_inv = self._psi_inv_rev.view(np.uint64)
+        if float_quotient:
+            q = self.modulus
+            return (psi, modmath.float_companion(psi, q),
+                    psi_inv, modmath.float_companion(psi_inv, q),
+                    (self._n_inv_pair[0],
+                     modmath.float_companion(self._n_inv, q)))
+        return (psi, self._psi_rev_shoup, psi_inv,
                 self._psi_inv_rev_shoup, self._n_inv_pair)
 
     def _get_engine(self) -> FusedNttEngine:
         if self._engine is None:
             be = self.backend
+            # Shared-modulus plans stay on the 64-bit multiply for
+            # every modulus (DESIGN.md Sec. 20: serve_closed's RSS
+            # bound); passing fits_float_quotient(q) here and to
+            # fused_tables is the whole switch.
             self._engine = FusedNttEngine(
                 self.n, self.modulus, *self.fused_tables(),
                 be, WorkspaceArena(be, "ntt"), per_row=False)
@@ -521,6 +570,13 @@ class NttPlan:
         rows = a.view(np.uint64) if a.dtype == np.int64 else a
         return a, rows.reshape(1, -1)
 
+    def _count_path(self, tracer) -> None:
+        """One limb row under its width path and, on the engine, its
+        multiplier mode (``ntt.path.wide36`` / ``ntt.path.wide60``)."""
+        tracer.count("ntt.path." + self.path)
+        if self._engine is not None:
+            tracer.count("ntt.path." + self._engine.mode)
+
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficient form -> evaluation form (negacyclic NTT)."""
         tracer = get_tracer()
@@ -529,7 +585,7 @@ class NttPlan:
         self._transform_rows(rows, inverse=False)
         if tracer.enabled:
             tracer.count("ntt.forward")
-            tracer.count("ntt.path." + self.path)
+            self._count_path(tracer)
             tracer.observe("ntt.forward_s", perf_counter() - start)
         return a
 
@@ -541,7 +597,7 @@ class NttPlan:
         self._transform_rows(rows, inverse=True)
         if tracer.enabled:
             tracer.count("ntt.inverse")
-            tracer.count("ntt.path." + self.path)
+            self._count_path(tracer)
             tracer.observe("ntt.inverse_s", perf_counter() - start)
         return a
 
@@ -571,6 +627,13 @@ class BatchNttPlan:
     This is the software shape of the accelerator's NTTU operating on
     a whole limb set per ModUp digit.
 
+    The stack is ordered by multiplier mode
+    (:func:`~repro.ckks.modmath.fits_float_quotient`): rows below 2^46
+    first, on a float-quotient engine, then the rest on a 64-bit Shoup
+    engine.  Each engine transforms its contiguous row range of the
+    one block in place, so a mixed basis (a KLSS ModUp: 36/44-bit Q
+    limbs beside 60-bit T words) costs two engine calls and no copy.
+
     Limbs over the exact ``object`` path (moduli beyond 62 bits) run
     their scalar reference plans; results are bit-identical to the
     per-limb plans on every path.
@@ -586,37 +649,47 @@ class BatchNttPlan:
 
         self.n = int(ring_degree)
         self.moduli = tuple(int(q) for q in moduli)
-        # The batched butterflies are pure uint64 lazy-Shoup ops.
+        # The batched butterflies are pure uint64 lazy ops.
         be = backend_mod.kernel_backend(backend)
         self.backend = be
         self._kernels = [modmath.get_kernel(q, backend=be)
                          for q in self.moduli]
         self._scalar_plans = [get_plan(self.n, q, backend=be)
                               for q in self.moduli]
-        self._batch_rows = [                 # limb positions in the stack
-            i for i, kernel in enumerate(self._kernels)
-            if kernel.path != modmath.OBJECT]
-        self._object_rows = [                # limb positions on the oracle
-            i for i, kernel in enumerate(self._kernels)
-            if kernel.path == modmath.OBJECT]
-        self._engine = None
-        if self._batch_rows:
+        self._object_rows = []               # limb positions on the oracle
+        by_mode = {True: [], False: []}      # float-quotient rows first
+        for i, kernel in enumerate(self._kernels):
+            if kernel.path == modmath.OBJECT:
+                self._object_rows.append(i)
+            else:
+                by_mode[modmath.fits_float_quotient(kernel.modulus)
+                        ].append(i)
+        self._batch_rows = by_mode[True] + by_mode[False]   # stack order
+        arena = WorkspaceArena(be, "ntt")
+        self._engines = []                   # (row range of the block, engine)
+        start = 0
+        for float_quotient, rows in by_mode.items():
+            if not rows:
+                continue
             # Stacking happens host-side (the scalar plans' tables may
             # be device-resident); the stacked copies go back through
             # from_host — one build-time transfer per table.
-            *tables, n_inv = zip(*(self._scalar_plans[i].fused_tables()
-                                   for i in self._batch_rows))
+            *tables, n_inv = zip(*(
+                self._scalar_plans[i].fused_tables(float_quotient)
+                for i in rows))
             stacked = [be.from_host(np.stack(
                 [backend_mod.to_host(t) for t in table]))
                 for table in tables]
             n_inv_pair = tuple(
-                be.from_host(np.array(col, dtype=np.uint64)
-                             .reshape(-1, 1))
+                be.from_host(np.array(col).reshape(-1, 1))
                 for col in zip(*n_inv))
-            self._engine = FusedNttEngine(
-                self.n, [self.moduli[i] for i in self._batch_rows],
-                *stacked, n_inv_pair,
-                be, WorkspaceArena(be, "ntt"), per_row=True)
+            self._engines.append((
+                slice(start, start + len(rows)),
+                FusedNttEngine(
+                    self.n, [self.moduli[i] for i in rows], *stacked,
+                    n_inv_pair, be, arena, per_row=True,
+                    float_quotient=float_quotient)))
+            start += len(rows)
 
     def _stack_into(self, limbs, block) -> None:
         for row, i in enumerate(self._batch_rows):
@@ -655,10 +728,11 @@ class BatchNttPlan:
         if self._batch_rows:
             a = self._out_block(out)
             self._stack_into(limbs, a)
-            if inverse:
-                self._engine.inverse(a)
-            else:
-                self._engine.forward(a)
+            for rows, engine in self._engines:
+                if inverse:
+                    engine.inverse(a[rows])
+                else:
+                    engine.forward(a[rows])
             self._unstack(a, result)
         for i in self._object_rows:
             plan = self._scalar_plans[i]
@@ -669,6 +743,9 @@ class BatchNttPlan:
             tracer.count(name)
             for i in self._batch_rows:
                 tracer.count("ntt.path." + self._kernels[i].path)
+            for rows, engine in self._engines:
+                tracer.count("ntt.path." + engine.mode,
+                             rows.stop - rows.start)
             tracer.observe(name + "_s", perf_counter() - start)
         return result
 

@@ -450,9 +450,9 @@ class BConvPlan:
       limb pieces and stacked into one block matrix per output scale;
     * the target-side reduction constants (``2^64 mod p_j`` Shoup
       pairs and Barrett ratios);
-    * the ModDown / rescale scalars ``(prod src)^{-1} mod p_j`` with
-      their Shoup companions, so :func:`mod_down` and
-      :func:`exact_rescale` never call ``inv_mod`` per invocation.
+    * the ModDown / rescale scalars ``(prod src)^{-1} mod p_j``, so
+      :func:`mod_down` and :func:`exact_rescale` never call
+      ``inv_mod`` per invocation.
 
     :meth:`convert` executes the conversion as a handful of
     whole-array kernels.  The O(k_in * k_out * N) multiply-accumulate
@@ -485,11 +485,11 @@ class BConvPlan:
     __slots__ = ("src_moduli", "dst_moduli", "k_in", "k_out", "backend",
                  "src_product", "matrix_path", "total_bits",
                  "_dst_kernels", "_src_kernels", "_ew_w", "_ew_ws",
-                 "_src_q", "_ew_float", "_ew_wf", "_src_qf",
+                 "_src_q", "_ew_wf",
                  "_pieces_in", "_block_stack", "_shifts",
                  "_reduce_float", "_vf_gemm", "_scales", "_dst_qf",
                  "_dst_q", "_t64_w", "_t64_ws",
-                 "_down_inv", "_down_pairs", "_ws_pool", "_ws_lock")
+                 "_down_inv", "_ws_pool", "_ws_lock")
 
     def __init__(self, src_moduli, dst_moduli, backend=None):
         self.src_moduli = tuple(int(q) for q in src_moduli)
@@ -533,13 +533,14 @@ class BConvPlan:
             b = self.PIECE_BITS
             pieces_in = -(-bits_in // b)
             pieces_mat = -(-bits_out // b)
-            # Float-quotient element-wise stage: x, w and x*w/q must
-            # all sit inside float64's exact window so the rounded
-            # quotient is within 1 of the true floor (see convert()).
-            self._ew_float = bits_in <= 51
-            if self._ew_float:
-                self._ew_wf = self._ew_w.astype(np.float64)
-                self._src_qf = self._src_q.astype(np.float64)
+            # Element-wise stage in the software TBM's 36-bit mode
+            # when every source modulus allows it (None: 60-bit mode).
+            self._ew_wf = None
+            if all(modmath.fits_float_quotient(q) for q in self.src_moduli):
+                self._ew_wf = be.from_host(np.array(
+                    [modmath.float_companion(int(w), q)
+                     for (w, _), q in zip(ew, self.src_moduli)]
+                ).reshape(-1, 1))
             # Float-quotient final reduction: the row value is below
             # k_in * 2^bits_in * p_j, so the absolute error of the
             # float quotient (ncomp recombination roundings plus the
@@ -570,12 +571,8 @@ class BConvPlan:
         try:
             self._down_inv = tuple(modmath.inv_mod(big_q % p, p)
                                    for p in self.dst_moduli)
-            self._down_pairs = tuple(
-                kernel.shoup(inv) if kernel.path == modmath.WIDE else None
-                for inv, kernel in zip(self._down_inv, self._dst_kernels))
         except ValueError:
             self._down_inv = None
-            self._down_pairs = None
 
     def _matrix_feasible(self) -> bool:
         """Whether the split-piece matrix kernel is exact for this pair."""
@@ -702,8 +699,8 @@ class BConvPlan:
             "tmpu": empty((k_out, n), np.uint64),
             "tmpf": empty((k_out, n), np.float64),
         }
-        if self._ew_float:
-            ws["xf"] = empty((k_in, n), np.float64)
+        if self._ew_wf is not None:
+            ws["est"] = empty((k_in, n), np.uint64)
         if not self._reduce_float:
             ws["hi"] = empty((k_out, n), np.uint64)
         return ws
@@ -737,37 +734,20 @@ class BConvPlan:
             return [kernel.zeros(n) for kernel in self._dst_kernels]
         ws = self._workspace(n)
         x = self._stack_input(limbs, n, ws["x"])
-        # Element-wise stage over the whole stack.  For limbs inside
-        # the float64 window the Barrett quotient floor(x*w / q) is
-        # computed in float (exact operands, one rounded product and
-        # one rounded division — off by at most 1 from the true
-        # floor), corrected back in uint64 arithmetic; wider limbs
-        # use the lazy-Shoup pass.
+        # Element-wise stage over the whole stack: one lazy multiply
+        # by (Q/q_i)^-1 in the source moduli's multiplier mode
+        # (float-quotient below 2^46, Shoup above) and one fold.
         sq = self._src_q
         y = ws["y"]
         tq = ws["tq"]
-        if self._ew_float:
-            xf = ws["xf"]
-            xf[:] = x
-            np.multiply(xf, self._ew_wf, out=xf)
-            np.divide(xf, self._src_qf, out=xf)
-            np.floor(xf, out=xf)
-            tq[:] = xf
-            np.multiply(tq, sq, out=tq)
-            np.multiply(x, self._ew_w, out=y)
-            np.subtract(y, tq, out=y)
-            # y is x*w - quo*q in wrapping uint64, i.e. (-q, 2q);
-            # two branch-free conditional fix-ups via np.minimum
-            # (the wrong branch wraps around 2^64 and loses the min).
-            np.add(y, sq, out=tq)
-            np.minimum(y, tq, out=y)
-            np.subtract(y, sq, out=tq)
-            np.minimum(y, tq, out=y)
+        if self._ew_wf is not None:
+            modmath.mul_float_lazy_into(x, self._ew_w, self._ew_wf, sq, y,
+                                        (tq, ws["est"]))
         else:
             np.multiply(modmath.mulhi(x, self._ew_ws), sq, out=tq)
             np.multiply(x, self._ew_w, out=y)
             np.subtract(y, tq, out=y)
-            y = np.where(y >= sq, y - sq, y)
+        modmath.cond_sub_into(y, sq, tq)
         # Matrix stage: split the scaled residues into float64 pieces
         # and let BLAS run the exact multiply-accumulate — all scale
         # components in one tall matrix product.  The a=0 piece needs
@@ -865,15 +845,8 @@ class BConvPlan:
         """Multiply limb ``j`` by the hoisted ``(prod src)^{-1} mod p_j``."""
         if self._down_inv is None:
             raise ValueError("source product not invertible in target basis")
-        out = []
-        for limb, kernel, inv, pair in zip(limbs, self._dst_kernels,
-                                           self._down_inv,
-                                           self._down_pairs):
-            if pair is not None:
-                out.append(kernel.mul_shoup(limb, *pair))
-            else:
-                out.append(kernel.mul_scalar(limb, inv))
-        return out
+        return [kernel.mul_scalar(limb, inv) for limb, kernel, inv
+                in zip(limbs, self._dst_kernels, self._down_inv)]
 
 
 @lru_cache(maxsize=PLAN_CACHE_MAXSIZE)
@@ -1040,8 +1013,8 @@ def mod_down(poly: RnsPoly, main_count: int) -> RnsPoly:
         raise ValueError("nothing to mod-down: no auxiliary limbs")
     aux_part = RnsPoly(poly.limbs[main_count:], p_moduli, COEFF)
     approx = base_convert(aux_part, q_moduli)
-    # The P^-1 mod q scalars (with Shoup companions) are hoisted into
-    # the conversion plan — no per-call inv_mod.
+    # The P^-1 mod q scalars are hoisted into the conversion plan —
+    # no per-call inv_mod.
     plan = get_bconv_plan(p_moduli, q_moduli)
     diffs = [modmath.sub(limb, conv, q)
              for limb, conv, q in zip(poly.limbs, approx.limbs, q_moduli)]

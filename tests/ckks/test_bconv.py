@@ -53,6 +53,10 @@ WIDTH_CASES = [
     pytest.param([(2, 36)], [(1, 44), (9, 36)], id="set2mini-modup-d1"),
     pytest.param([(5, 37)], [(1, 44), (6, 36)], id="set2mini-moddown"),
     pytest.param([(1, 36)], [(6, 36)], id="rescale-single-src"),
+    # the element-wise stage's multiplier mode flips at 46 | 47 bits
+    # (51 | 52 before the float-quotient mode became the one in modmath)
+    pytest.param([(3, 46)], [(3, 46)], id="float-ew-edge-46"),
+    pytest.param([(3, 47)], [(3, 47)], id="past-float-ew-47"),
     pytest.param([(3, 51)], [(3, 51)], id="float-ew-edge-51"),
     pytest.param([(3, 52)], [(3, 52)], id="past-float-ew-52"),
     pytest.param([(2, 60)], [(3, 60)], id="klss-wide-60"),

@@ -50,21 +50,30 @@ class TestTierSelection:
         q = (1 << 60) - 93
         assert _kmu_tier((q,), 4) == "hilo"
 
+    def test_float_quotient_moduli_take_float(self):
+        # 36/44-bit moduli: past the u64 budget, below 2^46
+        assert _kmu_tier(((1 << 36) - 5, (1 << 44) - 17), 3) == "float"
+
     def test_digit_count_enters_budget(self):
-        # 31-bit: 62 + ceil(log2 d) crosses 64 at d = 5
+        # 31-bit: 62 + ceil(log2 d) crosses 64 at d = 5, into the
+        # float-quotient tier (any modulus below 2^46 lands there)
         q = (1 << 31) - 1
         assert _kmu_tier((q,), 4) == "u64"
+        assert _kmu_tier((q,), 5) == "float"
+        # 46-bit: 2 q d crosses 2^49 at d = 5, into hilo
+        q = (1 << 46) - 21
+        assert _kmu_tier((q,), 4) == "float"
         assert _kmu_tier((q,), 5) == "hilo"
 
 
 class TestBitExactness:
     def test_hybrid_set_ii_mini_shapes(self, mini_ctx):
-        """hilo tier at the paper's real word length (36-bit primes)."""
+        """float tier at the paper's real word length (36-bit primes)."""
         ctx = mini_ctx
         level = ctx.params.max_level
         key = ctx.evaluation_key(HYBRID, level, "mult")
         plan = get_key_mult_plan(key)
-        assert plan is not None and plan.tier == "hilo"
+        assert plan is not None and plan.tier == "float"
         digits = hybrid_decompose(_random_poly(ctx, level, seed=1),
                                   key, ctx.params.alpha)
         got0, got1 = plan.accumulate(plan.stack(digits))
