@@ -16,6 +16,10 @@ only mediates the points where *residency* matters:
 * ``gather`` / ``matmul`` / ``mulmod`` — the three primitives with
   backend-specific fast paths (AutoPlan point gathers, the BConv
   float64 GEMM, and modular multiply).
+* ``native_ntt`` — an optional compiled limb-batch NTT over this
+  backend's arrays.  ``None`` (the default) keeps the ufunc engine;
+  the numpy backend answers with :mod:`repro.backend.native`'s kernel
+  where the host could build it.
 
 Capability flags drive negotiation: a kernel that needs the uint64
 lazy-reduction datapath (every vectorised hot path in this repo)
@@ -102,6 +106,13 @@ class ArrayBackend:
         """True when ``array`` is resident on this backend's device."""
         return False
 
+    def native_ntt(self):
+        """A compiled limb-batch NTT over this backend's arrays
+        (:class:`repro.backend.native.NttKernel`), or ``None``: the
+        batch plan then runs the ufunc engine.  Availability is the
+        only selector."""
+        return None
+
     # -- introspection ---------------------------------------------------
 
     def synchronize(self) -> None:
@@ -172,6 +183,16 @@ class NumpyBackend(ArrayBackend):
     def is_device_array(self, array) -> bool:
         return isinstance(array, np.ndarray)
 
+    def native_ntt(self):
+        # imported on first use: processes that never build a batch
+        # NTT plan (serving, the simulators) never look for a compiler
+        from repro.backend import native
+
+        return native.load()
+
     def device_info(self) -> dict:
+        from repro.backend import native
+
         return {"device": "cpu", "library": "numpy",
-                "version": np.__version__}
+                "version": np.__version__,
+                "native_ntt": dict(native.probe()[1])}

@@ -2,7 +2,7 @@
 
 Runs the Table 5 workloads (bootstrap, HELR training iterations,
 ResNet-20 trace slices) through the cycle simulator and writes
-``BENCH_sim.json`` (schema ``repro-bench/v12``): per-workload host
+``BENCH_sim.json`` (schema ``repro-bench/v13``): per-workload host
 wall-time, simulated latency, per-unit utilisation, Hemera cache-hit
 rate and HBM traffic; a ``micro`` section with modmul/NTT kernel
 microbenchmarks, the matrix-form base-conversion kernel against the

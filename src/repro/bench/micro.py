@@ -15,8 +15,11 @@ Three sections feed the ``micro`` block of BENCH_sim.json:
   bit).  The reference's own wall is recorded, not gated: a ratio
   against an in-tree oracle measures how slow the oracle is.  The
   scalar plans run the shared-modulus engine (64-bit multiply at
-  either width); the per-limb cost in each multiplier mode is timed
-  on 4-limb batch plans and recorded as ``tbm_ratio``.
+  either width); the per-limb cost at each width is timed on 4-limb
+  batch plans and recorded as ``tbm_ratio``, as measured and with no
+  bar: ~2x on the ufunc engine (two multiplier modes), 1.0x on the
+  compiled butterfly (``batch_kernel`` says which ran), where a host
+  ``mulq`` costs the same at 36 and 60 bits.
 * ``bconv`` — the matrix-form base-conversion kernel (the software
   BConvU) against the per-pair scalar loop it replaced, at the three
   conversion shapes one Set-II-mini hybrid key-switch actually runs:
@@ -130,7 +133,7 @@ def _ntt_section(quick: bool) -> dict:
         limbs = [rng.integers(0, q, size=n, dtype=np.uint64)
                  for q in moduli]
         block = plan.backend.empty((len(moduli), n), np.uint64)
-        plan.forward(limbs, out=block)       # warm the arena
+        plan.forward(limbs, out=block)       # warm (ufunc engine: arena)
         per_limb[bits] = _best(lambda: plan.forward(limbs, out=block),
                                wide_reps) / len(moduli)
     return {
@@ -143,6 +146,8 @@ def _ntt_section(quick: bool) -> dict:
         "batch36_per_limb_s": per_limb[36],
         "batch60_per_limb_s": per_limb[60],
         "tbm_ratio": per_limb[60] / per_limb[36],
+        "batch_kernel": "ufunc" if plan.backend.native_ntt() is None
+        else "native",
     }
 
 

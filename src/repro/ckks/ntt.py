@@ -13,10 +13,11 @@ The network is the standard merged-twist pair:
 * inverse: Gentleman-Sande butterflies on powers of ``psi^-1``
   followed by multiplication with ``N^-1``.
 
-There is one engine and one reference:
+There is one engine, one compiled kernel that takes its place under
+batch plans wherever the host can build it, and one reference:
 
-* **the engine** — :class:`FusedNttEngine`, the only butterfly every
-  modulus below 2^62 runs on: two radix-2 stages merged into one pass
+* **the engine** — :class:`FusedNttEngine`, the butterfly every
+  modulus below 2^62 can run on: two radix-2 stages merged into one pass
   over the limb tensor, values riding in Harvey-style lazy domains
   between stages ([0, 4q) on the forward network, [0, 2q) on the
   inverse; one correction pass at the end instead of per-stage
@@ -43,6 +44,17 @@ There is one engine and one reference:
   :class:`BatchNttPlan` puts each limb row on the engine of its mode
   (:func:`~repro.ckks.modmath.fits_float_quotient`, nothing else);
   shared-modulus plans run 60-bit mode at every width.
+* **the compiled kernel** — ``_ntt_kernel.c`` beside this file, built
+  and loaded by :mod:`repro.backend.native` and handed out by
+  :meth:`~repro.backend.ArrayBackend.native_ntt` (numpy only; ``None``
+  without a C compiler).  The same radix-2 network and the same lazy
+  domains as the engine, one stage per pass over a row that stays in
+  cache, Shoup's multiply through a real 64x64 ``mulhi`` at every
+  width.  A :class:`BatchNttPlan` runs it on its whole block whenever
+  it is there (availability is the only selector) and reads each row's
+  tables where the scalar plan keeps them; the engine is the fallback,
+  unchanged.  Shared-modulus plans stay on the engine (DESIGN.md
+  Sec. 21).
 * **the reference** — the radix-2 network, one canonically reduced
   stage per pass, on Python ints through
   :class:`~repro.ckks.modmath.ModulusKernel`.  It is what
@@ -50,7 +62,7 @@ There is one engine and one reference:
   moduli above 62 bits, and the plan every bit-exactness test and the
   serving layer's serial oracle compare the engine against.
 
-Both emit the same slot ordering (``2*brv(i)+1``, see
+All three emit the same slot ordering (``2*brv(i)+1``, see
 :func:`eval_point_exponents`) and bit-identical canonical outputs.
 """
 
@@ -619,15 +631,21 @@ class BatchNttPlan:
     Python dispatch: ``k`` limbs times ``log2 N`` stages times a
     handful of kernel calls each.  This plan stacks all limbs whose
     modulus fits the uint64 datapath (``q < 2^62`` — both the narrow
-    and wide width paths) into one ``(k, N)`` array and stacks their
-    scalar plans' :meth:`NttPlan.fused_tables` into per-basis
-    ``(k, N)`` tables, so each butterfly sweep of the per-row
+    and wide width paths) into one C-contiguous ``(k, N)`` block and
+    transforms it in place in one call.  This is the software shape of
+    the accelerator's NTTU operating on a whole limb set per ModUp
+    digit.
+
+    Where the backend has the compiled kernel
+    (:meth:`~repro.backend.ArrayBackend.native_ntt`), that call is the
+    C butterfly, bound to one pointer per row into the scalar plans'
+    own :meth:`NttPlan.fused_tables`: the plan holds no table copy and
+    no scratch.  Otherwise the plan stacks those tables into per-basis
+    ``(k, N)`` copies, so each butterfly sweep of the per-row
     :class:`FusedNttEngine` is a single set of whole-batch numpy ops
     with the per-limb modulus broadcast as a ``(k, 1, 1)`` column.
-    This is the software shape of the accelerator's NTTU operating on
-    a whole limb set per ModUp digit.
 
-    The stack is ordered by multiplier mode
+    On that fallback the stack is ordered by multiplier mode
     (:func:`~repro.ckks.modmath.fits_float_quotient`): rows below 2^46
     first, on a float-quotient engine, then the rest on a 64-bit Shoup
     engine.  Each engine transforms its contiguous row range of the
@@ -665,8 +683,30 @@ class BatchNttPlan:
                 by_mode[modmath.fits_float_quotient(kernel.modulus)
                         ].append(i)
         self._batch_rows = by_mode[True] + by_mode[False]   # stack order
-        arena = WorkspaceArena(be, "ntt")
+        # Rows per TBM mode, by modulus width alone: what
+        # ``ntt.path.wide36`` / ``wide60`` count under either butterfly.
+        self._mode_rows = [(mode, len(by_mode[fq])) for fq, mode in
+                           ((True, "wide36"), (False, "wide60"))
+                           if by_mode[fq]]
         self._engines = []                   # (row range of the block, engine)
+        kernel = be.native_ntt() if self._batch_rows else None
+        if kernel is None:
+            self._native = None
+            self._build_engines(by_mode)
+        else:
+            # The compiled butterfly reads each row's tables where the
+            # scalar plans already keep them: one pointer per row, no
+            # stacked copy, no float companions, no arena scratch.
+            self._native = kernel.bind(
+                self.n, [self.moduli[i] for i in self._batch_rows],
+                [self._scalar_plans[i].fused_tables()
+                 for i in self._batch_rows])
+
+    def _build_engines(self, by_mode: dict) -> None:
+        """The ufunc fallback: one per-row engine per multiplier mode
+        over stacked ``(rows, N)`` copies of the scalar plans' tables."""
+        be = self.backend
+        arena = WorkspaceArena(be, "ntt")
         start = 0
         for float_quotient, rows in by_mode.items():
             if not rows:
@@ -715,8 +755,14 @@ class BatchNttPlan:
         rows = len(self._batch_rows)
         if out is None:
             return self.backend.empty((rows, self.n), np.uint64)
-        if out.shape != (rows, self.n) or out.dtype != np.uint64:
-            raise ValueError("out block must be (batch_rows, N) uint64")
+        # Both butterflies transform the block in place through
+        # reshaped views (and the compiled one through its address), so
+        # anything but a C-contiguous uint64 block would be a silent
+        # copy, or a wild write.
+        if (out.shape != (rows, self.n) or out.dtype != np.uint64
+                or not out.flags.c_contiguous):
+            raise ValueError(
+                "out block must be C-contiguous (batch_rows, N) uint64")
         return out
 
     def _transform(self, limbs, out, inverse: bool) -> list:
@@ -728,6 +774,11 @@ class BatchNttPlan:
         if self._batch_rows:
             a = self._out_block(out)
             self._stack_into(limbs, a)
+            if self._native is not None:
+                if inverse:
+                    self._native.inverse(a)
+                else:
+                    self._native.forward(a)
             for rows, engine in self._engines:
                 if inverse:
                     engine.inverse(a[rows])
@@ -743,9 +794,10 @@ class BatchNttPlan:
             tracer.count(name)
             for i in self._batch_rows:
                 tracer.count("ntt.path." + self._kernels[i].path)
-            for rows, engine in self._engines:
-                tracer.count("ntt.path." + engine.mode,
-                             rows.stop - rows.start)
+            for mode, rows in self._mode_rows:
+                tracer.count("ntt.path." + mode, rows)
+            if self._native is not None:
+                tracer.count("ntt.kernel.native", len(self._batch_rows))
             tracer.observe(name + "_s", perf_counter() - start)
         return result
 
@@ -753,9 +805,10 @@ class BatchNttPlan:
         """Batched forward NTT; ``out`` may supply the output block.
 
         The only steady-state allocation is the output block itself —
-        pass a caller-owned ``(len(batch_rows), N)`` uint64 array as
-        ``out`` to run fully allocation-free (returned limbs are then
-        views into that block).
+        pass a caller-owned C-contiguous ``(len(batch_rows), N)``
+        uint64 array as ``out`` to run fully allocation-free (returned
+        limbs are then views into that block; anything else raises
+        ``ValueError``).
         """
         return self._transform(limbs, out, inverse=False)
 

@@ -10,6 +10,11 @@ against per-limb scalar plans, the third KeyMult tier against its
 reference loop, the HELR-step ciphertexts against digests taken at the
 commit before the mode existed, and the ``ntt.path.*`` /
 ``keyswitch.kmu.*`` counters.
+
+The batch-plan and whole-program classes run on the butterfly this
+host has (the compiled kernel where there is a C compiler); their
+``...Ufunc`` subclasses rerun them under ``ufunc_ntt``, the host
+without one, where the two modes are two engines.
 """
 
 import hashlib
@@ -17,7 +22,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.backend as backend_mod
 from repro import obs
@@ -139,7 +144,8 @@ class TestModeSelection:
                            backend_mod.WorkspaceArena(plan.backend, "ntt"),
                            per_row=False, float_quotient=True)
 
-    def test_batch_plan_splits_rows_by_mode(self):
+    def test_batch_plan_splits_rows_by_mode(self, ufunc_ntt):
+        # the ufunc engine's layout; the compiled kernel has one mode
         n = 64
         moduli = (_prime(60, n), _prime(36, n), _prime(62, n),
                   _prime(44, n), _prime(28, n))
@@ -209,6 +215,9 @@ class TestMixedModeNtt:
     @settings(deadline=None, max_examples=20)
     @given(seed=st.integers(0, 2**32 - 1), n_log2=st.sampled_from((5, 6)))
     def test_batch_plan_equals_per_limb_plans(self, seed, n_log2):
+        self._batch_plan_equals_per_limb_plans(seed, n_log2)
+
+    def _batch_plan_equals_per_limb_plans(self, seed, n_log2):
         n = 1 << n_log2
         moduli = (tuple(primes.ntt_primes(2, 36, n))
                   + (_prime(60, n), _prime(44, n), _prime(46, n),
@@ -220,6 +229,17 @@ class TestMixedModeNtt:
             np.testing.assert_array_equal(got, get_plan(n, q).forward(x))
         for got, q, x in zip(batch.inverse(fwd), moduli, fwd):
             np.testing.assert_array_equal(got, get_plan(n, q).inverse(x))
+
+
+@pytest.mark.usefixtures("ufunc_ntt")
+class TestMixedModeNttUfunc(TestMixedModeNtt):
+    # one executor per @given function (hypothesis), hence declared
+    # again; the fixture only swaps the butterfly for every example
+    @settings(deadline=None, max_examples=20,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), n_log2=st.sampled_from((5, 6)))
+    def test_batch_plan_equals_per_limb_plans(self, seed, n_log2):
+        self._batch_plan_equals_per_limb_plans(seed, n_log2)
 
 
 def _synthetic_key(moduli, digits: int, n: int, seed: int):
@@ -367,8 +387,22 @@ class TestHelrStep:
         assert counters["keyswitch.kmu.tier.float"] == 2    # HMult, HRot
         assert counters["keyswitch.kmu.tier.hilo"] == 1     # KLSS
         assert "keyswitch.kmu.tier.u64" not in counters
+        # every one of them on one butterfly: the compiled kernel
+        # where this host has it, the ufunc engine's arena otherwise
+        assert counters.get("ntt.kernel.native", 0) == self.native_rows(221)
+
+    @staticmethod
+    def native_rows(rows: int) -> int:
+        from repro.backend import native
+
+        return rows if native.load() is not None else 0
 
     def test_obs_off_counts_nothing(self):
         obs.configure(enabled=False, reset=True)
         _HelrStep(5).iterate()
         assert not obs.get_tracer().metrics.counters()
+
+
+@pytest.mark.usefixtures("ufunc_ntt")
+class TestHelrStepUfunc(TestHelrStep):
+    """The same digests and counters on the host without a compiler."""

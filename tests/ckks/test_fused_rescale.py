@@ -90,6 +90,12 @@ class TestKernelVsReference:
                                   key.aux_count, q_count)
 
 
+@pytest.mark.usefixtures("ufunc_ntt")
+class TestKernelVsReferenceUfunc(TestKernelVsReference):
+    """The same kernel with the ufunc engine under every batch NTT
+    (tests/conftest.py): the host without a C compiler."""
+
+
 class TestMultiplyRescale:
     def test_matches_sequential_bookkeeping(self, ctx, message):
         ct = ctx.encrypt(message)
@@ -148,6 +154,11 @@ class TestMultiplyRescale:
             obs.configure(enabled=was_enabled, reset=True)
         assert counters.get("keyswitch.moddown.fused_rescale") == 1
         assert counters.get("keyswitch.moddown.fused_rescale_drop") == 1
+
+
+@pytest.mark.usefixtures("ufunc_ntt")
+class TestMultiplyRescaleUfunc(TestMultiplyRescale):
+    pass
 
 
 class TestPlanCacheCompatibility:

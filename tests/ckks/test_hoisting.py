@@ -89,6 +89,12 @@ class TestBitExactness:
         assert hoisted_rotations(ct, [], {}, ctx.params.alpha) == []
 
 
+@pytest.mark.usefixtures("ufunc_ntt")
+class TestBitExactnessUfunc(TestBitExactness):
+    """The same pipelines with the ufunc engine under every batch NTT
+    (tests/conftest.py): the host without a C compiler."""
+
+
 class TestModDownBatch:
     def test_batch_matches_pairwise(self, ctx):
         """One batched ModDown vs pair-at-a-time: bit-identical."""
@@ -124,6 +130,11 @@ class TestModDownBatch:
                                   ctx.params.ring_degree).to_eval()
         with pytest.raises(ValueError):
             mod_down_batch([(acc0, acc1), (other, other)], key.aux_count)
+
+
+@pytest.mark.usefixtures("ufunc_ntt")
+class TestModDownBatchUfunc(TestModDownBatch):
+    pass
 
 
 class TestKeyValidation:

@@ -125,6 +125,12 @@ class TestBitExactness:
         _assert_poly_equal(got1, ref1)
 
 
+@pytest.mark.usefixtures("ufunc_ntt")
+class TestBitExactnessUfunc(TestBitExactness):
+    """The same tiers with the ufunc engine under the decompositions'
+    batch NTTs (tests/conftest.py): the host without a C compiler."""
+
+
 class TestDigitCountValidation:
     def test_exact_count_required(self, toy_ctx):
         ctx = toy_ctx

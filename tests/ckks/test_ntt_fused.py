@@ -1,8 +1,9 @@
-"""The fused NTT engine against the one reference; allocation ledger.
+"""The NTT butterflies against the one reference; allocation ledger.
 
 The fused engine (merged two-stage butterflies, cross-stage lazy
-reduction, arena-pooled workspaces) must be **bit-identical** to the
-reference — the radix-2 network on Python ints that
+reduction, arena-pooled workspaces) and the compiled kernel that
+replaces it under batch plans where a C compiler exists must be
+**bit-identical** to the reference — the radix-2 network on Python ints that
 ``NttPlan(n, q, path=modmath.OBJECT)`` executes — across the whole
 supported width grid, in both engine modes (shared modulus: scalar
 plans and the rows entry point; per-row moduli: batch plans), and a
@@ -11,16 +12,21 @@ to the schoolbook negacyclic convolution, so the chain of trust is
 schoolbook -> reference -> engine.  Allocation is asserted by
 FakeBackend's device-allocation counter and the ``kernel.alloc.ntt``
 obs ledger.
+
+Batch-plan classes run on the butterfly this host has; their
+``...Ufunc`` subclasses rerun them under the ``ufunc_ntt`` fixture (the
+host without a compiler), and ``TestCompiledKernel`` is skipped where
+no kernel can be built.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.backend as backend_mod
 from repro import obs
 from repro.ckks import modmath, primes
-from repro.ckks.ntt import (NttPlan, clear_batch_plan_cache,
+from repro.ckks.ntt import (BatchNttPlan, NttPlan, clear_batch_plan_cache,
                             get_batch_plan,
                             negacyclic_convolution_reference)
 from repro.ckks.rns import clear_plan_cache, get_plan
@@ -203,6 +209,9 @@ class TestBatchDifferential:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            n_log2=st.sampled_from((5, 6)))
     def test_forward_inverse_match_oracle(self, seed, n_log2):
+        self._forward_inverse_match_oracle(seed, n_log2)
+
+    def _forward_inverse_match_oracle(self, seed, n_log2):
         n = 1 << n_log2
         moduli = self._basis(n)
         fused = get_batch_plan(n, moduli)
@@ -244,6 +253,173 @@ class TestBatchDifferential:
             want = _reference(n, q).forward(limbs[i])
             np.testing.assert_array_equal(got, want)
 
+    def test_object_rows_of_a_mixed_basis_run_their_reference_plans(self):
+        # a 70-bit limb between uint64 ones: it never enters the block
+        # (so never reaches a pointer) and comes back as Python ints
+        n = 16
+        moduli = (primes.ntt_primes(1, 36, n)[0],
+                  primes.ntt_primes(1, 70, n)[0],
+                  primes.ntt_primes(1, 60, n)[0])
+        plan = BatchNttPlan(n, moduli)
+        assert plan._object_rows == [1] and plan._batch_rows == [0, 2]
+        assert plan._scalar_plans[1].path == modmath.OBJECT
+        limbs = [[int(v) % q for v in
+                  np.random.default_rng(i).integers(0, 2**62, size=n)]
+                 for i, q in enumerate(moduli)]
+        fwd = plan.forward(limbs)
+        assert fwd[1].dtype == object
+        for got, q, x in zip(fwd, moduli, limbs):
+            assert [int(v) for v in got] \
+                == [int(v) for v in _reference(n, q).forward(x)]
+        for got, x in zip(plan.inverse(fwd), limbs):
+            assert [int(v) for v in got] == x
+
+    @pytest.mark.parametrize("n_log2", range(1, 9))
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_width_grid_incl_worst_case(self, bits, n_log2):
+        # N = 2 and 4 are the networks with only a last (and a first)
+        # stage; odd and even log2 N; row 0 random, row 1 all-(q-1)
+        n = 1 << n_log2
+        moduli = tuple(primes.ntt_primes(2, bits, n))
+        plan = get_batch_plan(n, moduli)
+        limbs = [_limb(moduli[0], n, bits * n),
+                 np.full(n, moduli[1] - 1, dtype=np.uint64)]
+        fwd = plan.forward(limbs)
+        inv = plan.inverse(limbs)
+        for i, q in enumerate(moduli):
+            oracle = _reference(n, q)
+            np.testing.assert_array_equal(
+                _host(fwd[i]), _host(oracle.forward(limbs[i].copy())))
+            np.testing.assert_array_equal(
+                _host(inv[i]), _host(oracle.inverse(limbs[i].copy())))
+        for got, x in zip(plan.inverse(fwd), limbs):
+            np.testing.assert_array_equal(_host(got), x)
+
+    @pytest.mark.parametrize("make", (
+        lambda k: np.zeros((k, 2 * N), dtype=np.uint64)[:, ::2],
+        lambda k: np.zeros((N, k), dtype=np.uint64).T,
+        lambda k: np.zeros((k, N), dtype=np.uint64, order="F"),
+        lambda k: np.zeros((k, N), dtype=np.int64),
+        lambda k: np.zeros((k + 1, N), dtype=np.uint64),
+        lambda k: np.zeros((2 * k, N), dtype=np.uint64)[::2],
+        lambda k: np.zeros(k * N, dtype=np.uint64),
+    ), ids=("strided", "transposed", "fortran", "int64", "extra-row",
+            "row-strided", "flat"))
+    def test_unsafe_out_block_is_refused_by_name(self, make):
+        moduli = self._basis(N)
+        plan = get_batch_plan(N, moduli)
+        limbs = [_limb(q, N, 3 + i) for i, q in enumerate(moduli)]
+        with pytest.raises(ValueError, match="out block must be"):
+            plan.forward(limbs, out=make(len(moduli)))
+        with pytest.raises(ValueError, match="out block must be"):
+            plan.inverse(limbs, out=make(len(moduli)))
+
+
+@pytest.mark.usefixtures("ufunc_ntt")
+class TestBatchDifferentialUfunc(TestBatchDifferential):
+    """The same on the host without a compiler (``FusedNttEngine``)."""
+
+    # hypothesis wants one executor per @given function, so the
+    # property is declared again; every example may share the
+    # function-scoped fixture, which only swaps the butterfly
+    @settings(deadline=None, max_examples=20,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n_log2=st.sampled_from((5, 6)))
+    def test_forward_inverse_match_oracle(self, seed, n_log2):
+        self._forward_inverse_match_oracle(seed, n_log2)
+
+
+class TestCompiledKernel:
+    """The kernel itself: hypothesis against the object-path reference,
+    and the gate in front of every address it is handed."""
+
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(widths=st.lists(st.sampled_from(WIDTHS), min_size=1, max_size=5),
+           n_log2=st.integers(min_value=1, max_value=8),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           worst=st.booleans())
+    def test_equals_the_object_path_reference(self, compiled_ntt, widths,
+                                              n_log2, seed, worst):
+        n = 1 << n_log2
+        moduli = [_prime(bits, n) for bits in widths]
+        bound = compiled_ntt.bind(
+            n, moduli, [get_plan(n, q).fused_tables() for q in moduli])
+        rows = np.stack([np.full(n, q - 1, dtype=np.uint64) if worst
+                         else _limb(q, n, seed + i)
+                         for i, q in enumerate(moduli)])
+        fwd, inv = rows.copy(), rows.copy()
+        bound.forward(fwd)
+        bound.inverse(inv)
+        for i, q in enumerate(moduli):
+            oracle = _reference(n, q)
+            assert fwd[i].tolist() == [
+                int(v) for v in oracle.forward(rows[i].tolist())]
+            assert inv[i].tolist() == [
+                int(v) for v in oracle.inverse(rows[i].tolist())]
+        bound.inverse(fwd)
+        np.testing.assert_array_equal(fwd, rows)
+
+    def test_batch_plan_reads_the_scalar_plans_tables_in_place(
+            self, compiled_ntt):
+        moduli = (_prime(28), _prime(36), _prime(60))
+        plan = BatchNttPlan(N, moduli)
+        assert plan._engines == [] and plan._native is not None
+        columns, _q, _n_inv, *addresses = plan._native._alive
+        for row, q in enumerate(moduli):
+            tables = get_plan(N, q).fused_tables()[:4]
+            for column, theirs, address in zip(columns, tables, addresses):
+                assert np.shares_memory(column[row], theirs)
+                assert int(address[row]) == theirs.ctypes.data
+
+    def test_bind_refuses_tables_it_cannot_point_into(self, compiled_ntt):
+        q = _prime(36)
+        good = get_plan(N, q).fused_tables()
+        for bad in (good[0][::2], good[0].astype(np.int64),
+                    np.concatenate([good[0], good[0]])):
+            with pytest.raises(ValueError, match="NTT tables must be"):
+                compiled_ntt.bind(N, [q], [(bad,) + tuple(good[1:])])
+        with pytest.raises(ValueError, match="below 2\\^62"):
+            compiled_ntt.bind(N, [q, q], [good])
+        with pytest.raises(ValueError, match="below 2\\^62"):
+            compiled_ntt.bind(N, [(1 << 62) + 1], [good])
+
+    def test_bound_kernel_refuses_a_block_it_cannot_own(self, compiled_ntt):
+        moduli = [_prime(36), _prime(60)]
+        bound = compiled_ntt.bind(
+            N, moduli, [get_plan(N, q).fused_tables() for q in moduli])
+        frozen = np.zeros((2, N), dtype=np.uint64)
+        frozen.flags.writeable = False
+        for bad in (np.zeros((2, 2 * N), dtype=np.uint64)[:, ::2],
+                    np.zeros((N, 2), dtype=np.uint64).T,
+                    np.zeros((2, N), dtype=np.int64),
+                    np.zeros((3, N), dtype=np.uint64),
+                    np.zeros((1, N), dtype=np.uint64),
+                    frozen, [[0] * N] * 2):
+            with pytest.raises(ValueError, match="NTT block must be"):
+                bound.forward(bad)
+            with pytest.raises(ValueError, match="NTT block must be"):
+                bound.inverse(bad)
+
+    def test_counts_rows_and_touches_no_arena(self, compiled_ntt):
+        moduli = (_prime(36), _prime(44), _prime(60))
+        limbs = [_limb(q, N, 5 + i) for i, q in enumerate(moduli)]
+        plan = BatchNttPlan(N, moduli)
+        plan.forward(limbs)                      # obs off: nothing counted
+        assert not obs.get_tracer().metrics.counters()
+        obs.configure(enabled=True, reset=True)
+        try:
+            plan.inverse(plan.forward(limbs))
+            counters = obs.get_tracer().metrics.counters()
+        finally:
+            obs.configure(enabled=False, reset=True)
+        assert counters["ntt.kernel.native"] == 6
+        assert counters["ntt.path.wide36"] == 4
+        assert counters["ntt.path.wide60"] == 2
+        assert counters["ntt.path.wide"] == 6
+        assert "kernel.alloc.ntt" not in counters
+
 
 class TestZeroAllocation:
     """Warmed fused plans make zero device allocations."""
@@ -278,7 +454,8 @@ class TestZeroAllocation:
         counters = fake.transfer_counts()
         assert counters["alloc"] == 0, counters
 
-    def test_ledger_counts_misses_then_goes_quiet(self):
+    def test_ledger_counts_misses_then_goes_quiet(self, ufunc_ntt):
+        # the arena is the ufunc engine's; the compiled kernel has none
         moduli = tuple(primes.ntt_primes(3, 36, N))
         limbs = [_limb(q, N, 11 + i) for i, q in enumerate(moduli)]
         obs.configure(enabled=True, reset=True)

@@ -59,3 +59,34 @@ def slot_vector(num_slots: int, length: int, rng=None, complex_vals=False):
     if complex_vals:
         base = base + 1j * rng.uniform(-2, 2, length)
     return np.tile(base, num_slots // length), base
+
+
+# -- the two butterflies under the limb-batch NTT --------------------------
+# Tests run on whatever this host has (the compiled kernel where a C
+# compiler exists).  ``ufunc_ntt`` is the host without one; the
+# ``...Ufunc`` subclasses in tests/ckks rerun the exactness suites
+# under it, so both butterflies are covered on one machine.
+
+@pytest.fixture()
+def ufunc_ntt(monkeypatch):
+    """The loader finds no kernel: batch plans built inside the test
+    run ``FusedNttEngine``.  Cached batch plans are dropped on both
+    sides, so none built on one butterfly is served to the other."""
+    from repro.backend import native
+    from repro.ckks.ntt import clear_batch_plan_cache
+
+    monkeypatch.setattr(native, "load", lambda: None)
+    clear_batch_plan_cache()
+    yield
+    clear_batch_plan_cache()
+
+
+@pytest.fixture()
+def compiled_ntt():
+    """The loaded kernel; skips where this host cannot build one."""
+    from repro.backend import native
+
+    kernel, info = native.probe()
+    if kernel is None:
+        pytest.skip("no compiled NTT kernel: " + info["reason"])
+    return kernel
