@@ -7,7 +7,7 @@ Commands
 ``table5``      workload latencies vs published baselines
 ``decide``      show Aether's decisions for the bootstrap trace
 ``security``    security report for the paper's parameter sets
-``bench``       perf-regression benchmarks; seeds ``BENCH_sim.json``
+``calibrate``   measured kernel unit costs + the Fig. 2 crossover they give
 ``sched``       dataflow-scheduled multi-cluster run + scaling curve
 ``opt``         whole-trace dataflow optimiser report for one workload
 ``serve``       multi-tenant batching FHE server (JSON over TCP)
@@ -74,9 +74,30 @@ def cmd_decide(_args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.bench import harness
-    return harness.run_cli(args)
+def cmd_calibrate(args) -> int:
+    from repro.ckks.keyswitch import calibrate
+
+    report = calibrate.calibration_report()
+    calibrate.write_calibration(report, args.out)
+    costs = report["kernel_costs"]
+    print("measured kernel unit costs (s/modop), 36-bit mode and, "
+          "where the multiplier differs, 60-bit mode:")
+    for name in ("ntt", "bconv", "keymult", "elementwise"):
+        wide = costs.get("wide_" + name)
+        print(f"  {name:<12} {costs[name]:.3e}" + (
+            f"   wide {wide:.3e} ({wide / costs[name]:.1f}x)"
+            if wide is not None else ""))
+    crossover = report["crossover"]
+    measured = crossover["measured_level"]
+    print(f"Fig. 2 crossover (hybrid loses to KLSS above): "
+          f"analytic level {crossover['analytic_level']}, measured "
+          f"{'level ' + str(measured) if measured is not None else 'never'}")
+    for level, ratios in crossover["levels"].items():
+        print(f"  level {level:>2}: analytic ratio "
+              f"{ratios['analytic_ratio']:.2f}, measured "
+              f"{ratios['measured_ratio']:.2f}")
+    print(f"\nwrote {args.out}")
+    return 0
 
 
 def cmd_sched(args) -> int:
@@ -246,9 +267,6 @@ def cmd_backend(args) -> int:
         print(json.dumps(report, indent=2, default=str))
         return 0
     for name, info in report.items():
-        if not info.get("available"):
-            print(f"{name:8} unavailable ({info.get('error', '?')})")
-            continue
         caps = info["capabilities"]
         flags = " ".join(k for k, v in sorted(caps.items()) if v)
         marker = " *default*" if info.get("default") else ""
@@ -285,10 +303,10 @@ def main(argv=None) -> int:
     sub.add_parser("table5", help="workload latency table")
     sub.add_parser("decide", help="show Aether's decisions")
     sub.add_parser("security", help="parameter security report")
-    bench = sub.add_parser(
-        "bench", help="perf-regression benchmarks -> BENCH_sim.json")
-    from repro.bench.harness import add_arguments  # stdlib-only import
-    add_arguments(bench)
+    calibrate = sub.add_parser(
+        "calibrate", help="measured kernel unit costs -> CALIBRATION.json")
+    calibrate.add_argument("--out", default="CALIBRATION.json",
+                           metavar="PATH", help="report path")
     sched = sub.add_parser(
         "sched", help="dataflow-scheduled multi-cluster simulation")
     sched.add_argument("--workload", default="helr256",
@@ -355,7 +373,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     return {"evaluate": cmd_evaluate, "bootstrap": cmd_bootstrap,
             "table5": cmd_table5, "decide": cmd_decide,
-            "security": cmd_security, "bench": cmd_bench,
+            "security": cmd_security, "calibrate": cmd_calibrate,
             "sched": cmd_sched, "opt": cmd_opt,
             "serve": cmd_serve, "loadgen": cmd_loadgen,
             "backend": cmd_backend}[args.command](args)

@@ -3,16 +3,18 @@
 Selection::
 
     from repro import backend
-    backend.select("cupy")            # or "numpy" | "torch" | "fake" | "auto"
-    REPRO_BACKEND=cupy python -m repro bench   # env var, read at first use
+    backend.select("fake")            # or "numpy"
+    REPRO_BACKEND=fake python -m repro loadgen   # env var, read at first use
 
 ``select`` sets the process default that every plan cache and kernel
-resolves when no explicit backend is passed; requesting an unavailable
-accelerator falls back to numpy gracefully and bumps the
-``backend.fallback`` counter (plus ``backend.fallback.unavailable``).
-Kernels that dispatch to a backend count ``backend.dispatch.<name>``,
-and capability negotiation (a backend whose flags cannot run a given
-datapath bit-exactly) counts ``backend.fallback.capability``.
+resolves when no explicit backend is passed; an unknown name raises
+``ValueError``.  The registry is the numpy host backend plus the
+transfer-counting fake device that proves the residency contract; a
+real device backend comes back when a host has a device (DESIGN.md
+Sec. 18).  Kernels that dispatch to a backend count
+``backend.dispatch.<name>``, and capability negotiation (a backend
+whose flags cannot run a given datapath bit-exactly) counts
+``backend.fallback`` and ``backend.fallback.capability``.
 
 Backends are singletons; pass the instance (or its name) to
 ``get_kernel``/``get_plan``/``get_bconv_plan``/... to pin a specific
@@ -23,7 +25,6 @@ to the host at API boundaries.
 from __future__ import annotations
 
 import os
-import warnings
 
 import numpy as np
 
@@ -40,87 +41,24 @@ __all__ = [
 
 _TRACER = get_tracer()
 
-#: resolution order for ``select("auto")``: fastest available wins.
-AUTO_ORDER = ("cupy", "torch", "numpy")
-
-BACKEND_NAMES = ("numpy", "cupy", "torch", "fake")
-
-
-def _make_cupy() -> ArrayBackend:
-    from repro.backend.cupy_backend import CupyBackend
-
-    return CupyBackend()
-
-
-def _make_torch() -> ArrayBackend:
-    from repro.backend.torch_backend import TorchBackend
-
-    return TorchBackend()
-
-
-_FACTORIES = {
-    "numpy": NumpyBackend,
-    "fake": FakeBackend,
-    "cupy": _make_cupy,
-    "torch": _make_torch,
-}
+_FACTORIES = {"numpy": NumpyBackend, "fake": FakeBackend}
+BACKEND_NAMES = tuple(_FACTORIES)
 
 _instances: dict[str, ArrayBackend] = {}
-_failures: dict[str, str] = {}
-_warned: set[str] = set()
 _default: ArrayBackend | None = None
 
 
-def _instantiate(name: str) -> ArrayBackend | None:
-    """Backend singleton for ``name``, or None if it cannot initialise."""
-    if name in _instances:
-        return _instances[name]
-    if name in _failures:
-        return None
-    try:
-        instance = _FACTORIES[name]()
-    except Exception as exc:  # ImportError or device-probe failure
-        _failures[name] = f"{type(exc).__name__}: {exc}"
-        return None
-    _instances[name] = instance
-    return instance
-
-
-def _auto_backend() -> ArrayBackend:
-    for name in AUTO_ORDER:
-        instance = _instantiate(name)
-        if instance is not None:
-            return instance
-    return _instantiate("numpy")  # numpy always constructs
-
-
 def get_backend(name: str | None = None) -> ArrayBackend:
-    """The backend singleton for ``name`` (default: process default).
-
-    Unknown names raise ``ValueError``; a known-but-unavailable
-    accelerator ("cupy"/"torch" without the library or device) falls
-    back to numpy with one warning and a ``backend.fallback`` counter.
-    """
+    """The backend singleton for ``name`` (default: process default);
+    unknown names raise ``ValueError``."""
     if name is None:
         return _default_backend()
-    if name == "auto":
-        return _auto_backend()
     if name not in _FACTORIES:
         raise ValueError(
-            f"unknown backend {name!r}; expected one of "
-            f"{BACKEND_NAMES + ('auto',)}")
-    instance = _instantiate(name)
-    if instance is not None:
-        return instance
-    if _TRACER.enabled:
-        _TRACER.count("backend.fallback")
-        _TRACER.count("backend.fallback.unavailable")
-    if name not in _warned:
-        _warned.add(name)
-        warnings.warn(
-            f"backend {name!r} unavailable ({_failures[name]}); "
-            "falling back to numpy", RuntimeWarning, stacklevel=2)
-    return _instantiate("numpy")
+            f"unknown backend {name!r}; expected one of {BACKEND_NAMES}")
+    if name not in _instances:
+        _instances[name] = _FACTORIES[name]()
+    return _instances[name]
 
 
 def select(name: str) -> ArrayBackend:
@@ -141,7 +79,6 @@ def _reset_for_tests() -> None:
     """Forget the cached default so REPRO_BACKEND is re-read (tests)."""
     global _default
     _default = None
-    _warned.clear()
 
 
 def resolve(backend) -> ArrayBackend:
@@ -182,12 +119,6 @@ def backend_of(array) -> ArrayBackend:
     """The backend that owns ``array`` (host arrays map to numpy)."""
     if isinstance(array, FakeDeviceArray):
         return get_backend("fake")
-    if isinstance(array, np.ndarray):
-        return get_backend("numpy")
-    for name in ("cupy", "torch"):
-        instance = _instances.get(name)
-        if instance is not None and instance.is_device_array(array):
-            return instance
     return get_backend("numpy")
 
 
@@ -197,20 +128,16 @@ def to_host(array) -> np.ndarray:
 
 
 def available_backends() -> dict:
-    """Probe every registered backend; name -> status/info dict.
+    """Every registered backend; name -> device/capability/info dict.
 
-    Used by ``repro backend`` and the bench harness.  Probing caches
-    singletons but does not change the process default.
+    Used by ``repro backend``.  Builds the singletons but does not
+    change the process default.
     """
-    report = {}
     default = _default_backend()
+    report = {}
     for name in BACKEND_NAMES:
-        instance = _instantiate(name)
-        if instance is None:
-            report[name] = {"available": False, "error": _failures[name]}
-            continue
+        instance = get_backend(name)
         report[name] = {
-            "available": True,
             "device": instance.device,
             "default": instance is default,
             "capabilities": instance.capability_flags(),

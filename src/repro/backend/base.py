@@ -46,7 +46,7 @@ class ArrayBackend:
     valid ``lru_cache`` key components.
     """
 
-    #: registry name ("numpy", "cupy", "torch", "fake").
+    #: registry name ("numpy", "fake").
     name = "abstract"
     #: device handle the backend allocates on ("cpu", "cuda:0", ...).
     device = "cpu"

@@ -1,6 +1,6 @@
 """Kernel-cost calibration: measured seconds per modular operation.
 
-``python -m repro bench --calibrate`` times the *actual* software
+``python -m repro calibrate`` times the *actual* software
 kernels — the stage-vectorised batched NTT, the matrix-form BConv, the
 fused KeyMult plan and raw element-wise modmuls — at Set-II-mini
 shapes, divides each wall time by the analytic modular-operation count
@@ -30,7 +30,6 @@ from repro.ckks.keyswitch import cost
 from repro.ckks.keyswitch.cost import MeasuredKernelCosts
 
 CALIBRATION_SCHEMA = "repro-calibration/v1"
-DEFAULT_OUT = "CALIBRATION.json"
 CALIBRATE_RING_DEGREE = 1024
 
 
@@ -47,16 +46,17 @@ def calibrate_kernel_costs(ring_degree: int = CALIBRATE_RING_DEGREE,
                            reps: int = 5,
                            inner: int = 4) -> MeasuredKernelCosts:
     """Time each kernel class; return seconds-per-modop unit costs."""
-    from repro.bench.micro import _bconv_bases
     from repro.ckks import modmath, rns
     from repro.ckks.context import CkksContext
     from repro.ckks.keys import HYBRID, KLSS
     from repro.ckks.keyswitch.hybrid import get_key_mult_plan
     from repro.ckks.ntt import transform_limbs
+    from repro.ckks.params import set_ii_mini
 
     n = ring_degree
-    params, q_chain, specials = _bconv_bases(n)
+    params = set_ii_mini(ring_degree=n)
     ctx = CkksContext(params, seed=13)
+    q_chain, specials = ctx.q_chain, ctx.p_moduli
     level = params.max_level
     rng = np.random.default_rng(7)
 
@@ -136,7 +136,7 @@ def load_calibration(path: str) -> MeasuredKernelCosts:
     return MeasuredKernelCosts.from_dict(data["kernel_costs"])
 
 
-def write_calibration(report: dict, path: str = DEFAULT_OUT) -> None:
+def write_calibration(report: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")

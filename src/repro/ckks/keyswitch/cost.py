@@ -318,8 +318,9 @@ def quantitative_line(hybrid_params: CkksParams, klss_params: CkksParams,
 class MeasuredKernelCosts:
     """Micro-measured seconds per modular operation, per kernel class.
 
-    Produced by :func:`repro.bench.calibrate.calibrate_kernel_costs`
-    (``python -m repro bench --calibrate``) from timed runs of the
+    Produced by
+    :func:`repro.ckks.keyswitch.calibrate.calibrate_kernel_costs`
+    (``python -m repro calibrate``) from timed runs of the
     *actual* software kernels — batched NTT stages, the BConv matrix
     path, the fused KeyMult plan and raw element-wise modmuls — and
     injected here to turn the analytic :class:`KernelOps` counts into

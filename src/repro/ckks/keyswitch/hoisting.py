@@ -15,8 +15,7 @@ and the KeyMult runs through the stacked lazy-reduction
 :func:`permute_and_accumulate`, the whole pre-ModDown stage, performs
 **zero NTTs** — the per-rotation cost drops from O(digits x NTT) to
 O(digits x gather + KeyMult).  The pre-plan pipeline is kept as
-:func:`hoisted_rotations_reference`, the bit-exactness oracle and
-bench baseline.
+:func:`hoisted_rotations_reference`, the bit-exactness oracle.
 
 This trades evaluation-key storage (one key per rotation, all resident
 simultaneously) for NTT work — exactly the tension Aether arbitrates.
@@ -80,8 +79,9 @@ def permute_and_accumulate(stacked, plan: KeyMultPlan,
     ``stacked`` is the ``(d, k, N)`` tensor from ``plan.stack`` (built
     once per hoisted batch); the automorphism is one fancy-index
     gather of evaluation slots across the whole tensor, and the fused
-    plan accumulates the KeyMult.  No NTT runs anywhere in here — the
-    bench's traced pass pins that down via the ``ntt.*`` counters.
+    plan accumulates the KeyMult.  No NTT runs anywhere in here —
+    ``tests/ckks/test_hoisting.py`` pins that down via the ``ntt.*``
+    counters.
     """
     auto = rns.get_auto_plan(plan.n, galois_power)
     tracer = get_tracer()
@@ -143,15 +143,14 @@ def hoisted_rotations(ct: Ciphertext, galois_elements: list[int],
 def hoisted_rotations_reference(ct: Ciphertext, galois_elements: list[int],
                                 keys: dict[int, KeySwitchKey],
                                 alpha: int) -> list[Ciphertext]:
-    """The pre-plan hoisting pipeline (bit-exactness oracle, baseline).
+    """The pre-plan hoisting pipeline (the bit-exactness oracle).
 
     Shares the decomposition like :func:`hoisted_rotations`, but each
     rotation round-trips every digit (and ``c0``) through a full
     iNTT -> coefficient permutation -> NTT, accumulates KeyMult with
     the per-digit reference loop, and ModDowns each half separately —
     the exact dataflow this module had before the AutoPlan/KeyMultPlan
-    kernels.  Results are bit-identical to :func:`hoisted_rotations`;
-    the keyswitch bench section times the two against each other.
+    kernels.  Results are bit-identical to :func:`hoisted_rotations`.
     """
     if not galois_elements:
         return []

@@ -449,9 +449,8 @@ class ModulusKernel:
     (:func:`fits_float_quotient`) every multiply is the float-quotient
     one, 8 ufunc passes with the fold; from 2^46 up it is the exact
     128-bit product with Barrett reduction (or Shoup's trick for a
-    fixed operand), about 60 (22).  ``bench/micro.py`` reports the
-    measured cost ratio of the two modes next to the hardware TBM's
-    2:1 issue ratio.
+    fixed operand), about 60 (22), against the hardware TBM's 2:1
+    issue ratio.
 
     Residue arrays handed to the binary ops must be **canonical**
     (``< q``); :meth:`asresidues` is the boundary that establishes

@@ -676,7 +676,7 @@ class BConvPlan:
         Pool misses are ledger-counted as ``kernel.alloc.bconv``, the
         same way the NTT and KMU arenas count theirs (see
         :mod:`repro.backend.arena`), so "zero steady-state allocs" is
-        asserted by the bench profile and CI, never assumed.
+        asserted (``tests/ckks/test_bconv.py``), never assumed.
         """
         with self._ws_lock:
             for i, ws in enumerate(self._ws_pool):

@@ -18,11 +18,13 @@ simulator (:mod:`repro.sim`), the Aether/Hemera runtime
   chrome-trace file rendering the per-unit pipeline timeline.
 
 Disabled by default with near-zero overhead; enable per-process with
-``REPRO_TRACE=1`` or programmatically::
+``REPRO_TRACE=1`` or programmatically (this is also the whole recipe
+for a simulator timeline; no CLI flag wraps it)::
 
     from repro import obs
+    from repro.sim import Engine
     obs.configure(enabled=True, reset=True)
-    engine.run(trace)
+    Engine().run(trace)
     obs.dump_chrome_trace("timeline.json")
 """
 

@@ -1,7 +1,7 @@
 """Exporters: JSON snapshot and chrome-trace (catapult) views.
 
 The JSON snapshot (schema ``repro-obs/v1``) is the machine-readable
-dump the bench harness embeds and tests assert against.  The chrome
+dump that ``tests/test_obs.py`` asserts against.  The chrome
 trace (``chrome://tracing`` / https://ui.perfetto.dev) renders the
 simulator's per-unit timeline: each hardware unit (``nttu``,
 ``bconvu``, ``kmu``, ``autou``, ``dsu``, ``hbm``) becomes one thread

@@ -32,8 +32,7 @@ from repro.sched.scheduler import (DEFAULT_PIPELINE_DEPTH,
                                    NodeTiming, ScheduleTimeline)
 from repro.sched.simulate import (ClusterReport, ScheduledEngine,
                                   ScheduledResult, ThroughputResult,
-                                  cluster_scaling, serial_reference,
-                                  throughput_scaling)
+                                  serial_reference, throughput_scaling)
 from repro.sched.streams import (MultiStreamTrace, StreamMergeError,
                                  merge_graphs, merge_streams,
                                  replicate, replicate_graph)
@@ -58,7 +57,6 @@ __all__ = [
     "StreamExecutionCheck",
     "StreamMergeError",
     "ThroughputResult",
-    "cluster_scaling",
     "merge_graphs",
     "merge_streams",
     "replicate",

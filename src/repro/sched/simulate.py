@@ -280,35 +280,6 @@ def serial_reference(config: ChipConfig = FAST_CONFIG,
     return Engine(config.per_cluster(), **engine_kwargs)
 
 
-def cluster_scaling(trace, counts=(1, 2, 4, 8),
-                    config: ChipConfig = FAST_CONFIG,
-                    serial: SimulationResult | None = None) -> dict:
-    """Speedup curve: scheduled latency per cluster count vs serial.
-
-    Returns ``{"serial_s": ..., "points": [{clusters, sim_s, speedup,
-    occupancy, stalls}, ...]}`` — the Fig. 13(b)-shaped scaling data
-    the bench harness records.
-    """
-    if serial is None:
-        serial = serial_reference(config).run(trace)
-    points = []
-    for count in counts:
-        variant = config.with_(name=f"{config.name}-{count}C",
-                               clusters=count)
-        result = ScheduledEngine(variant).run(trace)
-        result.serial_total_s = serial.total_s
-        points.append({
-            "clusters": count,
-            "sim_s": result.total_s,
-            "speedup": result.speedup,
-            "mean_occupancy": result.mean_occupancy(),
-            "occupancy": [c.occupancy for c in result.per_cluster],
-            "stalls": result.stalls,
-            "dependency_violations": result.dependency_violations,
-        })
-    return {"serial_s": serial.total_s, "points": points}
-
-
 def throughput_scaling(trace, cluster_counts=(1, 2, 4, 8),
                        stream_counts=(1, 2, 4, 8),
                        config: ChipConfig = FAST_CONFIG,

@@ -13,7 +13,8 @@ batched NTT of :mod:`repro.ckks.ntt`), a tenant manager
 tenants under per-tenant key quotas, and a load generator
 (:mod:`repro.serve.loadgen`) drives open- and closed-loop arrivals
 and reports requests/sec, p50/p99 latency, batch occupancy and queue
-depth — the numbers behind the BENCH ``serving`` section.
+depth — what ``benchmarks/e2e``'s ``serve_closed`` / ``serve_open``
+workloads read.
 
 Batching is *bit-transparent*: a request's response digest depends
 only on its shape and its request-id-derived seed, never on which

@@ -4,17 +4,17 @@ Two arrival disciplines:
 
 * **closed loop** — ``tenants x concurrency`` workers each keep one
   request in flight, draining their tenant's pre-assigned id
-  allotment; offered load adapts to service rate (the BENCH/CI
-  discipline: deterministic request-id set, saturating);
+  allotment; offered load adapts to service rate (deterministic
+  request-id set, saturating);
 * **open loop** — requests arrive at a fixed rate regardless of
   completions, tenants round-robin (deterministic inter-arrival gap,
   no randomness).
 
-The report carries the serving section's numbers: requests/sec, p50
-and p99 latency, mean batch size and occupancy, peak queue depth —
-plus the honesty checks: a timed serial per-request oracle run over
-the *same* request ids (speedup = serial time / served wall time)
-and a digest-by-digest bit-exactness comparison against it.
+The report carries requests/sec, p50 and p99 latency, mean batch
+size and occupancy, peak queue depth — plus the honesty checks: a
+timed serial per-request oracle run over the *same* request ids
+(speedup = serial time / served wall time) and a digest-by-digest
+bit-exactness comparison against it.
 """
 
 from __future__ import annotations

@@ -114,7 +114,7 @@ class FheServer:
         self._opt_stats: dict[str, dict] = {}
         self._opt_traces: dict[str, object] = {}
         self._price_cache: dict[tuple[str, int], dict] = {}
-        # Running tallies for stats()/the BENCH serving section.
+        # Running tallies for stats().
         self.responses = 0
         self.batch_sizes: list[int] = []
         self.max_queue_depth = 0

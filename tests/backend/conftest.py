@@ -20,7 +20,6 @@ def _backend_hygiene():
     fake.reset_counters()
     yield
     backend_mod._default = previous
-    backend_mod._warned.clear()
     fake.reset_counters()
 
 

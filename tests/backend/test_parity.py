@@ -4,8 +4,7 @@ The grid spans both uint64 width tiers — narrow (<= 31-bit, int64
 residues) and wide (<= 62-bit, split-limb Barrett/Shoup) — at the
 paper's word lengths.  The fake backend runs numpy's own arithmetic,
 so any mismatch here is a residency/threading bug in the backend
-plumbing, not a numerical one; the same suite re-runs against real
-accelerators in ``test_optional_backends``.
+plumbing, not a numerical one.
 """
 
 import numpy as np
@@ -177,3 +176,37 @@ class TestServeParity:
             np.testing.assert_array_equal(_host(sf[ct]), _host(sn[ct]))
         for row in range(len(seeds)):
             assert ex_f.digest_row(sf, row) == ex_n.digest_row(sn, row)
+
+
+class TestWholeStepParity:
+    def test_ckks_step_under_fake_default_equals_numpy(self):
+        """One HMult + HRot at Set-II-mini words with the process
+        default switched: same decrypted slots to the last bit, every
+        kernel dispatched to the requested backend, none downgraded."""
+        from repro import obs
+        from repro.ckks import CkksContext, set_ii_mini
+        from repro.ckks.keys import HYBRID
+
+        def step():
+            ctx = CkksContext(set_ii_mini(ring_degree=256, max_level=4),
+                              seed=23)
+            message = np.tile(np.array([0.75, -1.25, 0.5, 1.5]),
+                              ctx.params.num_slots // 4)
+            ct = ctx.encrypt(message)
+            ct = ctx.rotate(ctx.multiply_rescale(ct, ct, method=HYBRID),
+                            1, method=HYBRID)
+            slots = ctx.decrypt(ct)
+            assert np.max(np.abs(slots - np.roll(message ** 2, -1))) < 1e-2
+            return slots
+
+        on_numpy = step()
+        backend_mod.select("fake")      # conftest restores the default
+        obs.configure(enabled=True, reset=True)
+        try:
+            on_fake = step()
+            counters = obs.get_tracer().metrics.counters()
+        finally:
+            obs.configure(enabled=False, reset=True)
+        np.testing.assert_array_equal(on_fake, on_numpy)
+        assert counters["backend.dispatch.fake"] > 0
+        assert "backend.fallback" not in counters

@@ -370,6 +370,24 @@ class TestHelrStep:
         got = [_digest(ct) for ct in _HelrStep(seed).iterate()]
         assert got == HELR_STEP_DIGESTS[seed]
 
+    def test_full_size_primes_never_leave_the_vectorised_paths(self):
+        """Set-II-mini words (36/44-bit Q and P, 60-bit T) are the
+        paper's widths: key generation plus a step that decrypts under
+        the bar (``iterate`` asserts 1e-2) may not touch the object-int
+        path in any kernel or conversion, and must run both TBM modes."""
+        obs.configure(enabled=True, reset=True)
+        try:
+            _HelrStep(4).iterate()
+            counters = obs.get_tracer().metrics.counters()
+        finally:
+            obs.configure(enabled=False, reset=True)
+        assert not {name: value for name, value in counters.items()
+                    if name.endswith(".object")}
+        assert counters["ntt.path.wide36"] > 0
+        assert counters["ntt.path.wide60"] > 0
+        assert counters.get("rns.bconv.object_fallback", 0) == 0
+        assert counters["rns.bconv.matrix"] > 0
+
     def test_rows_per_mode_and_tier_counters(self):
         step = _HelrStep(3)
         step.iterate()                   # every plan built, untraced

@@ -8,8 +8,10 @@ from repro.ckks import CkksContext, rns, toy_params
 from repro.ckks.keys import HYBRID, KLSS
 from repro.ckks.keyswitch.hoisting import (hoisted_rotations,
                                            hoisted_rotations_reference,
+                                           permute_and_accumulate,
                                            validate_hoisting_keys)
-from repro.ckks.keyswitch.hybrid import (hybrid_decompose,
+from repro.ckks.keyswitch.hybrid import (get_key_mult_plan,
+                                         hybrid_decompose,
                                          key_mult_accumulate,
                                          mod_down_batch, mod_down_pair)
 from repro.ckks import encoding
@@ -93,6 +95,28 @@ class TestBitExactness:
 class TestBitExactnessUfunc(TestBitExactness):
     """The same pipelines with the ufunc engine under every batch NTT
     (tests/conftest.py): the host without a C compiler."""
+
+
+class TestZeroNttLoop:
+    def test_post_decomposition_loop_runs_no_ntt(self, ctx, ct):
+        """What hoisting buys: after the one shared decomposition, the
+        per-rotation stage is a gather and a KeyMult.  Not one
+        ``ntt.*`` counter may move, however many rotations run."""
+        gal = _galois(ctx, [1, 2, 3, 5])
+        keys = _keys(ctx, HYBRID, gal)
+        plans = {g: get_key_mult_plan(keys[g]) for g in gal}
+        stacked = plans[gal[0]].stack(hybrid_decompose(
+            ct.c1.to_coeff(), keys[gal[0]], ctx.params.alpha))
+        obs.configure(enabled=True, reset=True)
+        try:
+            for g in gal:
+                permute_and_accumulate(stacked, plans[g], g)
+            counters = obs.get_tracer().metrics.counters()
+        finally:
+            obs.configure(enabled=False, reset=True)
+        assert counters["keyswitch.hoisting.auto_gather"] == len(gal)
+        assert not {name: value for name, value in counters.items()
+                    if name.startswith("ntt.")}
 
 
 class TestModDownBatch:

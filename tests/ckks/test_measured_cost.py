@@ -76,7 +76,7 @@ class TestCrossoverLevel:
 
 class TestCalibration:
     def test_calibrate_kernel_costs_smoke(self):
-        from repro.bench.calibrate import calibrate_kernel_costs
+        from repro.ckks.keyswitch.calibrate import calibrate_kernel_costs
         costs = calibrate_kernel_costs(reps=1, inner=1)
         for unit in (costs.ntt, costs.bconv, costs.keymult,
                      costs.elementwise):
@@ -85,7 +85,7 @@ class TestCalibration:
         assert meta["ring_degree"] == 1024
 
     def test_report_round_trips(self, tmp_path):
-        from repro.bench import calibrate
+        from repro.ckks.keyswitch import calibrate
         report = calibrate.calibration_report(reps=1)
         assert report["schema"] == calibrate.CALIBRATION_SCHEMA
         assert report["crossover"]["analytic_level"] == 12

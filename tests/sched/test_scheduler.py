@@ -139,24 +139,15 @@ class TestScaling:
 
 
 class TestBenchGate:
-    def test_validate_sched_passes_on_real_section(self):
-        from repro.bench.sched import run_sched, validate_sched
-        section = run_sched(clusters=(1, 4))
-        assert validate_sched(section) == []
+    """The third bar of the scheduler gate, next to TestSerialParity
+    (one cluster within 1% of the serial engine) and TestScaling
+    (>= 2x at 4 clusters): no result on either gated workload reports
+    a dependency violation, at any cluster count."""
 
-    def test_validate_sched_flags_doctored_section(self):
-        from repro.bench.sched import validate_sched
-        section = {
-            "workloads": {"X": {"points": [
-                {"clusters": 4, "speedup": 1.2,
-                 "dependency_violations": 0},
-                {"clusters": 1, "speedup": 1.5,
-                 "dependency_violations": 2},
-            ]}},
-            "executor": {"bit_exact": False},
-        }
-        violations = validate_sched(section)
-        assert any("below" in v for v in violations)
-        assert any("dependency violations" in v for v in violations)
-        assert any("deviates" in v for v in violations)
-        assert any("bit-exact" in v for v in violations)
+    @pytest.mark.parametrize("trace_fixture", ["helr", "boot"])
+    def test_results_report_zero_dependency_violations(self, trace_fixture,
+                                                       request):
+        trace = request.getfixturevalue(trace_fixture)
+        for clusters in (1, 2, 4, 8):
+            assert engine_at(clusters).run(trace) \
+                .dependency_violations == 0, clusters

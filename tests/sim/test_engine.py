@@ -7,7 +7,7 @@ from repro.core.optrace import TraceBuilder
 from repro.hw.config import (FAST_CONFIG, FAST_36BIT_ALU, FAST_WITHOUT_TBM,
                              fast_variant)
 from repro.sim.engine import Engine, UNIT_NAMES
-from repro.workloads import bootstrap_trace
+from repro.workloads import bootstrap_trace, helr_trace, resnet20_trace
 
 
 def tiny_trace():
@@ -31,8 +31,11 @@ class TestAccountingIdentities:
         assert boot_result.total_s >= busiest * 0.999
 
     def test_utilisation_bounded(self, boot_result):
-        for unit, u in boot_result.utilisation().items():
+        utilisation = boot_result.utilisation()
+        assert set(utilisation) == set(UNIT_NAMES)
+        for unit, u in utilisation.items():
             assert 0.0 <= u <= 1.0, unit
+        assert 0.0 <= boot_result.key_cache_hit_rate <= 1.0
 
     def test_op_counts(self, boot_result):
         trace = bootstrap_trace()
@@ -61,6 +64,26 @@ class TestDeterminism:
         r2 = Engine().run(t)
         assert r1.total_s == r2.total_s
         assert r1.key_bytes == r2.key_bytes
+
+
+class TestTable5Latencies:
+    """The simulated Table-5 row, pinned: the model is deterministic,
+    so any drift is a model change and must be made here on purpose
+    (and shows as ``sim.engine.simulated_ms.*`` on ``sim_suite``)."""
+
+    PINNED_MS = {
+        "Bootstrap": (bootstrap_trace, 1.3250446266666622),
+        "HELR256": (lambda: helr_trace(batch=256), 1.0072435066666672),
+        "HELR1024": (lambda: helr_trace(batch=1024), 1.3358421733333286),
+        "ResNet-20": (resnet20_trace, 50.67933057333557),
+    }
+
+    @pytest.mark.parametrize("name", PINNED_MS)
+    def test_simulated_latency_is_pinned(self, name):
+        build, expected_ms = self.PINNED_MS[name]
+        # a fresh engine each: cold evk cache, cold Aether
+        assert Engine().run(build()).total_s * 1e3 == \
+            pytest.approx(expected_ms, rel=1e-9)
 
 
 class TestPolicyOrdering:
