@@ -89,12 +89,15 @@ class Accelerator:
                 wide=c * self.autou.elements_per_cycle(wide=True))
         raise ValueError(f"unknown kernel {kernel!r}")
 
+    def sustained_rate(self, kernel: str, wide: bool) -> float:
+        """Chip-wide modular ops per cycle the kernel's unit sustains."""
+        return self.unit_throughput(kernel).at(wide) * UNIT_EFFICIENCY
+
     def kernel_cycles(self, kernel: str, modops: float, wide: bool) -> float:
         """Busy cycles the kernel's unit needs for ``modops`` work."""
         if modops <= 0:
             return 0.0
-        sustained = self.unit_throughput(kernel).at(wide) * UNIT_EFFICIENCY
-        return modops / sustained
+        return modops / self.sustained_rate(kernel, wide)
 
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / self.config.frequency_hz

@@ -2,17 +2,21 @@
 
 The serial engine (:mod:`repro.sim.engine`) executes traces in
 program order on one idealised ganged pipeline.  This package lifts
-the trace into an explicit dependency DAG and exploits it:
+the trace into an explicit dependency DAG and dispatches it onto
+explicit clusters, through the same per-op execution model
+(:class:`repro.sim.engine.ExecutionModel`; its timeline records are
+re-exported here):
 
 * :mod:`repro.sched.graph` — ``OpTrace`` -> dataflow DAG via def-use
   chains over ciphertext versions, with hoist-group fusion;
 * :mod:`repro.sched.streams` — the multi-stream front end: K
   independent ciphertext streams merged into one stream-tagged graph
   for throughput scheduling;
-* :mod:`repro.sched.scheduler` — critical-path list scheduling onto
-  per-cluster pipelines sharing the HBM channel and key cache, in
-  ``latency`` (one program's makespan) and ``throughput``
-  (software-pipelined multi-stream) modes;
+* :mod:`repro.sched.scheduler` — the dispatch orders: program order at
+  1 cluster, critical-path list scheduling onto per-cluster pipelines
+  sharing the HBM channel and key cache (``latency`` mode, one
+  program's makespan), and the ``throughput`` mode's
+  software-pipelined multi-stream dispatch;
 * :mod:`repro.sched.simulate` — the :class:`ScheduledEngine` wrapper
   reporting occupancy, stall breakdowns and speedup vs serial, plus
   the Table-6-style ``throughput_scaling`` grid;
@@ -21,15 +25,14 @@ the trace into an explicit dependency DAG and exploits it:
   per stream for merged multi-stream graphs.
 """
 
+from repro.sim.engine import ClusterTimeline, NodeTiming, ScheduleTimeline
 from repro.sched.executor import (DatapathWidthError, ExecutionCheck,
                                   FunctionalExecutor,
                                   StreamExecutionCheck)
 from repro.sched.graph import (DataflowGraph, GraphNode,
                                GraphValidationError)
 from repro.sched.scheduler import (DEFAULT_PIPELINE_DEPTH,
-                                   DEFAULT_PREFETCH_SLOTS,
-                                   ClusterScheduler, ClusterTimeline,
-                                   NodeTiming, ScheduleTimeline)
+                                   DEFAULT_PREFETCH_SLOTS, ClusterScheduler)
 from repro.sched.simulate import (ClusterReport, ScheduledEngine,
                                   ScheduledResult, ThroughputResult,
                                   serial_reference, throughput_scaling)

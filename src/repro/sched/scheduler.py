@@ -1,13 +1,14 @@
-"""Critical-path list scheduling of a dataflow graph onto clusters.
+"""Cluster dispatch orders: critical-path list scheduling and the
+throughput-mode software pipeline.
 
 The chip's ``num_clusters`` clusters (Sec. 5) are modelled as
 independent pipelines, each with its own unit set (NTTU, BConvU, KMU,
 AutoU, DSU) at per-cluster throughput; the HBM channel and the
-on-chip evaluation-key store stay shared.  Per-cluster timing follows
-the serial engine's queueing semantics exactly — stages in order,
-tasks of one stage overlapping on different units, the next op
-entering a cluster once the previous one clears its first (decompose)
-stage — so a 1-cluster schedule reproduces the serial pipeline and
+on-chip evaluation-key store stay shared.  Every op, in every order,
+runs through the simulator's one per-op execution model
+(:class:`repro.sim.engine.ExecutionModel`); this module decides only
+*which* op goes *where* and *when*.  A 1-cluster latency schedule is
+that model's in-order dispatch, i.e. the serial reference itself, and
 every extra cluster buys only what the dataflow actually permits.
 
 Dispatch is time-ordered list scheduling: among the nodes whose
@@ -15,7 +16,7 @@ dependencies allow the earliest start, the one with the longest
 remaining critical path wins (ties break on trace order), and it goes
 to the cluster that can accept it with the least idle gap.  A
 dependent node may start once all its producers have cleared their
-first stage — the limb-level forwarding the serial pipeline already
+first stage — the limb-level forwarding the in-order pipeline already
 models — but key-switch ops additionally stall at the KeyMult stage
 until Hemera's (shared, batched, work-queued) HBM channel reports
 their evaluation key resident.
@@ -28,11 +29,10 @@ The stall taxonomy every run reports:
 * **structural** — HBM operand/plaintext streaming delays plus
   end-of-schedule drain (clusters idle while the last chains finish).
 
-Two dispatch modes share the per-node execution model:
+Two modes:
 
-* **latency** (default, PR 3): critical-path list scheduling that
-  minimises one program's makespan, reproducing the serial pipeline
-  exactly at 1 cluster;
+* **latency** (default): critical-path list scheduling that minimises
+  one program's makespan; in program order at 1 cluster;
 * **throughput**: FPT-style software pipelining over stream-tagged
   graphs (:mod:`repro.sched.streams`).  Each cluster admits up to
   ``pipeline_depth`` operations into its front end (stream i+1's
@@ -47,20 +47,14 @@ Two dispatch modes share the per-node execution model:
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
-from dataclasses import dataclass, field
 
 from repro import obs
-from repro.ckks.keyswitch import cost
 from repro.ckks.params import CkksParams
-from repro.core import optrace
-from repro.core.hemera import KeyCache
-from repro.hw.accelerator import Accelerator, KERNEL_UNITS
+from repro.hw.accelerator import Accelerator
 from repro.hw.config import ChipConfig
-from repro.hw.memory import EvkPrefetcher, UnitTimeline, hbm_transfer
-from repro.sim.engine import (UNIT_NAMES, WORKING_SET_CIPHERTEXTS,
-                              key_identities)
-from repro.sim.kernels import KERNEL_DSU, OpSchedule
+from repro.hw.memory import EvkPrefetcher
+from repro.sim.engine import ExecutionModel, ScheduleTimeline, key_identities
+from repro.sim.kernels import OpSchedule
 
 from repro.sched.graph import DataflowGraph, GraphNode
 
@@ -72,100 +66,6 @@ MODES = ("latency", "throughput")
 # enough to bound the in-flight working set.
 DEFAULT_PIPELINE_DEPTH = 32
 DEFAULT_PREFETCH_SLOTS = 2
-
-
-@dataclass
-class NodeTiming:
-    """When and where one graph node executed."""
-
-    node_id: int
-    cluster: int
-    start_s: float
-    end_s: float
-    first_stage_end_s: float
-    dep_ready_s: float
-    dep_stall_s: float = 0.0
-    evk_stall_s: float = 0.0
-    hbm_wait_s: float = 0.0
-
-
-@dataclass
-class ClusterTimeline:
-    """Per-cluster execution summary."""
-
-    cluster_id: int
-    ops: int = 0
-    busy_s: dict = field(default_factory=lambda: defaultdict(float))
-    first_start_s: float = 0.0
-    last_end_s: float = 0.0
-    dep_stall_s: float = 0.0
-    evk_stall_s: float = 0.0
-
-    def occupancy(self, makespan: float) -> float:
-        """Bottleneck-unit busy fraction of the whole makespan."""
-        if makespan <= 0:
-            return 0.0
-        compute = [v for u, v in self.busy_s.items() if u != "hbm"]
-        return max(compute, default=0.0) / makespan
-
-    def span_fraction(self, makespan: float) -> float:
-        """Fraction of the makespan the cluster had work in flight."""
-        if makespan <= 0:
-            return 0.0
-        return (self.last_end_s - self.first_start_s) / makespan
-
-
-@dataclass
-class ScheduleTimeline:
-    """The scheduler's full output for one graph."""
-
-    num_clusters: int
-    total_s: float = 0.0
-    timings: dict = field(default_factory=dict)   # node_id -> NodeTiming
-    clusters: list = field(default_factory=list)  # ClusterTimeline
-    order: list = field(default_factory=list)     # dispatch order
-    unit_busy_s: dict = field(default_factory=lambda: defaultdict(float))
-    kernel_modops: dict = field(default_factory=lambda: defaultdict(float))
-    method_ops: dict = field(default_factory=lambda: defaultdict(int))
-    stage_s: dict = field(default_factory=lambda: defaultdict(float))
-    key_bytes: float = 0.0
-    plaintext_bytes: float = 0.0
-    num_ops: int = 0
-    num_key_switches: int = 0
-    key_cache_hits: int = 0
-    key_cache_misses: int = 0
-    dep_stall_s: float = 0.0
-    evk_stall_s: float = 0.0
-    hbm_wait_s: float = 0.0
-    mode: str = "latency"
-    prefetch_hits: int = 0
-    prefetch_misses: int = 0
-    prefetch_bytes: float = 0.0
-    stolen_ops: int = 0
-
-    @property
-    def structural_stall_s(self) -> float:
-        """HBM streaming waits plus end-of-schedule drain idle."""
-        drain = sum(self.total_s - c.last_end_s for c in self.clusters)
-        return self.hbm_wait_s + drain
-
-    def stall_breakdown(self) -> dict:
-        return {
-            "dependency_s": self.dep_stall_s,
-            "evk_s": self.evk_stall_s,
-            "structural_s": self.structural_stall_s,
-        }
-
-    def violations(self) -> list[str]:
-        """Ordering violations (empty = dependency-safe schedule)."""
-        problems = []
-        for timing in self.timings.values():
-            if timing.start_s + 1e-12 < timing.dep_ready_s:
-                problems.append(
-                    f"node {timing.node_id} started {timing.start_s:.3e}s "
-                    f"before its producers allowed "
-                    f"({timing.dep_ready_s:.3e}s)")
-        return problems
 
 
 class ClusterScheduler:
@@ -190,35 +90,24 @@ class ClusterScheduler:
         self.hybrid_params = hybrid_params
         self.accelerator = accelerator or Accelerator(
             config.per_cluster(), hybrid_params.ring_degree)
-        self.word_bytes = cost.NARROW_WORD_BYTES
+        self.model = ExecutionModel(config, hybrid_params, self.accelerator)
         self.mode = mode
         self.pipeline_depth = pipeline_depth
         self.prefetch_slots = prefetch_slots
 
     # -- node cost estimation (priority function) --------------------------
-    def _task_seconds(self, task) -> float:
-        acc = self.accelerator
-        if task.kernel == KERNEL_DSU:
-            cycles = acc.aem.dsu.cycles_for_rescale(1, int(task.modops))
-        elif task.kernel == "automorph":
-            cycles = task.modops / acc.unit_throughput(
-                "automorph").at(task.wide)
-        else:
-            cycles = acc.kernel_cycles(task.kernel, task.modops, task.wide)
-        return acc.cycles_to_seconds(cycles)
-
     def estimate_node_s(self, node: GraphNode) -> float:
         """Contention-free node latency: sum of stage bottlenecks."""
-        schedule: OpSchedule = node.schedule
-        return sum(max((self._task_seconds(t) for t in stage), default=0.0)
-                   for stage in schedule.stages)
+        task_seconds = self.model.task_seconds
+        return sum(max((task_seconds(t) for t in stage), default=0.0)
+                   for stage in node.schedule.stages)
 
     def estimate_first_stage_s(self, node: GraphNode) -> float:
         """Contention-free first (decompose) stage bottleneck."""
-        schedule: OpSchedule = node.schedule
-        if not schedule.stages:
+        stages = node.schedule.stages
+        if not stages:
             return 0.0
-        return max((self._task_seconds(t) for t in schedule.stages[0]),
+        return max((self.model.task_seconds(t) for t in stages[0]),
                    default=0.0)
 
     def pipelined_critical_path_s(self, graph: DataflowGraph) -> float:
@@ -260,7 +149,7 @@ class ClusterScheduler:
             span.set(total_s=timeline.total_s)
             tracer.count("sched.dispatched", len(timeline.order))
             tracer.observe("sched.dep_stall_s", timeline.dep_stall_s)
-            tracer.observe("sched.evk_stall_s", timeline.evk_stall_s)
+            tracer.observe("sched.evk_stall_s", timeline.key_stall_s)
             tracer.observe("sched.total_s", timeline.total_s)
             if self.mode == "throughput":
                 tracer.count("hemera.prefetch.hit",
@@ -272,22 +161,17 @@ class ClusterScheduler:
 
     def _run(self, graph: DataflowGraph) -> ScheduleTimeline:
         num_clusters = self.config.clusters
-        timeline = ScheduleTimeline(num_clusters=num_clusters)
-        timeline.clusters = [ClusterTimeline(c)
-                             for c in range(num_clusters)]
-        pipeline_ready = [0.0] * num_clusters
-        unit_free = [{u: 0.0 for u in UNIT_NAMES}
-                     for _ in range(num_clusters)]
-        hbm_free = 0.0
-        key_cache = KeyCache(self.config.key_storage_bytes)
         if num_clusters == 1:
             # One pipeline has no parallelism to exploit: dispatch in
-            # program order, which reproduces the serial engine's
-            # timeline exactly (the dependency constraint is subsumed
-            # by in-order limb pipelining).  List scheduling below
-            # kicks in only when reordering can buy overlap.
-            return self._run_in_order(graph, timeline, pipeline_ready,
-                                      unit_free, hbm_free, key_cache)
+            # program order, the serial engine's own loop (the
+            # dependency constraint is subsumed by in-order limb
+            # pipelining).  List scheduling below kicks in only when
+            # reordering can buy overlap.
+            return self.model.run_in_order(
+                [n.schedule for n in graph.nodes],
+                [n.preds for n in graph.nodes])
+        timeline = self.model.start(num_clusters)
+        pipeline_ready = timeline.pipeline_ready
         priority = graph.critical_path(self.estimate_node_s)
         pending = {n.node_id: len(n.preds) for n in graph.nodes}
         # Two-heap dispatch: ``waiting`` orders dependency-released
@@ -304,7 +188,6 @@ class ClusterScheduler:
                                           node.node_id))
         scheduled = 0
         total_nodes = len(graph.nodes)
-        finish = 0.0
         while scheduled < total_nodes:
             t_free = min(pipeline_ready)
             while waiting and waiting[0][0] <= t_free:
@@ -322,14 +205,9 @@ class ClusterScheduler:
             node = graph.nodes[node_id]
             ready = dep_ready[node_id]
             cluster = self._pick_cluster(pipeline_ready, ready)
-            timing = self._execute(
-                node, cluster, ready, pipeline_ready, unit_free,
-                hbm_free, key_cache, timeline)
-            hbm_free = timing.pop("hbm_free")
-            node_timing: NodeTiming = timing["timing"]
-            timeline.timings[node_id] = node_timing
+            timeline.timings[node_id], _ = self.model.execute(
+                timeline, node.schedule, node_id, cluster, ready)
             timeline.order.append(node_id)
-            finish = max(finish, node_timing.end_s)
             scheduled += 1
             for succ in node.succs:
                 pending[succ] -= 1
@@ -343,27 +221,6 @@ class ClusterScheduler:
                         for p in graph.nodes[succ].preds)
                     dep_ready[succ] = ready_at
                     heapq.heappush(waiting, (ready_at, succ))
-        timeline.total_s = finish
-        return timeline
-
-    def _run_in_order(self, graph: DataflowGraph,
-                      timeline: ScheduleTimeline,
-                      pipeline_ready: list[float],
-                      unit_free: list[dict], hbm_free: float,
-                      key_cache: KeyCache) -> ScheduleTimeline:
-        finish = 0.0
-        for node in graph.nodes:
-            ready = max((timeline.timings[p].first_stage_end_s
-                         for p in node.preds), default=0.0)
-            timing = self._execute(node, 0, ready, pipeline_ready,
-                                   unit_free, hbm_free, key_cache,
-                                   timeline)
-            hbm_free = timing.pop("hbm_free")
-            node_timing: NodeTiming = timing["timing"]
-            timeline.timings[node.node_id] = node_timing
-            timeline.order.append(node.node_id)
-            finish = max(finish, node_timing.end_s)
-        timeline.total_s = finish
         return timeline
 
     # -- throughput mode: software-pipelined multi-stream dispatch ---------
@@ -377,7 +234,8 @@ class ClusterScheduler:
           not yet drained): instead of draining one first stage per
           admission, stream i+1's early stages overlap stream i's
           tail, with unit booking on interval timelines
-          (:class:`UnitTimeline`) as the capacity limit;
+          (:class:`~repro.hw.memory.UnitTimeline`) as the capacity
+          limit;
         * **stream affinity** — node ``n`` runs on cluster
           ``n.stream % clusters`` (round-robin) unless another
           cluster could start it strictly earlier, in which case the
@@ -395,22 +253,13 @@ class ClusterScheduler:
         not track simulated time.
         """
         num_clusters = self.config.clusters
-        timeline = ScheduleTimeline(num_clusters=num_clusters,
-                                    mode="throughput")
-        timeline.clusters = [ClusterTimeline(c)
-                             for c in range(num_clusters)]
-        pipeline_ready = [0.0] * num_clusters  # admission clocks
         # Interval timelines, not high-water marks: streams backfill
-        # the unit bubbles other streams' stage structure leaves.
-        unit_free = [{u: UnitTimeline() for u in UNIT_NAMES}
-                     for _ in range(num_clusters)]
-        # The shared HBM channel is an interval timeline too: a
-        # transfer takes the earliest slot at or after its request
-        # time instead of queueing behind every earlier-dispatched
-        # transfer regardless of when it was needed.
-        hbm_free = UnitTimeline()
-        key_cache = KeyCache(self.config.key_storage_bytes)
-        prefetcher = EvkPrefetcher(key_cache,
+        # the unit bubbles other streams' stage structure leaves, and
+        # an HBM transfer takes the earliest channel slot at or after
+        # its request time instead of queueing behind every
+        # earlier-dispatched transfer regardless of when it was needed.
+        timeline = self.model.start(num_clusters, mode="throughput")
+        prefetcher = EvkPrefetcher(timeline.key_cache,
                                    self.config.hbm_bandwidth_bytes,
                                    slots=self.prefetch_slots)
         priority = graph.critical_path(self.estimate_node_s)
@@ -447,7 +296,6 @@ class ClusterScheduler:
         # dispatch watermark passes end_s.
         live_pins: list = []
         watermark = 0.0
-        finish = 0.0
         while released:
             _, node_id = heapq.heappop(released)
             node = graph.nodes[node_id]
@@ -471,21 +319,16 @@ class ClusterScheduler:
             while live_pins and live_pins[0][0] <= watermark:
                 _, identities = heapq.heappop(live_pins)
                 prefetcher.unpin_group(identities)
-            pipeline_ready[cluster] = admission(cluster)
-            timing = self._execute(
-                node, cluster, dep_ready, pipeline_ready,
-                unit_free, hbm_free, key_cache, timeline,
+            timeline.pipeline_ready[cluster] = admission(cluster)
+            timing, claimed = self.model.execute(
+                timeline, node.schedule, node_id, cluster, dep_ready,
                 prefetcher=prefetcher)
-            hbm_free = timing.pop("hbm_free")
-            node_timing: NodeTiming = timing["timing"]
-            if timing["identities"]:
-                heapq.heappush(live_pins, (node_timing.end_s,
-                                           timing["identities"]))
-            timeline.timings[node_id] = node_timing
+            timeline.timings[node_id] = timing
             timeline.order.append(node_id)
-            finish = max(finish, node_timing.end_s)
+            if claimed:
+                heapq.heappush(live_pins, (timing.end_s, claimed))
             window = windows[cluster]
-            heapq.heappush(window, node_timing.end_s)
+            heapq.heappush(window, timing.end_s)
             if len(window) > depth:
                 heapq.heappop(window)
             for succ in node.succs:
@@ -494,17 +337,15 @@ class ClusterScheduler:
                     release(succ)
             # Double-buffered lookahead: start the next scheduled
             # key-switches' fetches behind the one just dispatched.
-            hbm_free = self._issue_prefetches(
-                graph, prefetcher, ks_queue, issued,
-                timeline, hbm_free, ready_at)
-        timeline.total_s = finish
+            self._issue_prefetches(graph, prefetcher, ks_queue, issued,
+                                   timeline, ready_at)
         timeline.prefetch_bytes = prefetcher.issued_bytes
         return timeline
 
     def _issue_prefetches(self, graph, prefetcher: EvkPrefetcher,
                           ks_queue: list, issued: set,
                           timeline: ScheduleTimeline,
-                          hbm_free, ready_at: dict):
+                          ready_at: dict) -> None:
         """Issue fetches for the highest-priority released
         key-switches that still lack one, while slots last.
 
@@ -522,15 +363,14 @@ class ClusterScheduler:
             node = graph.nodes[nid]
             schedule: OpSchedule = node.schedule
             identities = key_identities(schedule, cfg.use_minks)
-            hbm_free, issued_bytes = prefetcher.issue(
-                nid, identities, schedule.key_bytes_per_key, hbm_free,
-                ready_at.get(nid, 0.0))
+            timeline.hbm_free, issued_bytes = prefetcher.issue(
+                nid, identities, schedule.key_bytes_per_key,
+                timeline.hbm_free, ready_at.get(nid, 0.0))
             issued.add(nid)
             if issued_bytes:
                 timeline.key_bytes += issued_bytes
                 timeline.unit_busy_s["hbm"] += \
                     issued_bytes / cfg.hbm_bandwidth_bytes
-        return hbm_free
 
     @staticmethod
     def _pick_cluster(pipeline_ready: list[float], ready: float) -> int:
@@ -552,134 +392,3 @@ class ClusterScheduler:
                         if pipeline_ready[c] == best_free)
         best_free = min(pipeline_ready)
         return pipeline_ready.index(best_free)
-
-    # -- one node's execution (serial-engine timing semantics) -------------
-    def _execute(self, node: GraphNode, cluster: int, dep_ready: float,
-                 pipeline_ready: list[float], unit_free: list[dict],
-                 hbm_free: float, key_cache: KeyCache,
-                 timeline: ScheduleTimeline,
-                 prefetcher: EvkPrefetcher | None = None) -> dict:
-        acc = self.accelerator
-        cfg = self.config
-        schedule: OpSchedule = node.schedule
-        op = schedule.op
-        cluster_state = timeline.clusters[cluster]
-        op_start = max(pipeline_ready[cluster], dep_ready)
-        dep_stall = max(0.0, dep_ready - pipeline_ready[cluster])
-        timeline.num_ops += 1
-        # -- evaluation-key traffic (shared HBM work queue) ---------------
-        key_arrival = 0.0
-        claimed: tuple = ()
-        if schedule.key_bytes > 0:
-            timeline.num_key_switches += max(1, schedule.hoisting)
-            timeline.method_ops[schedule.method] += \
-                max(1, schedule.hoisting)
-            identities = key_identities(schedule, cfg.use_minks)
-            if prefetcher is not None:
-                # Throughput mode: resolve the group through the
-                # double-buffered prefetcher.  Keys come back pinned;
-                # the dispatch loop unpins them once the node retires.
-                stats, hbm_free = prefetcher.claim(
-                    node.node_id, identities,
-                    schedule.key_bytes_per_key, hbm_free, op_start)
-                claimed = tuple(identities)
-                key_arrival = stats.arrival_s
-                timeline.key_cache_hits += \
-                    stats.cache_hits + stats.prefetch_hits
-                timeline.key_cache_misses += stats.demand_misses
-                timeline.prefetch_hits += stats.prefetch_hits
-                timeline.prefetch_misses += stats.demand_misses
-                if stats.demand_bytes:
-                    timeline.key_bytes += stats.demand_bytes
-                    timeline.unit_busy_s["hbm"] += \
-                        stats.demand_bytes / cfg.hbm_bandwidth_bytes
-            else:
-                missing = [k for k in identities
-                           if not key_cache.contains(k)]
-                timeline.key_cache_hits += len(identities) - len(missing)
-                timeline.key_cache_misses += len(missing)
-                if missing:
-                    bytes_needed = \
-                        schedule.key_bytes_per_key * len(missing)
-                    duration = bytes_needed / cfg.hbm_bandwidth_bytes
-                    hbm_free, key_arrival = hbm_transfer(
-                        hbm_free, op_start, duration)
-                    timeline.key_bytes += bytes_needed
-                    timeline.unit_busy_s["hbm"] += duration
-                    for k in missing:
-                        key_cache.insert(k, schedule.key_bytes_per_key)
-        # -- ciphertext working-set spills --------------------------------
-        operand_arrival = 0.0
-        if schedule.key_bytes > 0:
-            data_region = cfg.onchip_memory_bytes - cfg.key_storage_bytes
-            ws = WORKING_SET_CIPHERTEXTS * cost.ciphertext_bytes(
-                self.hybrid_params, op.level)
-            spill = max(0.0, ws - data_region)
-            if spill > 0:
-                duration = spill / cfg.hbm_bandwidth_bytes
-                hbm_free, operand_arrival = hbm_transfer(
-                    hbm_free, op_start, duration)
-                timeline.plaintext_bytes += spill
-                timeline.unit_busy_s["hbm"] += duration
-        # -- plaintext streaming for PMult --------------------------------
-        if op.kind == optrace.PMULT:
-            pt_bytes = self.hybrid_params.ring_degree * self.word_bytes
-            duration = pt_bytes / cfg.hbm_bandwidth_bytes
-            hbm_free, pt_arrival = hbm_transfer(
-                hbm_free, op_start, duration)
-            key_arrival = max(key_arrival, pt_arrival)
-            timeline.plaintext_bytes += pt_bytes
-            timeline.unit_busy_s["hbm"] += duration
-        # -- staged execution on this cluster's units ---------------------
-        stage_ready = max(op_start, operand_arrival)
-        hbm_wait = max(0.0, operand_arrival - op_start)
-        evk_stall = 0.0
-        first_stage_end = op_start
-        free = unit_free[cluster]
-        for stage_idx, tasks in enumerate(schedule.stages):
-            if stage_idx == schedule.keymult_stage and key_arrival:
-                if key_arrival > stage_ready:
-                    evk_stall += key_arrival - stage_ready
-                    stage_ready = key_arrival
-            stage_end = stage_ready
-            for task in tasks:
-                unit = KERNEL_UNITS.get(task.kernel, task.kernel)
-                if task.kernel == KERNEL_DSU:
-                    unit = "dsu"
-                seconds = self._task_seconds(task)
-                slot = free[unit]
-                if isinstance(slot, UnitTimeline):
-                    begin = slot.alloc(stage_ready, seconds)
-                else:
-                    begin = max(stage_ready, slot)
-                    free[unit] = begin + seconds
-                end = begin + seconds
-                cluster_state.busy_s[unit] += seconds
-                timeline.unit_busy_s[unit] += seconds
-                timeline.kernel_modops[task.kernel] += task.modops
-                stage_end = max(stage_end, end)
-            if stage_idx == 0:
-                first_stage_end = stage_end
-            stage_ready = stage_end
-        op_end = stage_ready
-        label = schedule.stage_label or "main"
-        timeline.stage_s[label] += op_end - op_start
-        if cluster_state.ops == 0:
-            cluster_state.first_start_s = op_start
-        cluster_state.ops += 1
-        cluster_state.last_end_s = max(cluster_state.last_end_s, op_end)
-        cluster_state.dep_stall_s += dep_stall
-        cluster_state.evk_stall_s += evk_stall
-        timeline.dep_stall_s += dep_stall
-        timeline.evk_stall_s += evk_stall
-        timeline.hbm_wait_s += hbm_wait
-        pipeline_ready[cluster] = first_stage_end
-        return {
-            "hbm_free": hbm_free,
-            "identities": claimed,
-            "timing": NodeTiming(
-                node_id=node.node_id, cluster=cluster, start_s=op_start,
-                end_s=op_end, first_stage_end_s=first_stage_end,
-                dep_ready_s=dep_ready, dep_stall_s=dep_stall,
-                evk_stall_s=evk_stall, hbm_wait_s=hbm_wait),
-        }

@@ -1,20 +1,22 @@
-"""The scheduled execution path: serial core loop -> cluster timeline.
+"""The scheduled execution path: Aether's front half -> cluster timeline.
 
-:class:`ScheduledEngine` is the parallel counterpart of
+:class:`ScheduledEngine` is the multi-cluster counterpart of
 :class:`repro.sim.engine.Engine`.  It reuses the serial engine's
 whole front half — Aether's offline decisions, the kernel lowering of
-:mod:`repro.sim.kernels` — then replaces the in-order core loop with
-the dataflow DAG (:mod:`repro.sched.graph`) and the critical-path
-cluster scheduler (:mod:`repro.sched.scheduler`).
+:mod:`repro.sim.kernels` — then lifts the schedules into the dataflow
+DAG (:mod:`repro.sched.graph`) and hands it to the cluster scheduler
+(:mod:`repro.sched.scheduler`), which dispatches every op through the
+same per-op execution model the serial engine runs in order.
 
 The serial engine charges every kernel task at chip-aggregate
 throughput, i.e. it idealises all clusters ganging on each op with
 zero cost; the scheduled engine is the explicit model — each op runs
 on *one* cluster's units, and clusters overlap only where the
 dataflow permits.  ``speedup`` therefore reads against the serial
-one-pipeline execution (``Engine`` on the 1-cluster slice of the same
-design point): the classic T_serial / T_parallel, with the 1-cluster
-schedule reproducing T_serial as the degenerate case.
+one-pipeline execution (:func:`serial_reference`: ``Engine`` on the
+1-cluster slice of the same design point), which a 1-cluster schedule
+reproduces by construction: it is the same in-order loop on the same
+per-cluster units.
 """
 
 from __future__ import annotations
@@ -23,15 +25,14 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.ckks.params import CkksParams, SET_I, SET_II
-from repro.hw.accelerator import Accelerator
 from repro.hw.config import ChipConfig, FAST_CONFIG
-from repro.sim.engine import Engine, SimulationResult, UNIT_NAMES
+from repro.sim.engine import (Engine, ScheduleTimeline,
+                              SimulationResult, package)
 from repro.sim.kernels import lower_trace
 
 from repro.sched.graph import DataflowGraph
 from repro.sched.scheduler import (DEFAULT_PIPELINE_DEPTH,
-                                   DEFAULT_PREFETCH_SLOTS,
-                                   ClusterScheduler, ScheduleTimeline)
+                                   DEFAULT_PREFETCH_SLOTS, ClusterScheduler)
 from repro.sched.streams import merge_graphs, replicate_graph
 
 
@@ -49,31 +50,15 @@ class ClusterReport:
 
 
 @dataclass
-class ScheduledResult:
-    """Everything one scheduled run produces."""
+class ScheduledResult(SimulationResult):
+    """Everything one scheduled run produces: the simulator's result
+    plus the per-cluster, stall and graph reports."""
 
-    name: str
-    clusters: int
-    total_s: float
     per_cluster: list = field(default_factory=list)
     stalls: dict = field(default_factory=dict)
     graph_stats: dict = field(default_factory=dict)
-    unit_busy_s: dict = field(default_factory=dict)
-    kernel_modops: dict = field(default_factory=dict)
-    method_ops: dict = field(default_factory=dict)
-    stage_s: dict = field(default_factory=dict)
-    key_bytes: float = 0.0
-    plaintext_bytes: float = 0.0
-    num_ops: int = 0
-    num_key_switches: int = 0
-    key_cache_hits: int = 0
-    key_cache_misses: int = 0
     dependency_violations: int = 0
     serial_total_s: float | None = None
-
-    @property
-    def hbm_bytes(self) -> float:
-        return self.key_bytes + self.plaintext_bytes
 
     @property
     def speedup(self) -> float | None:
@@ -82,26 +67,11 @@ class ScheduledResult:
             return None
         return self.serial_total_s / self.total_s
 
-    @property
-    def key_cache_hit_rate(self) -> float:
-        lookups = self.key_cache_hits + self.key_cache_misses
-        return self.key_cache_hits / lookups if lookups else 0.0
-
     def mean_occupancy(self) -> float:
         if not self.per_cluster:
             return 0.0
         return sum(c.occupancy for c in self.per_cluster) / \
             len(self.per_cluster)
-
-    def utilisation(self) -> dict:
-        """Chip-wide unit busy fractions (cluster-summed busy over
-        ``clusters * makespan`` — comparable to the serial engine's)."""
-        if self.total_s <= 0:
-            return {u: 0.0 for u in UNIT_NAMES}
-        return {u: self.unit_busy_s.get(u, 0.0) /
-                (self.total_s if u == "hbm"
-                 else self.total_s * self.clusters)
-                for u in UNIT_NAMES}
 
 
 @dataclass
@@ -142,8 +112,8 @@ class ScheduledEngine:
                  pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
                  prefetch_slots: int = DEFAULT_PREFETCH_SLOTS):
         self.config = config
-        # The serial engine supplies Aether, the policy machinery and
-        # the reference core loop; its accelerator stays chip-wide.
+        # The serial engine supplies Aether and the policy machinery
+        # (priced at chip-wide rates).
         self.engine = Engine(config, hybrid_params, klss_params,
                              policy_mode)
         # Throughput mode lowers against ONE cluster's throughput:
@@ -154,28 +124,22 @@ class ScheduledEngine:
         # alone would cap the amortized speedup below the target.
         self.stream_engine = Engine(config.per_cluster(), hybrid_params,
                                     klss_params, policy_mode)
-        self.cluster_accelerator = Accelerator(
-            config.per_cluster(), hybrid_params.ring_degree)
-        self.scheduler = ClusterScheduler(
-            config, hybrid_params, accelerator=self.cluster_accelerator)
+        # Both schedulers time ops on one cluster's units (their
+        # default accelerator: the per-cluster slice).
+        self.scheduler = ClusterScheduler(config, hybrid_params)
         self.throughput_scheduler = ClusterScheduler(
-            config, hybrid_params, accelerator=self.cluster_accelerator,
-            mode="throughput", pipeline_depth=pipeline_depth,
-            prefetch_slots=prefetch_slots)
+            config, hybrid_params, mode="throughput",
+            pipeline_depth=pipeline_depth, prefetch_slots=prefetch_slots)
 
     # -- pipeline stages ---------------------------------------------------
     def lower(self, trace) -> DataflowGraph:
         """Trace -> validated dataflow DAG with attached schedules."""
-        policy = self.engine.make_policy(trace)
-        schedules = lower_trace(trace, self.engine.aether, policy)
-        return DataflowGraph.from_schedules(trace, schedules)
+        return _lower(self.engine, trace)
 
     def lower_for_streams(self, trace) -> DataflowGraph:
         """Trace -> DAG with per-cluster-priced Aether decisions (the
         lowering throughput mode schedules; see ``stream_engine``)."""
-        policy = self.stream_engine.make_policy(trace)
-        schedules = lower_trace(trace, self.stream_engine.aether, policy)
-        return DataflowGraph.from_schedules(trace, schedules)
+        return _lower(self.stream_engine, trace)
 
     def run(self, trace, name: str | None = None) -> ScheduledResult:
         tracer = obs.get_tracer()
@@ -189,15 +153,6 @@ class ScheduledEngine:
             tracer.count("sched.runs")
             tracer.observe("sched.sim_total_s", result.total_s)
         return result
-
-    def run_with_serial(self, trace,
-                        name: str | None = None
-                        ) -> tuple[ScheduledResult, SimulationResult]:
-        """Scheduled run plus its serial one-pipeline reference."""
-        result = self.run(trace, name)
-        serial = serial_reference(self.config).run(trace, name)
-        result.serial_total_s = serial.total_s
-        return result, serial
 
     # -- throughput mode ---------------------------------------------------
     def run_streams(self, trace, streams: int,
@@ -215,8 +170,8 @@ class ScheduledEngine:
             graph = replicate_graph(self.lower_for_streams(trace),
                                     streams)
             timeline = self.throughput_scheduler.run(graph)
-            result = self._package_throughput(
-                timeline, graph, name or graph.name, streams)
+            result = self._package(timeline, graph,
+                                   name or graph.name, streams)
         if tracer.enabled:
             tracer.count("sched.runs")
             tracer.observe("sched.sim_total_s", result.total_s)
@@ -229,23 +184,12 @@ class ScheduledEngine:
         graphs = [self.lower_for_streams(trace) for trace in traces]
         graph = merge_graphs(graphs, name=name)
         timeline = self.throughput_scheduler.run(graph)
-        return self._package_throughput(timeline, graph, graph.name,
-                                        len(graphs))
+        return self._package(timeline, graph, graph.name, len(graphs))
 
-    def _package_throughput(self, timeline: ScheduleTimeline,
-                            graph: DataflowGraph, name: str,
-                            streams: int) -> ThroughputResult:
-        base = self._package(timeline, graph, name)
-        return ThroughputResult(
-            **{f: getattr(base, f) for f in base.__dataclass_fields__},
-            streams=streams,
-            prefetch_hits=timeline.prefetch_hits,
-            prefetch_misses=timeline.prefetch_misses,
-            prefetch_bytes=timeline.prefetch_bytes,
-            stolen_ops=timeline.stolen_ops)
-
-    def _package(self, timeline: ScheduleTimeline,
-                 graph: DataflowGraph, name: str) -> ScheduledResult:
+    def _package(self, timeline: ScheduleTimeline, graph: DataflowGraph,
+                 name: str, streams: int | None = None) -> ScheduledResult:
+        """The scheduled result of ``timeline``: a
+        :class:`ThroughputResult` over ``streams`` when given."""
         makespan = timeline.total_s
         per_cluster = [
             ClusterReport(
@@ -254,23 +198,24 @@ class ScheduledEngine:
                 span_fraction=c.span_fraction(makespan),
                 busy_s=dict(c.busy_s),
                 dep_stall_s=c.dep_stall_s, evk_stall_s=c.evk_stall_s)
-            for c in timeline.clusters]
-        return ScheduledResult(
-            name=name, clusters=timeline.num_clusters, total_s=makespan,
-            per_cluster=per_cluster,
-            stalls=timeline.stall_breakdown(),
+            for c in timeline.cluster_timelines]
+        extra = {} if streams is None else dict(
+            streams=streams, prefetch_hits=timeline.prefetch_hits,
+            prefetch_misses=timeline.prefetch_misses,
+            prefetch_bytes=timeline.prefetch_bytes,
+            stolen_ops=timeline.stolen_ops)
+        return package(
+            timeline, name,
+            ScheduledResult if streams is None else ThroughputResult,
+            per_cluster=per_cluster, stalls=timeline.stall_breakdown(),
             graph_stats=graph.stats(),
-            unit_busy_s=dict(timeline.unit_busy_s),
-            kernel_modops=dict(timeline.kernel_modops),
-            method_ops=dict(timeline.method_ops),
-            stage_s=dict(timeline.stage_s),
-            key_bytes=timeline.key_bytes,
-            plaintext_bytes=timeline.plaintext_bytes,
-            num_ops=timeline.num_ops,
-            num_key_switches=timeline.num_key_switches,
-            key_cache_hits=timeline.key_cache_hits,
-            key_cache_misses=timeline.key_cache_misses,
-            dependency_violations=len(timeline.violations()))
+            dependency_violations=len(timeline.violations()), **extra)
+
+
+def _lower(engine: Engine, trace) -> DataflowGraph:
+    """``engine``'s front half: Aether's policy, then the lowering."""
+    schedules = lower_trace(trace, engine.aether, engine.make_policy(trace))
+    return DataflowGraph.from_schedules(trace, schedules)
 
 
 def serial_reference(config: ChipConfig = FAST_CONFIG,
@@ -304,8 +249,8 @@ def throughput_scaling(trace, cluster_counts=(1, 2, 4, 8),
         for streams in stream_counts:
             merged = replicate_graph(graph, streams)
             timeline = engine.throughput_scheduler.run(merged)
-            result = engine._package_throughput(
-                timeline, merged, merged.name, streams)
+            result = engine._package(timeline, merged, merged.name,
+                                     streams)
             result.serial_total_s = serial.total_s
             points.append({
                 "clusters": count,

@@ -1,30 +1,19 @@
 """The kernel-level cycle simulator (Sec. 6.1's methodology).
 
 A trace is lowered to hardware kernels (:mod:`repro.sim.kernels`),
-scheduled onto the accelerator's units with a queueing pipeline model
-(:mod:`repro.sim.engine`), and summarised into latency, utilisation,
+executed op by op by the one execution model of
+:mod:`repro.sim.engine` — in program order on one pipeline for
+:class:`Engine` — and summarised into latency, utilisation,
 power/energy and EDP (:mod:`repro.sim.metrics`).  Baseline
 accelerators for the comparison tables live in
 :mod:`repro.sim.baselines`.
 
-The parallel counterpart — the dataflow-scheduled multi-cluster
-execution path — lives in :mod:`repro.sched`; its
-:class:`~repro.sched.ScheduledEngine` and
-:class:`~repro.sched.ScheduledResult` re-export here lazily (the
-``sched`` package imports this one).
+The multi-cluster dispatch orders over the same execution model
+(list-scheduled and software-pipelined) live in :mod:`repro.sched`,
+which imports this package.
 """
 
 from repro.sim.engine import Engine, SimulationResult
 from repro.sim.kernels import lower_trace
 
-__all__ = ["Engine", "ScheduledEngine", "ScheduledResult",
-           "SimulationResult", "lower_trace"]
-
-_SCHED_EXPORTS = ("ScheduledEngine", "ScheduledResult")
-
-
-def __getattr__(name: str):
-    if name in _SCHED_EXPORTS:
-        from repro import sched
-        return getattr(sched, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["Engine", "SimulationResult", "lower_trace"]

@@ -1,9 +1,12 @@
 """Scheduler correctness: op preservation, ordering, serial parity."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.hw.config import FAST_CONFIG
+from repro.hw.config import FAST_CONFIG, fast_variant
 from repro.sched import ScheduledEngine, serial_reference
+from repro.sim.engine import SimulationResult
 from repro.workloads import bootstrap_trace, helr_trace
 
 
@@ -98,14 +101,34 @@ class TestOrdering:
 
 
 class TestSerialParity:
-    """One cluster reproduces the serial engine within 1%."""
+    """One-cluster scheduling *is* the serial reference: the same
+    in-order loop on the same per-cluster units, so every result field
+    is equal, not close."""
+
+    DESIGN_POINTS = [
+        FAST_CONFIG,
+        fast_variant("2C", clusters=2),
+        fast_variant("8C", clusters=8),
+        fast_variant("64MB", onchip_memory_bytes=64 * 2**20,
+                     key_storage_bytes=40 * 2**20),
+    ]
 
     @pytest.mark.parametrize("trace_fixture", ["helr", "boot"])
     def test_one_cluster_matches_serial(self, trace_fixture, request):
         trace = request.getfixturevalue(trace_fixture)
-        serial = serial_reference(FAST_CONFIG).run(trace)
-        result = engine_at(1).run(trace)
-        assert result.total_s == pytest.approx(serial.total_s, rel=0.01)
+        for config in self.DESIGN_POINTS:
+            serial = serial_reference(config).run(trace)
+            result = ScheduledEngine(config.with_(clusters=1)).run(trace)
+            for f in fields(SimulationResult):
+                assert getattr(result, f.name) == \
+                    getattr(serial, f.name), (config.name, f.name)
+
+    def test_sim_suite_parity_is_exactly_one(self, helr):
+        """``sim.engine.parity_1c`` as the benchmark computes it."""
+        serial_s = serial_reference(FAST_CONFIG).run(helr).total_s
+        one = ScheduledEngine(FAST_CONFIG.with_(name="FAST-1C",
+                                                clusters=1))
+        assert one.run(helr).total_s / serial_s == 1.0
 
 
 class TestScaling:
@@ -140,7 +163,7 @@ class TestScaling:
 
 class TestBenchGate:
     """The third bar of the scheduler gate, next to TestSerialParity
-    (one cluster within 1% of the serial engine) and TestScaling
+    (one cluster is the serial engine, field for field) and TestScaling
     (>= 2x at 4 clusters): no result on either gated workload reports
     a dependency violation, at any cluster count."""
 

@@ -3,11 +3,18 @@
 import pytest
 
 from repro.ckks.keys import HYBRID, KLSS
-from repro.core.optrace import TraceBuilder
+from repro.core.aether import AetherConfig, Decision
+from repro.core.optrace import HROT, TraceBuilder
 from repro.hw.config import (FAST_CONFIG, FAST_36BIT_ALU, FAST_WITHOUT_TBM,
                              fast_variant)
+from repro.sched import ScheduledEngine
 from repro.sim.engine import Engine, UNIT_NAMES
+from repro.sim.kernels import Policy, lower_trace
 from repro.workloads import bootstrap_trace, helr_trace, resnet20_trace
+
+# Half the data region a level-max working set needs: key switches spill.
+SPILL_64MB = fast_variant("64MB", onchip_memory_bytes=64 * 2**20,
+                          key_storage_bytes=40 * 2**20)
 
 
 def tiny_trace():
@@ -86,6 +93,108 @@ class TestTable5Latencies:
             pytest.approx(expected_ms, rel=1e-9)
 
 
+class TestPinnedVariants:
+    """Beyond Table 5: the baseline policies and the ablation / spill /
+    cluster-count design points, pinned on the fields the HBM model
+    drives: (total_s, key_bytes, key_stall_s, unit_busy_s["hbm"])."""
+
+    PINNED = {
+        ("hybrid-only", "Bootstrap", FAST_CONFIG): (
+            0.0014754940000000002, 82575360.0, 0.0,
+            0.00014163967999999996),
+        ("hybrid-only", "HELR256", FAST_CONFIG): (
+            0.001099028506666662, 68812800.0, 1.1341839999999993e-05,
+            0.00010522623999999996),
+        ("hoisting-only", "Bootstrap", FAST_CONFIG): (
+            0.0013388929599999972, 82575360.0, 1.652464000000001e-05,
+            0.00014163967999999996),
+        ("hoisting-only", "HELR256", FAST_CONFIG): (
+            0.001002548506666667, 68812800.0, 1.1341839999999993e-05,
+            0.00010522623999999997),
+        ("klss-only", "Bootstrap", FAST_CONFIG): (
+            0.0053827203680000294, 5319426048.0, 0.005070515152000067,
+            0.005378490368000029),
+        ("klss-only", "HELR256", FAST_CONFIG): (
+            0.0036283462240000114, 3587702784.0, 0.003372156160000002,
+            0.003624116224000011),
+        ("aether", "Bootstrap", FAST_36BIT_ALU): (
+            0.0024998146666666624, 82575360.0, 0.0,
+            0.00014163967999999996),
+        ("aether", "Bootstrap", FAST_WITHOUT_TBM): (
+            0.002471737333333325, 1270087680.0, 0.0,
+            0.001329152000000012),
+        ("aether", "Bootstrap", SPILL_64MB): (
+            0.0019850909973333454, 607125504.0, 0.0,
+            0.001953841152000018),
+        ("aether", "Bootstrap", fast_variant("2C", clusters=2)): (
+            0.002471737333333325, 1270087680.0, 0.0,
+            0.001329152000000012),
+        ("aether", "Bootstrap", fast_variant("8C", clusters=8)): (
+            0.0007681721266666648, 372441088.0, 5.657464000000001e-05,
+            0.0004315054079999999),
+    }
+    TRACES = {"Bootstrap": bootstrap_trace,
+              "HELR256": lambda: helr_trace(batch=256)}
+
+    @pytest.mark.parametrize("policy,trace,config", PINNED,
+                             ids=[f"{p}-{t}-{c.name}"
+                                  for p, t, c in PINNED])
+    def test_pinned(self, policy, trace, config):
+        result = Engine(config, policy_mode=policy).run(
+            self.TRACES[trace]())
+        got = (result.total_s, result.key_bytes, result.key_stall_s,
+               result.unit_busy_s["hbm"])
+        assert got == pytest.approx(self.PINNED[policy, trace, config],
+                                    rel=1e-9)
+
+
+def partial_hoist_trace():
+    """Five hoisted rotations: at h=2 they lower to batches 2 / 2 / 1."""
+    tb = TraceBuilder("partial-hoist")
+    ct = tb.fresh_ct()
+    tb.rotations(ct, 12, [1, 2, 3, 4, 5], hoisted=True)
+    return tb.build()
+
+
+class TestKeySwitchCount:
+    """One key switch per rotation, however the group is batched."""
+
+    @pytest.fixture()
+    def forced_h2(self, monkeypatch):
+        """Every engine follows an Aether decision of hybrid, h = 2."""
+        config = AetherConfig({0: Decision(
+            unit_id=0, ct_id=0, kind=HROT, level=12, method=HYBRID,
+            hoisting=2, times=5, delay_s=0.0, key_bytes=0.0,
+            transfer_s=0.0)})
+        monkeypatch.setattr(Engine, "make_policy",
+                            lambda self, trace: Policy("aether", config))
+        return partial_hoist_trace()
+
+    def test_partial_batch_lowers_short(self, forced_h2):
+        engine = Engine()
+        schedules = lower_trace(forced_h2, engine.aether,
+                                engine.make_policy(forced_h2))
+        assert [len(s.indices) for s in schedules] == [2, 2, 1]
+        assert {s.hoisting for s in schedules} == {2}
+
+    def test_engine_counts_each_rotation(self, forced_h2):
+        result = Engine().run(forced_h2)
+        assert result.num_key_switches == 5
+        assert dict(result.method_ops) == {HYBRID: 5}
+
+    @pytest.mark.parametrize("clusters", [1, 4])
+    def test_scheduled_counts_each_rotation(self, forced_h2, clusters):
+        result = ScheduledEngine(
+            FAST_CONFIG.with_(clusters=clusters)).run(forced_h2)
+        assert result.num_key_switches == 5
+        assert dict(result.method_ops) == {HYBRID: 5}
+
+    def test_streams_count_each_rotation(self, forced_h2):
+        result = ScheduledEngine().run_streams(forced_h2, 2)
+        assert result.num_key_switches == 10
+        assert dict(result.method_ops) == {HYBRID: 10}
+
+
 class TestPolicyOrdering:
     """The Fig. 10 ordering must hold on the real workload."""
 
@@ -147,10 +256,8 @@ class TestConfigVariants:
 
     def test_tiny_memory_hurts(self):
         trace = bootstrap_trace()
-        small = fast_variant("64MB", onchip_memory_bytes=64 * 2**20,
-                             key_storage_bytes=40 * 2**20)
         big = Engine(FAST_CONFIG).run(trace)
-        constrained = Engine(small).run(trace)
+        constrained = Engine(SPILL_64MB).run(trace)
         assert constrained.total_s > big.total_s
 
 

@@ -6,9 +6,11 @@ import time
 import pytest
 
 from repro import obs
+from repro.hw.config import FAST_CONFIG
 from repro.obs.tracer import NOOP_SPAN, Tracer
+from repro.sched import ScheduledEngine
 from repro.sim.engine import Engine, UNIT_NAMES
-from repro.workloads import bootstrap_trace
+from repro.workloads import bootstrap_trace, helr_trace
 
 
 @pytest.fixture()
@@ -208,3 +210,29 @@ class TestEngineIntegration:
         assert lookups > 0
         assert result.key_cache_hit_rate == pytest.approx(
             result.key_cache_hits / lookups)
+
+
+class TestScheduledIntegration:
+    """A multi-cluster run draws its timeline from the same per-op
+    loop: one unit track per cluster, the shared HBM channel once."""
+
+    def test_traced_four_cluster_run_has_per_cluster_tracks(self):
+        trace = helr_trace(batch=256)
+        plain = ScheduledEngine(FAST_CONFIG).run(trace)
+        obs.configure(enabled=True, reset=True)
+        traced = ScheduledEngine(FAST_CONFIG).run(trace)
+        assert traced.total_s == plain.total_s
+        tracks = {s.track for s in obs.get_tracer().spans
+                  if s.clock == obs.SIM}
+        for cluster in range(FAST_CONFIG.clusters):
+            assert {f"c{cluster}.nttu", f"c{cluster}.op"} <= tracks
+        assert "hbm" in tracks
+        # only the shared HBM channel keeps an unindexed track
+        assert set(UNIT_NAMES) & tracks == {"hbm"}
+
+    def test_untraced_run_records_nothing(self):
+        obs.configure(enabled=False, reset=True)
+        ScheduledEngine(FAST_CONFIG).run(helr_trace(batch=256))
+        tracer = obs.get_tracer()
+        assert tracer.spans == []
+        assert tracer.metrics.counters() == {}
