@@ -1,40 +1,17 @@
 """Table 3 / Table 4 roll-ups: chip area and peak power.
 
 The per-unit models in this package are anchored so that the FAST
-configuration reproduces the paper's Table 3 within a few percent;
-variant configurations (more clusters, different memory, no TBM) then
-scale *structurally* — that is what makes the performance-per-area
-comparisons in the evaluation meaningful.
+configuration reproduces the paper's Table 3 within a few percent (the
+Table 3 rows of ``repro.analysis.figures``); variant configurations
+(more clusters, different memory, no TBM) then scale *structurally* —
+that is what makes the performance-per-area comparisons in the
+evaluation meaningful.
 """
 
 from __future__ import annotations
 
 from repro.hw.accelerator import Accelerator
 from repro.hw.config import ChipConfig, FAST_CONFIG
-
-# The paper's Table 3, for side-by-side reporting.
-PAPER_TABLE3_AREA_MM2 = {
-    "4xNTTUs": 60.88,
-    "4xBConvUs": 28.89,
-    "4xKMUs": 10.58,
-    "4xAUTOUs": 0.6,
-    "4xAEM": 8.67,
-    "Register Files": 123.9,
-    "HBM": 29.6,
-    "NoC": 20.6,
-}
-PAPER_TABLE3_POWER_W = {
-    "4xNTTUs": 142.7,
-    "4xBConvUs": 86.6,
-    "4xKMUs": 27.67,
-    "4xAUTOUs": 0.8,
-    "4xAEM": 10.7,
-    "Register Files": 29.4,
-    "HBM": 31.8,
-    "NoC": 27.0,
-}
-PAPER_TOTAL_AREA_MM2 = 283.75
-PAPER_TOTAL_POWER_W = 337.5
 
 
 def table3(config: ChipConfig = FAST_CONFIG) -> dict[str, dict[str, float]]:
@@ -55,12 +32,3 @@ def table3(config: ChipConfig = FAST_CONFIG) -> dict[str, dict[str, float]]:
 
 def area_for(config: ChipConfig) -> float:
     return Accelerator(config).total_area_mm2()
-
-
-def performance_per_area(latency_s: float, config: ChipConfig,
-                         reference_latency_s: float,
-                         reference_area_mm2: float) -> float:
-    """Perf/area gain vs a reference design (higher is better)."""
-    own = 1.0 / (latency_s * area_for(config))
-    ref = 1.0 / (reference_latency_s * reference_area_mm2)
-    return own / ref

@@ -46,6 +46,35 @@ def set_ii():
     return SET_II
 
 
+@pytest.fixture(scope="session")
+def figure_data():
+    """Each figure function EXPERIMENTS.md reads, run once per session
+    (~2 s of simulation): ``{function: output}``."""
+    from repro.analysis import figures
+    return figures.figure_data()
+
+
+@pytest.fixture(scope="session")
+def experiments(figure_data):
+    """Every EXPERIMENTS.md row evaluated on ``figure_data``."""
+    from repro.analysis import figures
+    return figures.evaluate(figure_data)
+
+
+@pytest.fixture(scope="session")
+def assert_rows(experiments):
+    """``assert_rows(*prefixes)``: assert that every row whose artefact
+    starts with one of ``prefixes`` holds its band; returns them."""
+    def check(*prefixes):
+        results = [r for r in experiments
+                   if r.row.artefact.startswith(prefixes)]
+        assert results, prefixes
+        for result in results:
+            assert result.holds, f"{result.row.artefact}: {result.verdict}"
+        return results
+    return check
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(2024)

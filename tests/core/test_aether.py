@@ -169,3 +169,23 @@ class TestBootstrapDecisions:
         engine = Engine()
         config = engine.aether.run(bootstrap_trace())
         assert any(d.hoisting > 1 for d in config.decisions.values())
+
+
+class TestPrefetchWindow:
+    """STEP-2's window depth governs KLSS adoption: a shallow window
+    cannot hide KLSS key transfers.  A test, not an EXPERIMENTS.md row,
+    because it changes module state."""
+
+    def test_deeper_windows_admit_more_klss(self, monkeypatch):
+        from repro.core import aether
+        from repro.sim.engine import Engine
+        from repro.workloads import bootstrap_trace
+        trace = bootstrap_trace()
+        klss, latency = [], []
+        for depth in (1, 3, aether.PREFETCH_DEPTH, 12):
+            monkeypatch.setattr(aether, "PREFETCH_DEPTH", depth)
+            result = Engine().run(trace)
+            klss.append(result.method_ops.get(KLSS, 0))
+            latency.append(result.total_s)
+        assert klss == sorted(klss) and klss[0] < klss[-1]
+        assert latency == sorted(latency, reverse=True)

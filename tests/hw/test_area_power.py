@@ -10,18 +10,17 @@ from repro.hw.config import (FAST_CONFIG, FAST_36BIT_ALU, FAST_WITHOUT_TBM,
 
 
 class TestFig4Scaling:
-    def test_60_vs_36_anchors(self):
-        """The paper's quoted 2.9x / 2.8x / 2.8x / 2.7x ratios."""
-        assert multiplier.multiplier_area(60) / \
-            multiplier.multiplier_area(36) == pytest.approx(2.9, rel=1e-6)
-        assert multiplier.multiplier_power(60) / \
-            multiplier.multiplier_power(36) == pytest.approx(2.8, rel=1e-6)
-        assert multiplier.multiplier_area(60, modular=False) / \
-            multiplier.multiplier_area(36, modular=False) == \
-            pytest.approx(2.8, rel=1e-6)
-        assert multiplier.multiplier_power(60, modular=False) / \
-            multiplier.multiplier_power(36, modular=False) == \
-            pytest.approx(2.7, rel=1e-6)
+    def test_60_vs_36_anchors(self, assert_rows):
+        """The paper's quoted 60-bit / 36-bit ratios (the Fig. 4 rows,
+        modmult then mult), to the digit."""
+        for modular, result in zip((True, False), assert_rows("Fig. 4")):
+            area, power = result.row.paper
+            assert multiplier.multiplier_area(60, modular=modular) / \
+                multiplier.multiplier_area(36, modular=modular) == \
+                pytest.approx(area, rel=1e-6)
+            assert multiplier.multiplier_power(60, modular=modular) / \
+                multiplier.multiplier_power(36, modular=modular) == \
+                pytest.approx(power, rel=1e-6)
 
     def test_monotone_in_bits(self):
         widths = (24, 28, 32, 36, 48, 60, 64)
@@ -31,7 +30,8 @@ class TestFig4Scaling:
     def test_relative_scaling_normalised(self):
         rel = multiplier.relative_scaling((36, 60))
         assert rel[36]["area"] == pytest.approx(1.0)
-        assert rel[60]["area"] == pytest.approx(2.9)
+        assert rel[60]["area"] == pytest.approx(
+            multiplier.multiplier_area(60) / multiplier.multiplier_area(36))
 
     def test_booth_composition_overhead(self):
         native = multiplier.multiplier_area(60)
@@ -48,40 +48,33 @@ class TestFig4Scaling:
 
 
 class TestTable3:
-    PAPER_ROWS = hw_area.PAPER_TABLE3_AREA_MM2
+    """The paper's Table 3 and its bands are the Table 3 rows of
+    ``analysis.figures.ROWS``."""
 
-    def test_component_areas_within_tolerance(self):
-        rows = hw_area.table3()
-        for name, paper_area in self.PAPER_ROWS.items():
-            ours = rows[name]["area_mm2"]
-            assert ours == pytest.approx(paper_area, rel=0.05), name
+    def test_component_areas_within_tolerance(self, assert_rows):
+        assert_rows("Table 3: component areas")
 
-    def test_component_powers_within_tolerance(self):
-        rows = hw_area.table3()
-        for name, paper_power in hw_area.PAPER_TABLE3_POWER_W.items():
-            ours = rows[name]["power_w"]
-            assert ours == pytest.approx(paper_power, rel=0.05), name
+    def test_component_powers_within_tolerance(self, assert_rows):
+        assert_rows("Table 3: component powers")
 
-    def test_total_area_anchor(self):
+    def test_total_area_anchor(self, assert_rows):
         assert hw_area.area_for(FAST_CONFIG) == pytest.approx(
-            hw_area.PAPER_TOTAL_AREA_MM2, rel=0.02)
+            hw_area.table3()["Total"]["area_mm2"])
+        assert_rows("Table 3: total area")
 
-    def test_paper_total_power_inconsistency_documented(self):
-        """The paper's stated 337.5 W total does not equal the sum of
-        its own component rows (356.7 W); our total matches the rows.
-        """
-        row_sum = sum(hw_area.PAPER_TABLE3_POWER_W.values())
-        assert row_sum == pytest.approx(356.67, abs=0.5)
-        ours = hw_area.table3()["Total"]["power_w"]
-        assert ours == pytest.approx(row_sum, rel=0.02)
+    def test_paper_total_power_inconsistency_documented(self, assert_rows):
+        """The paper's stated total power does not equal the sum of its
+        own component rows; our total matches the rows."""
+        (total,) = assert_rows("Table 3: total power")
+        assert total.measured != pytest.approx(total.row.paper, rel=0.02)
 
 
 class TestVariantScaling:
-    def test_eight_clusters_area_ratio(self):
-        """Fig. 13b: 8 clusters cost ~1.37x the area."""
+    def test_eight_clusters_area_ratio(self, assert_rows):
+        """Fig. 13b: 8 clusters cost the paper's area ratio."""
         four = hw_area.area_for(FAST_CONFIG)
-        eight = hw_area.area_for(fast_variant("8C", clusters=8))
-        assert 1.3 < eight / four < 1.5   # paper: 1.37x
+        assert hw_area.area_for(fast_variant("8C", clusters=8)) > four
+        assert_rows("Fig. 13b: 8 clusters")
 
     def test_two_clusters_cheaper(self):
         two = hw_area.area_for(fast_variant("2C", clusters=2))

@@ -1,13 +1,28 @@
 """The `python -m repro` command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.__main__ import main
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
 
 class TestCli:
+    def test_evaluate_prints_experiments_from_any_cwd(self, tmp_path,
+                                                      experiments):
+        from repro.analysis import figures
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "evaluate"], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+            text=True, timeout=300, check=True).stdout
+        assert out == figures.experiments_markdown(experiments)
+
     def test_bootstrap_command(self, capsys):
         assert main(["bootstrap"]) == 0
         out = capsys.readouterr().out

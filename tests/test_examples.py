@@ -42,8 +42,3 @@ class TestExamples:
     def test_accelerator_design_space(self):
         out = run_example("accelerator_design_space.py")
         assert "datapath ablation" in out
-
-    @pytest.mark.slow
-    def test_paper_evaluation(self):
-        out = run_example("paper_evaluation.py")
-        assert "Table 5" in out
