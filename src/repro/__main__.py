@@ -12,7 +12,7 @@ Commands
 ``opt``         whole-trace dataflow optimiser report for one workload
 ``serve``       multi-tenant batching FHE server (JSON over TCP)
 ``loadgen``     drive a server and report rps / latency / bit-exactness
-``backend``     detected array backends, devices and capability flags
+``backend``     state of the compiled NTT kernel (or why it is missing)
 """
 
 from __future__ import annotations
@@ -258,20 +258,18 @@ def cmd_loadgen(args) -> int:
 
 def cmd_backend(args) -> int:
     import json
-    import repro.backend as backend_mod
+    from repro.backend import native
 
-    report = backend_mod.available_backends()
+    info = native.probe()[1]
+    keys = ("reason",) if info["state"] == "unavailable" \
+        else ("file", "compiler")
+    report = {"state": info["state"], **{key: info[key] for key in keys}}
     if args.json:
-        print(json.dumps(report, indent=2, default=str))
+        print(json.dumps(report, indent=2))
         return 0
-    for name, info in report.items():
-        caps = info["capabilities"]
-        flags = " ".join(k for k, v in sorted(caps.items()) if v)
-        marker = " *default*" if info.get("default") else ""
-        print(f"{name:8} {info['device']:8} {flags}{marker}")
-        for key, value in sorted(info.get("info", {}).items()):
-            if key != "device":
-                print(f"{'':8} {key}: {value}")
+    print(f"native_ntt: {report.pop('state')}")
+    for key, value in report.items():
+        print(f"  {key}: {value}")
     return 0
 
 
@@ -285,6 +283,13 @@ def cmd_security(_args) -> int:
         for key, value in report.items():
             print(f"  {key}: {value}")
     return 0
+
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -311,7 +316,7 @@ def main(argv=None) -> int:
                        choices=["helr256", "helr1024", "bootstrap"])
     sched.add_argument("--clusters", default="1,2,4,8",
                        help="comma-separated cluster counts")
-    sched.add_argument("--streams", type=int, default=1,
+    sched.add_argument("--streams", type=_at_least_one, default=1,
                        help="independent ciphertext streams; >1 runs "
                             "the software-pipelined throughput mode")
     sched.add_argument("--pipeline-depth", type=int, default=None,
@@ -366,7 +371,7 @@ def main(argv=None) -> int:
                          help="skip the serial oracle comparison")
     loadgen.add_argument("--json", action="store_true")
     backend = sub.add_parser(
-        "backend", help="detected array backends and capability flags")
+        "backend", help="state of the compiled NTT kernel")
     backend.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
     return {"evaluate": cmd_evaluate, "bootstrap": cmd_bootstrap,

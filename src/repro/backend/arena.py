@@ -2,16 +2,14 @@
 
 Every hot kernel tier (fused NTT butterflies, BConv matrix stage,
 fused KeyMult) runs on ``out=``-chained ufuncs writing into pooled
-device buffers instead of letting each numpy expression allocate
-3-4 temporaries per stage.  A :class:`WorkspaceArena` is the pool:
-plans own one, keyed buffers are checked out with :meth:`take`, and
-a *pool miss* — the only event that allocates — goes through
-``backend.empty`` (so FakeBackend's device-allocation counter sees
-it) **and** bumps an ``obs`` counter ``kernel.alloc.<domain>``.
+buffers instead of letting each numpy expression allocate 3-4
+temporaries per stage.  A :class:`WorkspaceArena` is the pool: plans
+own one, keyed buffers are checked out with :meth:`take`, and a
+*pool miss* — the only event that allocates — is an ``np.empty``
+that bumps an ``obs`` counter ``kernel.alloc.<domain>``.
 
-That ledger is the allocation analogue of FakeBackend's
-host<->device transfer pinning: "zero steady-state allocations" is
-asserted by reading the counter across a warmed call, never assumed.
+That ledger is how "zero steady-state allocations" is asserted: by
+reading the counter across a warmed call, never assumed.
 The counters are cheap enough to keep always-on locally
 (:attr:`misses`/:attr:`hits` plain ints); the tracer counter only
 records when observability is enabled.
@@ -32,21 +30,15 @@ _TRACER = get_tracer()
 
 
 class WorkspaceArena:
-    """Keyed pool of device work buffers for one kernel plan.
+    """Keyed pool of work buffers for one kernel plan.
 
-    Parameters
-    ----------
-    backend:
-        :class:`~repro.backend.base.ArrayBackend` whose ``empty``
-        performs the (counted) device allocation on a pool miss.
-    domain:
-        Ledger suffix: misses bump ``kernel.alloc.<domain>``.
+    ``domain`` is the ledger suffix: misses bump
+    ``kernel.alloc.<domain>``.
     """
 
-    __slots__ = ("backend", "domain", "_buffers", "hits", "misses")
+    __slots__ = ("domain", "_buffers", "hits", "misses")
 
-    def __init__(self, backend, domain: str):
-        self.backend = backend
+    def __init__(self, domain: str):
         self.domain = str(domain)
         self._buffers: dict = {}
         self.hits = 0
@@ -75,7 +67,7 @@ class WorkspaceArena:
         self.misses += 1
         if _TRACER.enabled:
             _TRACER.count("kernel.alloc." + self.domain)
-        buf = self.backend.empty(shape, dtype)
+        buf = np.empty(shape, dtype)
         self._buffers[pool_key] = buf
         return buf
 

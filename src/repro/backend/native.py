@@ -192,7 +192,7 @@ def _self_check(kernel: NttKernel) -> bool:
         moduli += [q, q]
         rows += [rng.integers(0, q, n, dtype=np.uint64),
                  np.full(n, q - 1, dtype=np.uint64)]
-        tables += [NttPlan(n, q, backend="numpy").fused_tables()] * 2
+        tables += [NttPlan(n, q).fused_tables()] * 2
         references += [NttPlan(n, q, path=modmath.OBJECT)] * 2
     rows = np.stack(rows)
     bound = kernel.bind(n, moduli, tables)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-import repro.backend as backend_mod
+from repro.backend.arena import WorkspaceArena
 from repro.ckks import modmath, rns
 from repro.ckks.keys import KeySwitchKey, hybrid_digit_indices
 from repro.ckks.ntt import transform_limbs
@@ -115,11 +115,11 @@ class KeyMultPlan:
     falls back to the per-digit reference loop for those.
     """
 
-    __slots__ = ("moduli", "num_digits", "n", "tier", "backend", "_w",
-                 "_w32", "_q_col", "_q_inv", "_r_hi", "_r_lo32",
-                 "_r_hi32", "_kernels", "_arena")
+    __slots__ = ("moduli", "num_digits", "n", "tier", "_w", "_w32",
+                 "_q_col", "_q_inv", "_r_hi", "_r_lo32", "_r_hi32",
+                 "_kernels", "_arena")
 
-    def __init__(self, key: KeySwitchKey, backend=None):
+    def __init__(self, key: KeySwitchKey):
         self.moduli = key.moduli
         self.num_digits = key.num_digits
         self.n = key.parts[0][0].n
@@ -127,39 +127,33 @@ class KeyMultPlan:
         if tier is None:
             raise ValueError("key does not fit the fused KeyMult budgets")
         self.tier = tier
-        be = backend_mod.kernel_backend(backend)
-        self.backend = be
         k = len(self.moduli)
-        self._kernels = [modmath.get_kernel(q, backend=be)
-                         for q in self.moduli]
-        # The weight tensor is assembled host-side and crosses the
-        # host->device boundary exactly once, at plan build.
+        self._kernels = [modmath.get_kernel(q) for q in self.moduli]
         w = np.empty((2, self.num_digits, k, self.n), dtype=np.uint64)
         for j, (b_j, a_j) in enumerate(key.parts):
             for half, part in enumerate((b_j, a_j)):
                 if part.form != rns.EVAL:
                     raise ValueError("key parts must be in evaluation form")
                 for i, limb in enumerate(part.limbs):
-                    w[half, j, i] = backend_mod.to_host(limb)
-        self._w = be.from_host(w)
-        self._q_col = be.from_host(
-            np.array(self.moduli, dtype=np.uint64).reshape(-1, 1))
+                    w[half, j, i] = limb
+        self._w = w
+        self._q_col = np.array(self.moduli, dtype=np.uint64).reshape(-1, 1)
         if tier == "float":
-            self._q_inv = be.from_host(np.array(
+            self._q_inv = np.array(
                 [modmath.float_companion(1, q) for q in self.moduli]
-            ).reshape(-1, 1))
+            ).reshape(-1, 1)
         elif tier == "hilo":
             # The split-operand 128-bit kernels: weight and
             # Barrett-ratio tables pre-split once into uint32 halves.
             consts = [modmath.barrett_constants(q) for q in self.moduli]
-            self._r_hi = be.from_host(np.array(
-                [c[0] for c in consts], dtype=np.uint64).reshape(-1, 1))
-            r_lo = be.from_host(np.array(
-                [c[1] for c in consts], dtype=np.uint64).reshape(-1, 1))
+            self._r_hi = np.array(
+                [c[0] for c in consts], dtype=np.uint64).reshape(-1, 1)
+            r_lo = np.array(
+                [c[1] for c in consts], dtype=np.uint64).reshape(-1, 1)
             self._w32 = modmath.split32(self._w)
             self._r_lo32 = modmath.split32(r_lo)
             self._r_hi32 = modmath.split32(self._r_hi)
-        self._arena = backend_mod.WorkspaceArena(be, "kmu")
+        self._arena = WorkspaceArena("kmu")
 
     def stack(self, decomposed: list[RnsPoly]) -> np.ndarray:
         """Stack decomposed digits into one ``(d, k, N)`` uint64 tensor.
@@ -196,7 +190,7 @@ class KeyMultPlan:
         # One (2, k, N) output block per call — the returned polys own
         # their limbs as views into it; all intermediates are arena
         # scratch, so the warmed steady state allocates only this.
-        res = self.backend.empty((2, k, n), np.uint64)
+        res = np.empty((2, k, n), np.uint64)
         arena = self._arena
         if self.tier == "u64":
             acc, prod = arena.take_many("u64", 2, (k, n))
@@ -267,35 +261,26 @@ def _kmu_tier(moduli, num_digits: int) -> str | None:
 _NO_PLAN_YET = object()
 
 
-def get_key_mult_plan(key: KeySwitchKey,
-                      backend=None) -> KeyMultPlan | None:
+def get_key_mult_plan(key: KeySwitchKey) -> KeyMultPlan | None:
     """Cached :class:`KeyMultPlan` for ``key`` (built on first use).
 
-    Plans are stored on the key object itself (keys are frozen but
-    carry a ``__dict__``), so their lifetime matches the key's — no
-    global cache to bound or invalidate.  The per-key store is a dict
-    keyed by backend :attr:`~repro.backend.base.ArrayBackend.
-    cache_token`, so one key can hold device-resident weight tensors
-    for several backends at once.  Returns ``None`` for keys outside
-    the fused budgets.  When the observability layer is enabled, bumps
-    ``keyswitch.kmu.plan_hit`` / ``plan_miss``.
+    The plan is stored on the key object itself (keys are frozen but
+    carry a ``__dict__``), so its lifetime matches the key's — no
+    global cache to bound or invalidate.  Returns ``None`` for keys
+    outside the fused budgets.  When the observability layer is
+    enabled, bumps ``keyswitch.kmu.plan_hit`` / ``plan_miss``.
     """
-    be = backend_mod.resolve(backend)
     tracer = get_tracer()
-    plans = getattr(key, "_kmu_plans", None)
-    if plans is None:
-        plans = {}
-        object.__setattr__(key, "_kmu_plans", plans)
-    cached = plans.get(be.cache_token, _NO_PLAN_YET)
+    cached = getattr(key, "_kmu_plan", _NO_PLAN_YET)
     if cached is not _NO_PLAN_YET:
         if tracer.enabled:
             tracer.count("keyswitch.kmu.plan_hit")
         return cached
     if tracer.enabled:
         tracer.count("keyswitch.kmu.plan_miss")
-    plan = (KeyMultPlan(key, backend=be)
+    plan = (KeyMultPlan(key)
             if _kmu_tier(key.moduli, key.num_digits) is not None else None)
-    plans[be.cache_token] = plan
+    object.__setattr__(key, "_kmu_plan", plan)
     return plan
 
 
@@ -319,8 +304,7 @@ def key_mult_accumulate_reference(
 
 
 def key_mult_accumulate(decomposed: list[RnsPoly],
-                        key: KeySwitchKey,
-                        backend=None) -> tuple[RnsPoly, RnsPoly]:
+                        key: KeySwitchKey) -> tuple[RnsPoly, RnsPoly]:
     """KeyMult stage: ``(sum d_j b_j, sum d_j a_j)`` in eval form.
 
     Runs the fused :class:`KeyMultPlan` when the key fits the lazy
@@ -334,7 +318,7 @@ def key_mult_accumulate(decomposed: list[RnsPoly],
             f"key expects exactly {key.num_digits} digits, "
             f"got {len(decomposed)}")
     tracer = get_tracer()
-    plan = get_key_mult_plan(key, backend=backend)
+    plan = get_key_mult_plan(key)
     if plan is not None:
         if tracer.enabled:
             tracer.count("keyswitch.kmu.fused")
@@ -347,8 +331,7 @@ def key_mult_accumulate(decomposed: list[RnsPoly],
 
 def mod_down_batch(
         pairs: list[tuple[RnsPoly, RnsPoly]],
-        aux_count: int,
-        backend=None) -> list[tuple[RnsPoly, RnsPoly]]:
+        aux_count: int) -> list[tuple[RnsPoly, RnsPoly]]:
     """ModDown applied to many accumulator pairs over one shared basis.
 
     ModDown only needs the *auxiliary* limbs in coefficient form (for
@@ -387,7 +370,7 @@ def mod_down_batch(
     p_moduli = moduli[q_count:]
     n = accs[0].n
     m = len(accs)
-    plan = rns.get_bconv_plan(p_moduli, q_moduli, backend=backend)
+    plan = rns.get_bconv_plan(p_moduli, q_moduli)
     if any(a.form != rns.EVAL for a in accs) or not (
             plan.matrix_path and plan.has_down_scale):
         raise ValueError("batch requires eval form and a matrix path")
@@ -400,15 +383,14 @@ def mod_down_batch(
     # row i * m + h is half h's limb for modulus i.
     aux_coeff = transform_limbs(
         [acc.limbs[q_count + i] for i in range(aux_count) for acc in accs],
-        tuple(p for p in p_moduli for _ in range(m)), n, inverse=True,
-        backend=backend)
+        tuple(p for p in p_moduli for _ in range(m)), n, inverse=True)
     stacked = [np.concatenate(aux_coeff[i * m:(i + 1) * m])
                for i in range(aux_count)]
     conv = plan.convert(stacked)            # q_count rows of length m*n
     conv_eval = transform_limbs(
         [conv[i][h * n:(h + 1) * n] for i in range(q_count)
          for h in range(m)],
-        tuple(q for q in q_moduli for _ in range(m)), n, backend=backend)
+        tuple(q for q in q_moduli for _ in range(m)), n)
     diffs = []
     for i, q in enumerate(q_moduli):
         x = np.concatenate([acc.limbs[i] for acc in accs])
@@ -432,8 +414,7 @@ def _mod_down_batch_ready(acc0: RnsPoly, acc1: RnsPoly,
 
 
 def mod_down_pair(acc0: RnsPoly, acc1: RnsPoly,
-                  aux_count: int,
-                  backend=None) -> tuple[RnsPoly, RnsPoly]:
+                  aux_count: int) -> tuple[RnsPoly, RnsPoly]:
     """ModDown stage applied to both halves; returns eval form.
 
     Runs the eval-domain :func:`mod_down_batch` on the single pair
@@ -447,15 +428,13 @@ def mod_down_pair(acc0: RnsPoly, acc1: RnsPoly,
     if aux_count <= 0:
         raise ValueError("nothing to mod-down: no auxiliary limbs")
     if _mod_down_batch_ready(acc0, acc1, aux_count):
-        return mod_down_batch([(acc0, acc1)], aux_count,
-                              backend=backend)[0]
+        return mod_down_batch([(acc0, acc1)], aux_count)[0]
     q_count = len(acc0.moduli) - aux_count
     n = acc0.n
     down0 = rns.mod_down(acc0.to_coeff(), q_count)
     down1 = rns.mod_down(acc1.to_coeff(), q_count)
     evaluated = transform_limbs(list(down0.limbs) + list(down1.limbs),
-                                down0.moduli + down1.moduli, n,
-                                backend=backend)
+                                down0.moduli + down1.moduli, n)
     return (RnsPoly(evaluated[:q_count], down0.moduli, rns.EVAL),
             RnsPoly(evaluated[q_count:], down1.moduli, rns.EVAL))
 
@@ -509,8 +488,7 @@ def _mod_down_rescale_ready(acc0: RnsPoly, acc1: RnsPoly,
 def mod_down_rescale_pair(
         acc0: RnsPoly, acc1: RnsPoly,
         d0: RnsPoly, d1: RnsPoly,
-        aux_count: int, drop: int = 1,
-        backend=None) -> tuple[RnsPoly, RnsPoly]:
+        aux_count: int, drop: int = 1) -> tuple[RnsPoly, RnsPoly]:
     """Fused ModDown + ``drop`` rescales, dividing by ``P * D`` once.
 
     Implements the optimiser's ``merge_rescale`` rewrite as a real
@@ -555,7 +533,7 @@ def mod_down_rescale_pair(
     kept = acc0.moduli[:keep]
     src = acc0.moduli[keep:]            # dropped q primes, then P
     n = acc0.n
-    plan = rns.get_bconv_plan(src, kept, backend=backend)
+    plan = rns.get_bconv_plan(src, kept)
     tracer = get_tracer()
     if tracer.enabled:
         tracer.count("keyswitch.moddown.fused_rescale")
@@ -574,14 +552,14 @@ def mod_down_rescale_pair(
                             else acc.limbs[q_count + (i - drop)])
     aux_coeff = transform_limbs(
         aux_rows, tuple(q for q in src for _ in range(2)), n,
-        inverse=True, backend=backend)
+        inverse=True)
     stacked = [np.concatenate(aux_coeff[2 * i:2 * i + 2])
                for i in range(src_count)]
     conv = plan.convert(stacked)        # keep rows of length 2n
     conv_eval = transform_limbs(
         [conv[i][h * n:(h + 1) * n] for i in range(keep)
          for h in range(2)],
-        tuple(q for q in kept for _ in range(2)), n, backend=backend)
+        tuple(q for q in kept for _ in range(2)), n)
     diffs = []
     for i, q in enumerate(kept):
         x = np.concatenate((z0[i], z1[i]))
@@ -636,8 +614,7 @@ def mod_down_rescale_reference(
 
 
 def hybrid_key_switch(poly: RnsPoly, key: KeySwitchKey,
-                      alpha: int,
-                      backend=None) -> tuple[RnsPoly, RnsPoly]:
+                      alpha: int) -> tuple[RnsPoly, RnsPoly]:
     """Full hybrid switch of ``poly`` (coeff or eval form, Q_l basis).
 
     Returns ``(delta0, delta1)`` in evaluation form over ``Q_l`` such
@@ -646,5 +623,5 @@ def hybrid_key_switch(poly: RnsPoly, key: KeySwitchKey,
     get_tracer().count("keyswitch.hybrid")
     coeff = poly.to_coeff()
     decomposed = hybrid_decompose(coeff, key, alpha)
-    acc0, acc1 = key_mult_accumulate(decomposed, key, backend=backend)
-    return mod_down_pair(acc0, acc1, key.aux_count, backend=backend)
+    acc0, acc1 = key_mult_accumulate(decomposed, key)
+    return mod_down_pair(acc0, acc1, key.aux_count)

@@ -57,7 +57,6 @@ from functools import lru_cache
 
 import numpy as np
 
-import repro.backend as backend_mod
 from repro.obs.tracer import get_tracer
 
 NARROW = "narrow"
@@ -459,11 +458,10 @@ class ModulusKernel:
     mode does not, so no caller may rely on it.
     """
 
-    __slots__ = ("modulus", "path", "dtype", "bits", "backend",
+    __slots__ = ("modulus", "path", "dtype", "bits",
                  "_q64", "_r_hi", "_r_lo", "_half", "_q_inv")
 
-    def __init__(self, modulus: int, path: str | None = None,
-                 backend=None):
+    def __init__(self, modulus: int, path: str | None = None):
         modulus = int(modulus)
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
@@ -483,14 +481,6 @@ class ModulusKernel:
         # 1/q as a float companion on a wide kernel in 36-bit mode;
         # None is 60-bit mode (and every other path).
         self._q_inv = None
-        if path == OBJECT:
-            # The object oracle is host-only by definition (boxed
-            # Python ints); pinning it to numpy is the documented
-            # contract, not a capability fallback.
-            self.backend = backend_mod.get_backend("numpy")
-        else:
-            self.backend = backend_mod.kernel_backend(
-                backend, need_uint64=(path == WIDE))
         if path == NARROW:
             self.dtype = np.int64
         elif path == WIDE:
@@ -504,8 +494,7 @@ class ModulusKernel:
 
     def __repr__(self) -> str:
         return (f"ModulusKernel(modulus={self.modulus}, "
-                f"path={self.path!r}, bits={self.bits}, "
-                f"backend={self.backend.cache_token!r})")
+                f"path={self.path!r}, bits={self.bits})")
 
     # -- internals ----------------------------------------------------
     def _tick(self) -> None:
@@ -524,8 +513,7 @@ class ModulusKernel:
 
     def _asresidues(self, values, copy: bool = True) -> np.ndarray:
         q = self.modulus
-        if isinstance(values, np.ndarray) \
-                or self.backend.is_device_array(values):
+        if isinstance(values, np.ndarray):
             arr = values
         else:
             arr = np.asarray(values)
@@ -544,15 +532,11 @@ class ModulusKernel:
             else:
                 arr = arr.ravel()
             return np.mod(arr, q)
-        # Every non-object exit crosses the residency boundary: host
-        # input is uploaded, device-resident input passes through
-        # untouched (from_host is the identity there).
-        from_host = self.backend.from_host
         if arr.dtype == object:
             # Single reduce-then-convert pass: one vectorised Python-%
             # sweep, then a bulk dtype conversion (no per-element
             # comprehension).
-            return from_host(np.mod(arr.ravel(), q).astype(self.dtype))
+            return np.mod(arr.ravel(), q).astype(self.dtype)
         if arr.dtype == self.dtype and arr.ndim == 1:
             # Fast path: already-reduced input needs at most a copy.
             if self.path == WIDE:
@@ -560,13 +544,13 @@ class ModulusKernel:
             else:
                 reduced = bool(((arr >= 0) & (arr < q)).all())
             if reduced:
-                return from_host(arr.copy() if copy else arr)
+                return arr.copy() if copy else arr
         if self.path == WIDE:
             if arr.dtype == np.uint64:
-                return from_host(np.mod(arr, self._q64))
-            return from_host(np.mod(arr.astype(np.int64, copy=False),
-                                    q).astype(np.uint64))
-        return from_host(np.mod(arr.astype(np.int64, copy=True), q))
+                return np.mod(arr, self._q64)
+            return np.mod(arr.astype(np.int64, copy=False),
+                          q).astype(np.uint64)
+        return np.mod(arr.astype(np.int64, copy=True), q)
 
     def _mul_scalar(self, a, scalar: int) -> np.ndarray:
         s = self._scalar(scalar)
@@ -594,7 +578,7 @@ class ModulusKernel:
             out = np.empty(n, dtype=object)
             out[:] = 0
             return out
-        return self.backend.zeros(n, self.dtype)
+        return np.zeros(n, self.dtype)
 
     def asresidues(self, values, copy: bool = True) -> np.ndarray:
         """Coerce ints/arrays into a reduced residue vector.
@@ -698,11 +682,9 @@ class ModulusKernel:
         self._tick()
         q = self.modulus
         if self.path == NARROW:
-            return self.backend.from_host(
-                rng.integers(0, q, size=n, dtype=np.int64))
+            return rng.integers(0, q, size=n, dtype=np.int64)
         if self.path == WIDE:
-            return self.backend.from_host(
-                rng.integers(0, q, size=n, dtype=np.uint64))
+            return rng.integers(0, q, size=n, dtype=np.uint64)
         words = (q.bit_length() + 62) // 63
         out = np.empty(n, dtype=object)
         for i in range(n):
@@ -715,22 +697,19 @@ class ModulusKernel:
 
 
 @lru_cache(maxsize=1024)
-def _build_kernel(modulus: int, path: str | None,
-                  backend) -> ModulusKernel:
-    return ModulusKernel(modulus, path, backend)
+def _build_kernel(modulus: int, path: str) -> ModulusKernel:
+    return ModulusKernel(modulus, path)
 
 
-def get_kernel(modulus: int, path: str | None = None,
-               backend=None) -> ModulusKernel:
-    """Shared :class:`ModulusKernel` for one (modulus, path, backend).
+def get_kernel(modulus: int, path: str | None = None) -> ModulusKernel:
+    """Shared :class:`ModulusKernel` for one (modulus, path).
 
-    ``backend`` may be a name, an :class:`~repro.backend.ArrayBackend`
-    instance, or None for the process default.  The cache keys on the
-    resolved backend singleton, so kernels (and the constants they
-    hold) are never shared across devices and a mid-process
-    ``backend.select`` cannot serve stale tables.
+    ``path=None`` is resolved to :func:`width_path` before the cache
+    lookup, so the default and the explicit auto path share one kernel.
     """
-    return _build_kernel(int(modulus), path, backend_mod.resolve(backend))
+    modulus = int(modulus)
+    return _build_kernel(modulus,
+                         width_path(modulus) if path is None else path)
 
 
 # -- module-level functional API (historic signatures) --------------------

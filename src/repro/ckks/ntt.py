@@ -45,16 +45,15 @@ batch plans wherever the host can build it, and one reference:
   (:func:`~repro.ckks.modmath.fits_float_quotient`, nothing else);
   shared-modulus plans run 60-bit mode at every width.
 * **the compiled kernel** — ``_ntt_kernel.c`` beside this file, built
-  and loaded by :mod:`repro.backend.native` and handed out by
-  :meth:`~repro.backend.ArrayBackend.native_ntt` (numpy only; ``None``
-  without a C compiler).  The same radix-2 network and the same lazy
-  domains as the engine, one stage per pass over a row that stays in
-  cache, Shoup's multiply through a real 64x64 ``mulhi`` at every
-  width.  A :class:`BatchNttPlan` runs it on its whole block whenever
-  it is there (availability is the only selector) and reads each row's
-  tables where the scalar plan keeps them; the engine is the fallback,
-  unchanged.  Shared-modulus plans stay on the engine (DESIGN.md
-  Sec. 21).
+  and loaded by :mod:`repro.backend.native` (:func:`~repro.backend.
+  native.load` is ``None`` without a C compiler).  The same radix-2
+  network and the same lazy domains as the engine, one stage per pass
+  over a row that stays in cache, Shoup's multiply through a real
+  64x64 ``mulhi`` at every width.  A :class:`BatchNttPlan` runs it on
+  its whole block whenever it is there (availability is the only
+  selector) and reads each row's tables where the scalar plan keeps
+  them; the engine is the fallback, unchanged.  Shared-modulus plans
+  stay on the engine (DESIGN.md Sec. 21).
 * **the reference** — the radix-2 network, one canonically reduced
   stage per pass, on Python ints through
   :class:`~repro.ckks.modmath.ModulusKernel`.  It is what
@@ -73,7 +72,7 @@ from time import perf_counter
 
 import numpy as np
 
-import repro.backend as backend_mod
+from repro.backend import native
 from repro.backend.arena import WorkspaceArena
 from repro.ckks import modmath, primes
 from repro.obs.tracer import get_tracer
@@ -157,10 +156,9 @@ class FusedNttEngine:
     """
 
     def __init__(self, ring_degree: int, moduli, psi, psi_companion,
-                 psi_inv, psi_inv_companion, n_inv_pair, backend, arena,
+                 psi_inv, psi_inv_companion, n_inv_pair, arena,
                  per_row: bool, float_quotient: bool = False):
         self.n = int(ring_degree)
-        self.backend = backend
         self.arena = arena
         self.per_row = per_row
         self.float_quotient = float_quotient
@@ -182,11 +180,11 @@ class FusedNttEngine:
         self._ws_f, self._ws_i, self._ni_ws = companions
         if per_row:
             qs = np.array([int(q) for q in moduli], dtype=np.uint64)
-            self._q3 = backend.from_host(qs.reshape(-1, 1, 1))
-            self._q2_3 = backend.from_host((qs * 2).reshape(-1, 1, 1))
+            self._q3 = qs.reshape(-1, 1, 1)
+            self._q2_3 = (qs * 2).reshape(-1, 1, 1)
             self._q2d = self._q3[:, :, 0]
             self._q2_2d = self._q2_3[:, :, 0]
-            self._ni_w = ni_w                   # (k, 1) device column
+            self._ni_w = ni_w                   # (k, 1) column
         else:
             q = int(moduli)
             self._q3 = self._q2d = np.uint64(q)
@@ -411,7 +409,7 @@ class NttPlan:
     """
 
     def __init__(self, ring_degree: int, modulus: int,
-                 path: str | None = None, backend=None):
+                 path: str | None = None):
         if ring_degree & (ring_degree - 1):
             raise ValueError("ring degree must be a power of two")
         if (modulus - 1) % (2 * ring_degree) != 0:
@@ -419,13 +417,11 @@ class NttPlan:
                 f"modulus {modulus} is not NTT-friendly for N={ring_degree}")
         self.n = ring_degree
         self.modulus = modulus
-        self._kernel = modmath.get_kernel(modulus, path, backend)
+        self._kernel = modmath.get_kernel(modulus, path)
         self.path = self._kernel.path
-        self.backend = self._kernel.backend
         psi = primes.root_of_unity(2 * ring_degree, modulus)
         psi_inv = modmath.inv_mod(psi, modulus)
-        # Twiddle tables are built host-side (exact Python ints) and
-        # cross the residency boundary exactly once, here at build.
+        # Twiddle tables are built once, here, from exact Python ints.
         self._psi_rev = self._power_table(psi)
         self._psi_inv_rev = self._power_table(psi_inv)
         self._n_inv = modmath.inv_mod(ring_degree, modulus)
@@ -469,14 +465,13 @@ class NttPlan:
 
     def _get_engine(self) -> FusedNttEngine:
         if self._engine is None:
-            be = self.backend
             # Shared-modulus plans stay on the 64-bit multiply for
             # every modulus (DESIGN.md Sec. 20: serve_closed's RSS
             # bound); passing fits_float_quotient(q) here and to
             # fused_tables is the whole switch.
             self._engine = FusedNttEngine(
                 self.n, self.modulus, *self.fused_tables(),
-                be, WorkspaceArena(be, "ntt"), per_row=False)
+                WorkspaceArena("ntt"), per_row=False)
         return self._engine
 
     def _power_table(self, base: int) -> np.ndarray:
@@ -636,11 +631,11 @@ class BatchNttPlan:
     the accelerator's NTTU operating on a whole limb set per ModUp
     digit.
 
-    Where the backend has the compiled kernel
-    (:meth:`~repro.backend.ArrayBackend.native_ntt`), that call is the
-    C butterfly, bound to one pointer per row into the scalar plans'
-    own :meth:`NttPlan.fused_tables`: the plan holds no table copy and
-    no scratch.  Otherwise the plan stacks those tables into per-basis
+    Where the host has the compiled kernel
+    (:func:`repro.backend.native.load`), that call is the C butterfly,
+    bound to one pointer per row into the scalar plans' own
+    :meth:`NttPlan.fused_tables`: the plan holds no table copy and no
+    scratch.  Otherwise the plan stacks those tables into per-basis
     ``(k, N)`` copies, so each butterfly sweep of the per-row
     :class:`FusedNttEngine` is a single set of whole-batch numpy ops
     with the per-limb modulus broadcast as a ``(k, 1, 1)`` column.
@@ -657,8 +652,7 @@ class BatchNttPlan:
     per-limb plans on every path.
     """
 
-    def __init__(self, ring_degree: int, moduli: tuple[int, ...],
-                 backend=None):
+    def __init__(self, ring_degree: int, moduli: tuple[int, ...]):
         # Imported lazily: rns imports NttPlan from this module at
         # load time, but the shared bounded per-(N, q) plan cache
         # lives there and must be reused so batch and scalar callers
@@ -667,13 +661,8 @@ class BatchNttPlan:
 
         self.n = int(ring_degree)
         self.moduli = tuple(int(q) for q in moduli)
-        # The batched butterflies are pure uint64 lazy ops.
-        be = backend_mod.kernel_backend(backend)
-        self.backend = be
-        self._kernels = [modmath.get_kernel(q, backend=be)
-                         for q in self.moduli]
-        self._scalar_plans = [get_plan(self.n, q, backend=be)
-                              for q in self.moduli]
+        self._kernels = [modmath.get_kernel(q) for q in self.moduli]
+        self._scalar_plans = [get_plan(self.n, q) for q in self.moduli]
         self._object_rows = []               # limb positions on the oracle
         by_mode = {True: [], False: []}      # float-quotient rows first
         for i, kernel in enumerate(self._kernels):
@@ -689,7 +678,8 @@ class BatchNttPlan:
                            ((True, "wide36"), (False, "wide60"))
                            if by_mode[fq]]
         self._engines = []                   # (row range of the block, engine)
-        kernel = be.native_ntt() if self._batch_rows else None
+        # through the module attribute: tests swap ``native.load`` out
+        kernel = native.load() if self._batch_rows else None
         if kernel is None:
             self._native = None
             self._build_engines(by_mode)
@@ -705,29 +695,22 @@ class BatchNttPlan:
     def _build_engines(self, by_mode: dict) -> None:
         """The ufunc fallback: one per-row engine per multiplier mode
         over stacked ``(rows, N)`` copies of the scalar plans' tables."""
-        be = self.backend
-        arena = WorkspaceArena(be, "ntt")
+        arena = WorkspaceArena("ntt")
         start = 0
         for float_quotient, rows in by_mode.items():
             if not rows:
                 continue
-            # Stacking happens host-side (the scalar plans' tables may
-            # be device-resident); the stacked copies go back through
-            # from_host — one build-time transfer per table.
             *tables, n_inv = zip(*(
                 self._scalar_plans[i].fused_tables(float_quotient)
                 for i in rows))
-            stacked = [be.from_host(np.stack(
-                [backend_mod.to_host(t) for t in table]))
-                for table in tables]
-            n_inv_pair = tuple(
-                be.from_host(np.array(col).reshape(-1, 1))
-                for col in zip(*n_inv))
+            stacked = [np.stack(table) for table in tables]
+            n_inv_pair = tuple(np.array(col).reshape(-1, 1)
+                               for col in zip(*n_inv))
             self._engines.append((
                 slice(start, start + len(rows)),
                 FusedNttEngine(
                     self.n, [self.moduli[i] for i in rows], *stacked,
-                    n_inv_pair, be, arena, per_row=True,
+                    n_inv_pair, arena, per_row=True,
                     float_quotient=float_quotient)))
             start += len(rows)
 
@@ -754,7 +737,7 @@ class BatchNttPlan:
     def _out_block(self, out):
         rows = len(self._batch_rows)
         if out is None:
-            return self.backend.empty((rows, self.n), np.uint64)
+            return np.empty((rows, self.n), np.uint64)
         # Both butterflies transform the block in place through
         # reshaped views (and the compiled one through its address), so
         # anything but a C-contiguous uint64 block would be a silent
@@ -818,22 +801,16 @@ class BatchNttPlan:
 
 
 @lru_cache(maxsize=BATCH_PLAN_CACHE_MAXSIZE)
-def _build_batch_plan(ring_degree: int, moduli: tuple[int, ...],
-                      backend) -> BatchNttPlan:
-    return BatchNttPlan(ring_degree, moduli, backend)
+def _build_batch_plan(ring_degree: int,
+                      moduli: tuple[int, ...]) -> BatchNttPlan:
+    return BatchNttPlan(ring_degree, moduli)
 
 
-def get_batch_plan(ring_degree: int, moduli: tuple[int, ...],
-                   backend=None) -> BatchNttPlan:
-    """Shared batch plan for one (N, basis, backend) tuple.
-
-    Bounded LRU cache keyed on the resolved backend singleton, so a
-    mid-process ``backend.select`` builds fresh device-resident stacks
-    instead of serving another device's tables.
-    """
+def get_batch_plan(ring_degree: int,
+                   moduli: tuple[int, ...]) -> BatchNttPlan:
+    """Shared batch plan for one (N, basis) pair (bounded LRU)."""
     return _build_batch_plan(int(ring_degree),
-                             tuple(int(q) for q in moduli),
-                             backend_mod.resolve(backend))
+                             tuple(int(q) for q in moduli))
 
 
 def batch_plan_cache_info():
@@ -845,7 +822,7 @@ def clear_batch_plan_cache() -> None:
 
 
 def transform_limbs(limbs, moduli, ring_degree: int,
-                    inverse: bool = False, backend=None) -> list:
+                    inverse: bool = False) -> list:
     """Run every limb of one basis through a single batched NTT call.
 
     ``limbs[i]`` must be a residue vector modulo ``moduli[i]``.
@@ -854,8 +831,7 @@ def transform_limbs(limbs, moduli, ring_degree: int,
     limb, but with one fused pass over a ``(k, N)`` stack instead of
     ``k`` separate transforms.
     """
-    plan = get_batch_plan(int(ring_degree), tuple(int(q) for q in moduli),
-                          backend)
+    plan = get_batch_plan(int(ring_degree), tuple(int(q) for q in moduli))
     return plan.inverse(limbs) if inverse else plan.forward(limbs)
 
 

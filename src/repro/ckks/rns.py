@@ -30,7 +30,6 @@ from time import perf_counter
 
 import numpy as np
 
-import repro.backend as backend_mod
 from repro.ckks import modmath
 from repro.ckks.ntt import NttPlan, transform_limbs
 from repro.obs.tracer import get_tracer
@@ -49,27 +48,24 @@ PLAN_CACHE_MAXSIZE = 256
 
 
 @lru_cache(maxsize=PLAN_CACHE_MAXSIZE)
-def _build_plan(ring_degree: int, modulus: int, backend) -> NttPlan:
+def _build_plan(ring_degree: int, modulus: int) -> NttPlan:
     tracer = get_tracer()
     if tracer.enabled:
         start = perf_counter()
-        plan = NttPlan(ring_degree, modulus, backend=backend)
+        plan = NttPlan(ring_degree, modulus)
         tracer.count("rns.plan_builds")
         tracer.observe("rns.plan_build_s", perf_counter() - start)
         return plan
-    return NttPlan(ring_degree, modulus, backend=backend)
+    return NttPlan(ring_degree, modulus)
 
 
-def get_plan(ring_degree: int, modulus: int, backend=None) -> NttPlan:
-    """Shared NTT plan for one (N, q, backend) tuple.
+def get_plan(ring_degree: int, modulus: int) -> NttPlan:
+    """Shared NTT plan for one (N, q) pair (bounded LRU).
 
-    Bounded LRU, keyed on the resolved backend singleton so
-    twiddle/Shoup tables built for one device are never served to
-    another.  Reference plans (``NttPlan(n, q, path=modmath.OBJECT)``)
-    are built by their callers and never enter this cache.
+    Reference plans (``NttPlan(n, q, path=modmath.OBJECT)``) are built
+    by their callers and never enter this cache.
     """
-    return _build_plan(int(ring_degree), int(modulus),
-                       backend_mod.resolve(backend))
+    return _build_plan(int(ring_degree), int(modulus))
 
 
 def plan_cache_info():
@@ -296,40 +292,35 @@ class AutoPlan:
       the gather, and as the only path for coefficient-form inputs.
     """
 
-    __slots__ = ("n", "galois", "backend", "eval_perm", "coeff_dest",
-                 "coeff_negate")
+    __slots__ = ("n", "galois", "eval_perm", "coeff_dest", "coeff_negate")
 
-    def __init__(self, n: int, galois_power: int, backend=None):
+    def __init__(self, n: int, galois_power: int):
         if galois_power % 2 == 0:
             raise ValueError("Galois element must be odd")
         self.n = int(n)
         two_n = 2 * self.n
         g = int(galois_power) % two_n
         self.galois = g
-        # Index tables are pure gathers/scatters: any backend whose
-        # arrays speak the numpy protocols can hold them resident.
-        be = backend_mod.kernel_backend(backend, need_uint64=False)
-        self.backend = be
         idx = (np.arange(self.n, dtype=np.int64) * g) % two_n
-        self.coeff_dest = be.from_host(np.where(idx < n, idx, idx - n))
-        self.coeff_negate = be.from_host(idx >= n)
+        self.coeff_dest = np.where(idx < n, idx, idx - n)
+        self.coeff_negate = idx >= n
         if self.n >= 1 and not (self.n & (self.n - 1)):
             from repro.ckks.ntt import (bit_reverse_permutation,
                                         eval_point_exponents)
             rev = bit_reverse_permutation(self.n)
             target = (eval_point_exponents(self.n) * g) % two_n
-            self.eval_perm = be.from_host(rev[(target - 1) >> 1])
+            self.eval_perm = rev[(target - 1) >> 1]
         else:
             self.eval_perm = None
 
 
 @lru_cache(maxsize=PLAN_CACHE_MAXSIZE)
-def _build_auto_plan(n: int, galois: int, backend=None) -> AutoPlan:
-    return AutoPlan(n, galois, backend)
+def _build_auto_plan(n: int, galois: int) -> AutoPlan:
+    return AutoPlan(n, galois)
 
 
-def get_auto_plan(n: int, galois_power: int, backend=None) -> AutoPlan:
-    """Shared :class:`AutoPlan` per ``(N, g, backend)`` (bounded LRU).
+def get_auto_plan(n: int, galois_power: int) -> AutoPlan:
+    """Shared :class:`AutoPlan` per ``(N, g)`` (bounded LRU).
 
     ``galois_power`` is normalised modulo ``2N`` before the cache
     lookup, so equivalent elements share one entry.  When the
@@ -341,12 +332,11 @@ def get_auto_plan(n: int, galois_power: int, backend=None) -> AutoPlan:
     if g % 2 == 0:
         raise ValueError("Galois element must be odd")
     g %= 2 * n
-    be = backend_mod.resolve(backend)
     tracer = get_tracer()
     if not tracer.enabled:
-        return _build_auto_plan(n, g, be)
+        return _build_auto_plan(n, g)
     hits_before = _build_auto_plan.cache_info().hits
-    plan = _build_auto_plan(n, g, be)
+    plan = _build_auto_plan(n, g)
     if _build_auto_plan.cache_info().hits > hits_before:
         tracer.count("rns.auto.plan_hit")
     else:
@@ -418,9 +408,7 @@ def compose_crt(poly: RnsPoly) -> list[int]:
                                      q_hat, q_hat_inv):
         scale = hat * hat_inv % big_q
         boxed = np.empty(poly.n, dtype=object)
-        # Big-int recombination is host-side by nature; device-resident
-        # limbs cross the boundary here (one d2h per limb).
-        boxed[:] = backend_mod.to_host(limb).tolist()
+        boxed[:] = limb.tolist()
         acc = acc + boxed * scale
     acc = np.mod(acc, big_q)
     return [int(v) - big_q if v > half else int(v) for v in acc]
@@ -482,7 +470,7 @@ class BConvPlan:
     # Scratch-buffer sets kept per plan, over all input lengths.
     _WS_POOL_SETS = 4
 
-    __slots__ = ("src_moduli", "dst_moduli", "k_in", "k_out", "backend",
+    __slots__ = ("src_moduli", "dst_moduli", "k_in", "k_out",
                  "src_product", "matrix_path", "total_bits",
                  "_dst_kernels", "_src_kernels", "_ew_w", "_ew_ws",
                  "_src_q", "_ew_wf",
@@ -491,43 +479,34 @@ class BConvPlan:
                  "_dst_q", "_t64_w", "_t64_ws",
                  "_down_inv", "_ws_pool", "_ws_lock")
 
-    def __init__(self, src_moduli, dst_moduli, backend=None):
+    def __init__(self, src_moduli, dst_moduli):
         self.src_moduli = tuple(int(q) for q in src_moduli)
         self.dst_moduli = tuple(int(p) for p in dst_moduli)
         self.k_in = len(self.src_moduli)
         self.k_out = len(self.dst_moduli)
         big_q, q_hat, q_hat_inv = _crt_constants(self.src_moduli)
         self.src_product = big_q
-        # The matrix kernel needs the uint64 lazy datapath *and* an
-        # exactly-rounded float64 matmul; anything less negotiates
-        # down to numpy.
-        be = backend_mod.kernel_backend(backend, need_matmul=True)
-        self.backend = be
-        self._dst_kernels = [modmath.get_kernel(p, backend=be)
-                             for p in self.dst_moduli]
-        self._src_kernels = [modmath.get_kernel(q, backend=be)
-                             for q in self.src_moduli]
+        self._dst_kernels = [modmath.get_kernel(p) for p in self.dst_moduli]
+        self._src_kernels = [modmath.get_kernel(q) for q in self.src_moduli]
         self._ws_pool = []
         self._ws_lock = threading.Lock()
         self.matrix_path = self._matrix_feasible()
         if self.matrix_path and self.k_in and self.k_out:
-            # Every constant column below is built host-side, then
-            # placed device-resident exactly once (from_host).
             ew = [modmath.shoup_pair(inv, q)
                   for inv, q in zip(q_hat_inv, self.src_moduli)]
-            self._ew_w = be.from_host(np.array(
-                [w for w, _ in ew], dtype=np.uint64).reshape(-1, 1))
-            self._ew_ws = be.from_host(np.array(
-                [ws for _, ws in ew], dtype=np.uint64).reshape(-1, 1))
-            self._src_q = be.from_host(np.array(
-                self.src_moduli, dtype=np.uint64).reshape(-1, 1))
-            self._dst_q = be.from_host(np.array(
-                self.dst_moduli, dtype=np.uint64).reshape(-1, 1))
+            self._ew_w = np.array(
+                [w for w, _ in ew], dtype=np.uint64).reshape(-1, 1)
+            self._ew_ws = np.array(
+                [ws for _, ws in ew], dtype=np.uint64).reshape(-1, 1)
+            self._src_q = np.array(
+                self.src_moduli, dtype=np.uint64).reshape(-1, 1)
+            self._dst_q = np.array(
+                self.dst_moduli, dtype=np.uint64).reshape(-1, 1)
             t64 = [modmath.shoup_pair(1 << 64, p) for p in self.dst_moduli]
-            self._t64_w = be.from_host(np.array(
-                [w for w, _ in t64], dtype=np.uint64).reshape(-1, 1))
-            self._t64_ws = be.from_host(np.array(
-                [ws for _, ws in t64], dtype=np.uint64).reshape(-1, 1))
+            self._t64_w = np.array(
+                [w for w, _ in t64], dtype=np.uint64).reshape(-1, 1)
+            self._t64_ws = np.array(
+                [ws for _, ws in t64], dtype=np.uint64).reshape(-1, 1)
             bits_in = max(q.bit_length() for q in self.src_moduli)
             bits_out = max(p.bit_length() for p in self.dst_moduli)
             b = self.PIECE_BITS
@@ -537,10 +516,10 @@ class BConvPlan:
             # when every source modulus allows it (None: 60-bit mode).
             self._ew_wf = None
             if all(modmath.fits_float_quotient(q) for q in self.src_moduli):
-                self._ew_wf = be.from_host(np.array(
+                self._ew_wf = np.array(
                     [modmath.float_companion(int(w), q)
                      for (w, _), q in zip(ew, self.src_moduli)]
-                ).reshape(-1, 1))
+                ).reshape(-1, 1)
             # Float-quotient final reduction: the row value is below
             # k_in * 2^bits_in * p_j, so the absolute error of the
             # float quotient (ncomp recombination roundings plus the
@@ -641,7 +620,6 @@ class BConvPlan:
         if self._vf_gemm:
             # Quotient rows carry the 1/p_j scaling too, so the gemm
             # yields v/p_j directly and convert() only floors it.
-            # (Host-side floats here: _dst_qf may be device-resident.)
             vf_block = np.empty((self.k_out, self._pieces_in * self.k_in))
             matf = mat.astype(np.float64) / np.array(
                 self.dst_moduli, dtype=np.float64).reshape(-1, 1)
@@ -651,9 +629,9 @@ class BConvPlan:
             blocks.append(vf_block)
         # One tall matrix so the whole multiply-accumulate runs as a
         # single BLAS call; component s is rows [s*k_out, (s+1)*k_out).
-        # The 22-bit split matrix is the big resident table: one
-        # build-time upload, reused by every convert().
-        self._block_stack = self.backend.from_host(np.vstack(blocks))
+        # The 22-bit split matrix is the big table, built once and
+        # reused by every convert().
+        self._block_stack = np.vstack(blocks)
 
     def __repr__(self) -> str:
         return (f"BConvPlan(k_in={self.k_in}, k_out={self.k_out}, "
@@ -686,7 +664,7 @@ class BConvPlan:
         if tracer.enabled:
             tracer.count("kernel.alloc.bconv")
         k_in, k_out = self.k_in, self.k_out
-        empty = self.backend.empty
+        empty = np.empty
         ws = {
             "n": n,
             "x": empty((k_in, n), np.uint64),
@@ -767,7 +745,7 @@ class BConvPlan:
                 src = tq
             pieces[a * self.k_in:(a + 1) * self.k_in] = src
         flat = ws["flat"]
-        self.backend.matmul(self._block_stack, pieces, out=flat)
+        np.matmul(self._block_stack, pieces, out=flat)
         comps = [flat[s * self.k_out:(s + 1) * self.k_out]
                  for s in range(len(self._shifts))]
         pq = self._dst_q
@@ -850,25 +828,24 @@ class BConvPlan:
 
 
 @lru_cache(maxsize=PLAN_CACHE_MAXSIZE)
-def _build_bconv_plan(src: tuple[int, ...], dst: tuple[int, ...],
-                      backend=None) -> BConvPlan:
-    return BConvPlan(src, dst, backend)
+def _build_bconv_plan(src: tuple[int, ...],
+                      dst: tuple[int, ...]) -> BConvPlan:
+    return BConvPlan(src, dst)
 
 
-def get_bconv_plan(src_moduli, dst_moduli, backend=None) -> BConvPlan:
-    """Shared :class:`BConvPlan` per (basis pair, backend) (bounded LRU).
+def get_bconv_plan(src_moduli, dst_moduli) -> BConvPlan:
+    """Shared :class:`BConvPlan` per basis pair (bounded LRU).
 
     When the observability layer is enabled, bumps
     ``rns.bconv.plan_hit`` / ``rns.bconv.plan_miss``.
     """
     src = tuple(int(q) for q in src_moduli)
     dst = tuple(int(p) for p in dst_moduli)
-    be = backend_mod.resolve(backend)
     tracer = get_tracer()
     if not tracer.enabled:
-        return _build_bconv_plan(src, dst, be)
+        return _build_bconv_plan(src, dst)
     hits_before = _build_bconv_plan.cache_info().hits
-    plan = _build_bconv_plan(src, dst, be)
+    plan = _build_bconv_plan(src, dst)
     if _build_bconv_plan.cache_info().hits > hits_before:
         tracer.count("rns.bconv.plan_hit")
     else:

@@ -48,6 +48,14 @@ class ChipConfig:
     bconv_array_height: int = 4
     kmu_array_width: int = 3
 
+    def __post_init__(self):
+        # every throughput and delay divides by these
+        for field in ("clusters", "lanes_per_cluster", "frequency_hz",
+                      "onchip_bandwidth_bytes", "hbm_bandwidth_bytes"):
+            if not getattr(self, field) > 0:
+                raise ValueError(f"{self.name}: {field} must be positive, "
+                                 f"not {getattr(self, field)!r}")
+
     @property
     def total_lanes(self) -> int:
         return self.clusters * self.lanes_per_cluster

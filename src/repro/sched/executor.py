@@ -61,7 +61,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-import repro.backend as backend_mod
 from repro import obs
 from repro.ckks import modmath, primes
 from repro.ckks.ntt import NttPlan
@@ -150,12 +149,11 @@ def fresh_params(seeds: np.ndarray, ct_id: int, limb: int, q: int,
     return splitmix64(base[:, None] + counter[None, :]) % np.uint64(q)
 
 
-def seed_array(seeds, backend) -> np.ndarray:
-    """``(B,)`` uint64 seed vector resident on ``backend``."""
-    if backend.is_device_array(seeds) and seeds.dtype == np.uint64:
-        return seeds        # already uploaded by the caller
-    return backend.from_host(
-        np.array([int(s) & _MASK for s in seeds], dtype=np.uint64))
+def seed_array(seeds) -> np.ndarray:
+    """``(B,)`` uint64 seed vector."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        return seeds        # already built by the caller
+    return np.array([int(s) & _MASK for s in seeds], dtype=np.uint64)
 
 
 # -- the op body ------------------------------------------------------------
@@ -172,7 +170,7 @@ class RowNtt:
     what it vets.
     """
 
-    def __init__(self, ring_degree: int, modulus: int, backend=None,
+    def __init__(self, ring_degree: int, modulus: int,
                  reference: bool = False):
         self.n = int(ring_degree)
         self.modulus = int(modulus)
@@ -180,15 +178,14 @@ class RowNtt:
             self._plan = NttPlan(self.n, self.modulus,
                                  path=modmath.OBJECT)
         else:
-            self._plan = get_plan(self.n, self.modulus, backend=backend)
-        self.backend = self._plan.backend
+            self._plan = get_plan(self.n, self.modulus)
 
     def _transform(self, rows, inverse: bool) -> np.ndarray:
         plan = self._plan
         if plan.path == modmath.OBJECT:
-            a = np.array(backend_mod.to_host(rows), dtype=object)
+            a = np.array(rows, dtype=object)
         else:
-            a = self.backend.asarray(rows, dtype=np.uint64, copy=True)
+            a = np.array(rows, dtype=np.uint64)
         if inverse:
             plan.inverse_rows(a)
         else:
@@ -245,8 +242,7 @@ def apply_op(ct3: np.ndarray, index: int, rotation: int,
 def fresh_stack(ct_id: int, seeds: np.ndarray, ctx: dict) -> np.ndarray:
     """Initial ``(B, limbs, N)`` residue stack of ciphertext ``ct_id``."""
     moduli = ctx["moduli"]
-    stack = ctx["backend"].empty((len(seeds), len(moduli), ctx["n"]),
-                                 np.uint64)
+    stack = np.empty((len(seeds), len(moduli), ctx["n"]), np.uint64)
     for j, q in enumerate(moduli):
         stack[:, j, :] = fresh_params(seeds, ct_id, j, q, ctx["counter"])
     return stack
@@ -254,26 +250,19 @@ def fresh_stack(ct_id: int, seeds: np.ndarray, ctx: dict) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def worker_context(moduli: tuple[int, ...], ring_degree: int,
-                   backend_name: str = "numpy", reference: bool = False,
+                   reference: bool = False,
                    row_ntt: type = RowNtt) -> dict:
     """Per-process op-body context (pool workers build it lazily).
 
-    Keyed by backend *name* (a plain string) so the cache key stays
-    picklable and workers rebuilding the context in a fork land on
-    the same entry.  The pooled shared-memory runs always use
-    ``"numpy"`` — the arena is host memory by construction.
     ``row_ntt`` lets the serving layer hold its own
     :class:`RowNtt` subclass, so its batch transforms stay
     attributable under their own name.
     """
-    be = backend_mod.get_backend(backend_name)
     return {
         "moduli": moduli,
         "n": ring_degree,
-        "backend": be,
-        "counter": be.from_host(np.arange(1, ring_degree + 1,
-                                          dtype=np.uint64) * _C3),
-        "ntts": [row_ntt(ring_degree, q, backend=be, reference=reference)
+        "counter": np.arange(1, ring_degree + 1, dtype=np.uint64) * _C3,
+        "ntts": [row_ntt(ring_degree, q, reference=reference)
                  for q in moduli],
     }
 
@@ -327,7 +316,7 @@ def _run_nodes(shm_name: str, shape: tuple, tasks: list[tuple],
     try:
         arena = np.ndarray(shape, dtype=np.uint64, buffer=shm.buf)
         for slot, items, seeds in tasks:
-            seeds_arr = seed_array(seeds, ctx["backend"])
+            seeds_arr = seed_array(seeds)
             for index, rotation, needs_ks in items:
                 apply_op(arena[slot], index, rotation, needs_ks,
                          seeds_arr, ctx)
@@ -352,7 +341,7 @@ def run_pooled(pool, lanes: int, graph: DataflowGraph, stacks: list,
     try:
         arena = np.ndarray(shape, dtype=np.uint64, buffer=shm.buf)
         for slot, stack in enumerate(stacks):
-            arena[slot] = backend_mod.to_host(stack)
+            arena[slot] = stack
         dispatch_ready(graph, lambda nodes: pool.submit(
             _run_nodes, shm.name, shape,
             [(slot_of(n), node_items(n), seeds_of(n)) for n in nodes],
@@ -455,8 +444,7 @@ class FunctionalExecutor:
         return derive_seed(self.seed, stream)
 
     def _seeds(self, seed: int | None) -> np.ndarray:
-        return seed_array([self.seed if seed is None else seed],
-                          self._ctx["backend"])
+        return seed_array([self.seed if seed is None else seed])
 
     def initial_state(self, trace: OpTrace,
                       seed: int | None = None) -> dict[int, np.ndarray]:

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-import repro.backend as backend_mod
 from repro import obs
 from repro.ckks import primes
 from repro.core.optrace import OpTrace
@@ -99,16 +98,13 @@ class ServeExecutor:
     """
 
     def __init__(self, ring_degree: int = 256, num_limbs: int = 3,
-                 prime_bits: int = 36, seed: int = 20250806,
-                 backend=None):
+                 prime_bits: int = 36, seed: int = 20250806):
         check_prime_bits(prime_bits)
         self.ring_degree = int(ring_degree)
         self.seed = int(seed)
         self.moduli = tuple(primes.ntt_primes(
             num_limbs, prime_bits, ring_degree))
-        self.backend = backend_mod.resolve(backend)
         self._ctx = worker_context(self.moduli, self.ring_degree,
-                                   self.backend.name,
                                    row_ntt=RowBatchNtt)
 
     # -- seeds ----------------------------------------------------------
@@ -127,12 +123,11 @@ class ServeExecutor:
     def initial_state(self, trace: OpTrace,
                       seeds) -> dict[int, np.ndarray]:
         """ct id -> ``(B, limbs, N)`` fresh residue stack."""
-        return self._fresh(
-            trace, seed_array(seeds, self._ctx["backend"]), self._ctx)
+        return self._fresh(trace, seed_array(seeds), self._ctx)
 
     def _run(self, trace: OpTrace, seeds, ctx: dict
              ) -> dict[int, np.ndarray]:
-        seeds_arr = seed_array(seeds, ctx["backend"])
+        seeds_arr = seed_array(seeds)
         state = self._fresh(trace, seeds_arr, ctx)
         for index, op in enumerate(trace):
             apply_op(state[op.ct_id], index, op.rotation,
@@ -144,8 +139,8 @@ class ServeExecutor:
                    seed: int) -> dict[int, np.ndarray]:
         """Program-order single-request run: the ground truth.  The
         same op body at ``B = 1``, on the object-path reference NTT
-        plans (host-side) — the oracle must not share the fused
-        butterflies the stacked path runs."""
+        plans — the oracle must not share the fused butterflies the
+        stacked path runs."""
         reference = worker_context(self.moduli, self.ring_degree,
                                    reference=True)
         return {ct: stack[0] for ct, stack
@@ -189,8 +184,7 @@ class ServeExecutor:
         h = hashlib.blake2b(digest_size=16)
         for ct in sorted(state):
             h.update(ct.to_bytes(8, "little", signed=True))
-            h.update(np.ascontiguousarray(
-                backend_mod.to_host(state[ct][row])).tobytes())
+            h.update(np.ascontiguousarray(state[ct][row]).tobytes())
         return h.hexdigest()
 
     def digest_serial(self, state: dict[int, np.ndarray]) -> str:
@@ -198,9 +192,8 @@ class ServeExecutor:
         h = hashlib.blake2b(digest_size=16)
         for ct in sorted(state):
             h.update(ct.to_bytes(8, "little", signed=True))
-            h.update(np.ascontiguousarray(np.asarray(
-                backend_mod.to_host(state[ct]),
-                dtype=np.uint64)).tobytes())
+            h.update(np.ascontiguousarray(
+                state[ct], dtype=np.uint64).tobytes())
         return h.hexdigest()
 
     # -- the proof --------------------------------------------------------
@@ -213,9 +206,8 @@ class ServeExecutor:
             serial = self.run_serial(trace, seed)
             for ct in serial:
                 if not np.array_equal(
-                        np.asarray(backend_mod.to_host(serial[ct]),
-                                   dtype=np.uint64),
-                        backend_mod.to_host(batched[ct][row])):
+                        np.asarray(serial[ct], dtype=np.uint64),
+                        batched[ct][row]):
                     mismatched.append((row, ct))
         return ServeCheck(bit_exact=not mismatched,
                           batch=len(seeds_list), num_ops=len(trace),

@@ -8,6 +8,7 @@ where there is none; the refusal tests run everywhere.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import stat
@@ -17,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro.backend as backend_mod
 from repro import obs
 from repro.backend import native
 from repro.ckks import modmath, primes
@@ -271,21 +271,24 @@ class TestReporting:
                           {"backend.native.loaded": 1}]
 
     def test_backend_inventory_names_the_kernel_or_the_reason(
-            self, cache, monkeypatch):
-        info = backend_mod.available_backends()["numpy"]["info"]["native_ntt"]
-        assert info == native.probe()[1]
+            self, cache, monkeypatch, capsys):
+        from repro.__main__ import main
+
+        def report() -> dict:
+            assert main(["backend", "--json"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        info = native.probe()[1]
         if info["state"] == "unavailable":
-            assert info["reason"]
+            assert report() == {"state": "unavailable",
+                                "reason": info["reason"]}
         else:
+            assert report() == {key: info[key]
+                                for key in ("state", "file", "compiler")}
             assert Path(info["file"]).is_file() and info["compiler"]
-        assert "native_ntt" not in \
-            backend_mod.available_backends()["fake"]["info"]
         native.probe.cache_clear()
         monkeypatch.setattr(native, "_find_compiler", lambda: None)
-        info = backend_mod.available_backends()["numpy"]["info"]["native_ntt"]
+        info = report()
         assert info["state"] == "unavailable" and "compiler" in info["reason"]
-
-    def test_only_numpy_offers_the_kernel(self, fake_backend, numpy_backend):
-        assert fake_backend.native_ntt() is None
-        assert backend_mod.ArrayBackend().native_ntt() is None
-        assert numpy_backend.native_ntt() is native.load()
+        assert main(["backend"]) == 0
+        assert capsys.readouterr().out.startswith("native_ntt: unavailable")

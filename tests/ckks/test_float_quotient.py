@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.backend as backend_mod
 from repro import obs
+from repro.backend.arena import WorkspaceArena, ledger_counters
 from repro.ckks import modmath, primes, rns
 from repro.ckks.context import CkksContext
 from repro.ckks.keys import HYBRID, KLSS, KeySwitchKey
@@ -140,8 +140,7 @@ class TestModeSelection:
             plan.fused_tables(float_quotient=True)
         with pytest.raises(ValueError):
             FusedNttEngine(64, plan.modulus, *plan.fused_tables(),
-                           plan.backend,
-                           backend_mod.WorkspaceArena(plan.backend, "ntt"),
+                           WorkspaceArena("ntt"),
                            per_row=False, float_quotient=True)
 
     def test_batch_plan_splits_rows_by_mode(self, ufunc_ntt):
@@ -302,11 +301,10 @@ class TestFloatKeyMultTier:
         try:
             plan = hy.get_key_mult_plan(key)
             plan.accumulate(plan.stack(decomposed))      # warmup: misses
-            warm = backend_mod.ledger_counters().get("kernel.alloc.kmu", 0)
+            warm = ledger_counters().get("kernel.alloc.kmu", 0)
             assert warm == 4           # the digit stack + 3 scratch blocks
             plan.accumulate(plan.stack(decomposed))
-            assert backend_mod.ledger_counters().get(
-                "kernel.alloc.kmu", 0) == warm
+            assert ledger_counters().get("kernel.alloc.kmu", 0) == warm
         finally:
             obs.configure(enabled=False, reset=True)
 

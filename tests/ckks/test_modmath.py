@@ -46,6 +46,13 @@ class TestDtypeDispatch:
         with pytest.raises(ValueError):
             modmath.ModulusKernel(Q_HUGE, path=modmath.WIDE)
 
+    @moduli
+    def test_default_and_auto_path_share_one_kernel(self, q):
+        assert modmath.get_kernel(q) is \
+            modmath.get_kernel(q, modmath.width_path(q))
+        assert modmath.get_kernel(Q_BIG, modmath.OBJECT) is not \
+            modmath.get_kernel(Q_BIG)
+
 
 @moduli
 class TestBasicOps:

@@ -9,9 +9,8 @@ supported width grid, in both engine modes (shared modulus: scalar
 plans and the rows entry point; per-row moduli: batch plans), and a
 warmed plan must allocate nothing.  The reference itself is anchored
 to the schoolbook negacyclic convolution, so the chain of trust is
-schoolbook -> reference -> engine.  Allocation is asserted by
-FakeBackend's device-allocation counter and the ``kernel.alloc.ntt``
-obs ledger.
+schoolbook -> reference -> engine.  Allocation is asserted by the
+``kernel.alloc.ntt`` obs ledger of the engine's arena.
 
 Batch-plan classes run on the butterfly this host has; their
 ``...Ufunc`` subclasses rerun them under the ``ufunc_ntt`` fixture (the
@@ -23,8 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.backend as backend_mod
 from repro import obs
+from repro.backend.arena import ledger_counters
 from repro.ckks import modmath, primes
 from repro.ckks.ntt import (BatchNttPlan, NttPlan, clear_batch_plan_cache,
                             get_batch_plan,
@@ -49,7 +48,7 @@ def _limb(q: int, n: int, seed: int) -> np.ndarray:
 
 
 def _host(arr) -> np.ndarray:
-    return np.asarray(backend_mod.to_host(arr), dtype=np.uint64)
+    return np.asarray(arr, dtype=np.uint64)
 
 
 def _reference(n: int, q: int) -> NttPlan:
@@ -232,7 +231,7 @@ class TestBatchDifferential:
         plan = get_batch_plan(N, moduli)
         limbs = [_limb(q, N, 7 + i) for i, q in enumerate(moduli)]
         reference = [_host(r) for r in plan.forward(limbs)]
-        block = plan.backend.empty((len(moduli), N), np.uint64)
+        block = np.empty((len(moduli), N), np.uint64)
         got = plan.forward(limbs, out=block)
         for a, b in zip(got, reference):
             np.testing.assert_array_equal(_host(a), b)
@@ -248,8 +247,7 @@ class TestBatchDifferential:
                  for i in range(2)]
         fwd = plan.forward(limbs)
         for i, q in enumerate(moduli):
-            got = np.asarray(backend_mod.to_host(fwd[i]),
-                             dtype=object) % q
+            got = np.asarray(fwd[i], dtype=object) % q
             want = _reference(n, q).forward(limbs[i])
             np.testing.assert_array_equal(got, want)
 
@@ -421,38 +419,47 @@ class TestCompiledKernel:
         assert "kernel.alloc.ntt" not in counters
 
 
-class TestZeroAllocation:
-    """Warmed fused plans make zero device allocations."""
+def _warmed_ntt_misses(call, arenas) -> float:
+    """``kernel.alloc.ntt`` pool misses of one ``call`` after a warmup
+    call; every arena in ``arenas`` must have served that call."""
+    obs.configure(enabled=True, reset=True)
+    try:
+        call()                                  # warmup: misses allowed
+        before = ledger_counters().get("kernel.alloc.ntt", 0.0)
+        hits = [arena.hits for arena in arenas]
+        call()
+        assert all(arena.hits > h for arena, h in zip(arenas, hits))
+        return ledger_counters().get("kernel.alloc.ntt", 0.0) - before
+    finally:
+        obs.configure(enabled=False, reset=True)
 
-    def test_warmed_batch_plan_allocates_nothing(self):
-        fake = backend_mod.get_backend("fake")
+
+class TestZeroAllocation:
+    """Warmed fused plans take every scratch buffer from their arena.
+    The arena is the ufunc engine's; the compiled kernel has none."""
+
+    def test_warmed_batch_plan_allocates_nothing(self, ufunc_ntt):
         moduli = (tuple(primes.ntt_primes(2, 28, N))
                   + tuple(primes.ntt_primes(2, 36, N)))
-        plan = get_batch_plan(N, moduli, backend=fake)
-        limbs = [fake.asarray(_limb(q, N, i))
-                 for i, q in enumerate(moduli)]
-        block = fake.empty((len(moduli), N), np.uint64)
-        # warmup: arena pool misses allocate the scratch buffers once
-        plan.forward(limbs, out=block)
-        plan.inverse(limbs, out=block)
-        fake.reset_counters()
-        plan.inverse(plan.forward(limbs, out=block), out=block)
-        counters = fake.transfer_counts()
-        assert counters["alloc"] == 0, counters
+        plan = get_batch_plan(N, moduli)
+        limbs = [_limb(q, N, i) for i, q in enumerate(moduli)]
+        block = np.empty((len(moduli), N), np.uint64)
+        misses = _warmed_ntt_misses(
+            lambda: plan.inverse(plan.forward(limbs, out=block),
+                                 out=block),
+            [engine.arena for _rows, engine in plan._engines])
+        assert misses == 0
 
-    def test_warmed_row_batch_allocates_only_the_row_copy(self):
+    def test_warmed_row_batch_allocates_only_the_row_copy(self, ufunc_ntt):
         from repro.serve.engine import RowBatchNtt
 
-        fake = backend_mod.get_backend("fake")
         q = _prime(36)
-        row_ntt = RowBatchNtt(N, q, backend=fake)
-        rows = fake.asarray(
-            np.stack([_limb(q, N, s) for s in range(4)]))
-        row_ntt.inverse(row_ntt.forward(rows))      # warm the arena
-        fake.reset_counters()
-        row_ntt.inverse(row_ntt.forward(rows))
-        counters = fake.transfer_counts()
-        assert counters["alloc"] == 0, counters
+        row_ntt = RowBatchNtt(N, q)
+        rows = np.stack([_limb(q, N, s) for s in range(4)])
+        misses = _warmed_ntt_misses(
+            lambda: row_ntt.inverse(row_ntt.forward(rows)),
+            [row_ntt._plan._get_engine().arena])
+        assert misses == 0
 
     def test_ledger_counts_misses_then_goes_quiet(self, ufunc_ntt):
         # the arena is the ufunc engine's; the compiled kernel has none
@@ -462,14 +469,12 @@ class TestZeroAllocation:
         try:
             clear_batch_plan_cache()
             plan = get_batch_plan(N, moduli)
-            block = plan.backend.empty((len(moduli), N), np.uint64)
+            block = np.empty((len(moduli), N), np.uint64)
             plan.forward(limbs, out=block)          # warmup: misses
-            warm = backend_mod.ledger_counters().get("kernel.alloc.ntt",
-                                                     0.0)
+            warm = ledger_counters().get("kernel.alloc.ntt", 0.0)
             assert warm > 0
             plan.inverse(plan.forward(limbs, out=block), out=block)
-            steady = backend_mod.ledger_counters().get(
-                "kernel.alloc.ntt", 0.0)
+            steady = ledger_counters().get("kernel.alloc.ntt", 0.0)
             assert steady == warm, (warm, steady)
         finally:
             obs.configure(enabled=False, reset=True)

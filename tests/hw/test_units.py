@@ -238,3 +238,13 @@ def test_property_benes_routes_everything(log_ports, seed):
     data = list(rng.integers(0, 1000, ports))
     out = net.apply(data, perm)
     assert all(out[perm[i]] == data[i] for i in range(ports))
+
+
+class TestChipConfig:
+    @pytest.mark.parametrize("field", [
+        "clusters", "lanes_per_cluster", "frequency_hz",
+        "onchip_bandwidth_bytes", "hbm_bandwidth_bytes"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_design_point_that_cannot_exist_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            FAST_CONFIG.with_(**{field: value})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.backend.arena import ledger_counters
 from repro.ckks import primes
 from repro.ckks.rns import get_plan
 from repro.core.optrace import TraceBuilder
@@ -147,6 +148,26 @@ class TestStackedBitExactness:
             serial = executor.run_serial(trace, seed)
             assert executor.digest_serial(serial) \
                 == executor.digest_row(batched, row)
+
+
+class TestZeroAllocation:
+    def test_warmed_run_batch_takes_all_ntt_scratch_from_the_arenas(
+            self, executor):
+        trace = get_shape("helr-mini-step")
+        seeds = [executor.request_seed(r) for r in range(3)]
+        arenas = [ntt._plan._get_engine().arena
+                  for ntt in executor._ctx["ntts"]]
+        obs.configure(enabled=True, reset=True)
+        try:
+            executor.run_batch(trace, seeds)            # warmup
+            before = sum(ledger_counters().values())
+            hits = [arena.hits for arena in arenas]
+            executor.run_batch(trace, seeds)
+            misses = sum(ledger_counters().values()) - before
+        finally:
+            obs.configure(enabled=False, reset=True)
+        assert all(arena.hits > h for arena, h in zip(arenas, hits))
+        assert misses == 0
 
 
 # (base seed, request id) -> digest of the ``helr-mini-step`` shape on
