@@ -202,7 +202,6 @@ def cmd_serve(args) -> int:
 
     config = ServerConfig(window_s=args.window_ms / 1e3,
                           max_batch=args.max_batch,
-                          clusters=args.clusters,
                           backend=args.backend,
                           workers=args.workers,
                           seed=args.seed)
@@ -239,7 +238,6 @@ def cmd_loadgen(args) -> int:
 
     config = ServerConfig(window_s=args.window_ms / 1e3,
                           max_batch=args.max_batch,
-                          clusters=args.clusters,
                           backend=args.backend,
                           workers=args.workers)
     report = run_loadgen(config=config, shape=args.shape,
@@ -340,9 +338,8 @@ def main(argv=None) -> int:
 
     def server_arguments(cmd):
         cmd.add_argument("--window-ms", type=float, default=2.0,
-                         help="batch admission window (milliseconds)")
+                         help="admission window when idle (milliseconds)")
         cmd.add_argument("--max-batch", type=int, default=16)
-        cmd.add_argument("--clusters", type=int, default=4)
         cmd.add_argument("--backend", default="stacked",
                          choices=["stacked", "pool"])
         cmd.add_argument("--workers", type=int, default=4,

@@ -4,9 +4,10 @@ The first layer that turns the repo from a trace replayer into a
 server: an asyncio front-end (:mod:`repro.serve.server`) accepts
 encode/encrypt/eval/decrypt jobs from named tenants (in-process async
 API plus a JSON-over-TCP endpoint), a batching queue
-(:mod:`repro.serve.batcher`) groups compatible requests within a
-configurable admission window and stacks them into one
-batch-vectorised execution (:mod:`repro.serve.engine` — the
+(:mod:`repro.serve.batcher`) groups compatible requests while the
+previous batch computes (or, on an idle server, within a short
+admission window) and stacks them into one batch-vectorised
+execution (:mod:`repro.serve.engine` — the
 whole-batch counterpart of the functional executor, built on the
 batched NTT of :mod:`repro.ckks.ntt`), a tenant manager
 (:mod:`repro.serve.tenants`) shares the Hemera evk pool across

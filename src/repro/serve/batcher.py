@@ -1,12 +1,13 @@
 """Admission batching and evk-aware stream ordering.
 
 :class:`BatchQueue` is the pure bookkeeping behind the server's
-admission window: requests group by :class:`BatchKey` — ``(kind,
+admission: requests group by :class:`BatchKey` — ``(kind,
 shape)``, i.e. identical params, level schedule and op sequence, the
 exact condition under which the stream machinery can stack them into
 one batch-vectorised execution.  The queue holds no clock and no
-timers; the asyncio server owns both and calls ``take`` when a
-group's window expires or it reaches ``max_batch``.
+timers; the asyncio server owns both and calls ``take`` on the
+oldest group (the first of ``pending_keys``) whenever its compute
+slot is free.
 
 :func:`evk_aware_order` is the cross-stream admission policy for
 *mixed* queues headed to the throughput scheduler: streams are
@@ -40,7 +41,7 @@ class BatchKey:
 
 @dataclass
 class PendingBatch:
-    """One open admission group waiting on its window."""
+    """One admission group waiting for the compute slot."""
 
     key: BatchKey
     requests: list = field(default_factory=list)
@@ -60,9 +61,9 @@ class BatchQueue:
         """Enqueue one request.
 
         Returns ``(key, opened, full)``: ``opened`` is True when this
-        request opened a new admission group (the caller should arm
-        its window timer), ``full`` when the group just reached
-        ``max_batch`` (the caller should flush it immediately).
+        request opened a new admission group, ``full`` when the group
+        just reached ``max_batch`` (there is no reason to wait for
+        more).
         """
         key = BatchKey(request.kind, request.shape)
         batch = self._pending.get(key)
@@ -74,15 +75,25 @@ class BatchQueue:
         return key, opened, len(batch.requests) >= self.max_batch
 
     def take(self, key: BatchKey) -> list:
-        """Remove and return one group's requests (empty if gone)."""
-        batch = self._pending.pop(key, None)
-        return batch.requests if batch is not None else []
+        """Remove and return up to ``max_batch`` of one group's
+        requests, oldest first (empty if gone).  A remainder stays
+        pending, in its place, under the group's original
+        ``opened_s``."""
+        batch = self._pending.get(key)
+        if batch is None:
+            return []
+        taken = batch.requests[:self.max_batch]
+        del batch.requests[:self.max_batch]
+        if not batch.requests:
+            del self._pending[key]
+        return taken
 
     def depth(self) -> int:
         """Requests currently queued across all open groups."""
         return sum(len(b.requests) for b in self._pending.values())
 
     def pending_keys(self) -> list[BatchKey]:
+        """Open groups, oldest first."""
         return list(self._pending)
 
     def __len__(self) -> int:

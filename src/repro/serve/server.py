@@ -1,4 +1,4 @@
-"""The asyncio serving front-end: admission window -> stacked batch.
+"""The asyncio serving front-end: work-conserving admission -> stacked batch.
 
 :class:`FheServer` accepts encode/encrypt/eval/decrypt jobs from
 named tenants through two doors — the in-process async API
@@ -9,24 +9,24 @@ digest of the request's final ciphertext state.
 The serving loop:
 
 1. ``submit`` assigns the request its id-derived data seed
-   (``request_seed``) and drops it into the :class:`BatchQueue`.
-   The first request of a ``(kind, shape)`` group arms that group's
-   admission-window timer (``window_s``); a group flushes early the
-   moment it reaches ``max_batch``.
-2. On flush the batch acquires every member tenant's evk working set
+   (``request_seed``) and drops it into the :class:`BatchQueue`,
+   which groups requests by ``(kind, shape)``.
+2. At most one batch is in flight, on a single dedicated compute
+   thread, so the event loop keeps admitting while it runs.
+   Arrivals wait in their group; the moment the batch returns, the
+   compute slot is freed and the oldest pending group is cut at
+   once, up to ``max_batch`` (a remainder stays oldest).  Only a
+   request that finds the server idle waits out the admission
+   window (``window_s``), so near-simultaneous arrivals share a
+   batch; a group that reaches ``max_batch`` is cut early.
+3. A cut batch acquires every member tenant's evk working set
    through the :class:`TenantKeyManager` (quota check, pinning —
    in-flight keys are never evicted), then executes the whole group
    as ONE stacked run on the :class:`ServeExecutor` — in-process
    vectorised (``backend="stacked"``) or fanned across the resident
-   :class:`FunctionalExecutor` fork pool (``backend="pool"``).
-   Compute runs on a single dedicated worker thread so the event
-   loop keeps admitting requests while a batch executes.
-3. Each admitted shape also runs once through the optimiser pipeline
-   (:func:`repro.opt.pipeline.optimise_trace`, cached per shape) and
-   each admitted ``(shape, batch)`` point is priced on the
-   throughput scheduler sim — the response path stays bit-exact by
-   executing the *original* trace while the sim prices the optimised
-   one.
+   :class:`FunctionalExecutor` fork pool (``backend="pool"``).  Its
+   leases are released and its digests computed after the slot is
+   freed, while the next batch computes.
 
 Batching is invisible in the bits: a response digest depends only on
 ``(shape, request_id)``, never on batch-mates, so every response can
@@ -47,8 +47,7 @@ from repro.core.hemera import EvkPool
 from repro.hw.config import FAST_CONFIG
 from repro.hw.memory import PartitionedKeyCache
 from repro.sched.executor import FunctionalExecutor
-from repro.serve.batcher import (BatchKey, BatchQueue, evk_aware_order,
-                                 evk_working_set)
+from repro.serve.batcher import BatchKey, BatchQueue, evk_working_set
 from repro.serve.engine import ServeExecutor
 from repro.serve.jobs import (EVAL, JOB_KINDS, ServeRequest,
                               ServeResponse, default_shape, get_shape,
@@ -64,17 +63,14 @@ BACKENDS = (STACKED, POOL)
 class ServerConfig:
     """Everything one server instance is allowed to decide."""
 
-    window_s: float = 0.002        # admission window per batch group
-    max_batch: int = 16            # flush early at this group size
-    clusters: int = 4              # sim-pricing design point
+    window_s: float = 0.002        # admission window when idle
+    max_batch: int = 16            # cut early at this group size
     backend: str = STACKED         # "stacked" | "pool"
     workers: int = 4               # fork-pool width (pool backend)
     ring_degree: int = 256
     num_limbs: int = 3
     prime_bits: int = 36
     seed: int = 20250806           # base seed; requests mix their id in
-    optimise: bool = True          # run the optimiser per admitted shape
-    price_sim: bool = True         # price (shape, batch) on the scheduler
     evk_method: str = HYBRID
     key_storage_bytes: float = FAST_CONFIG.key_storage_bytes
     tenant_quota_bytes: float | None = None   # default: full capacity
@@ -104,16 +100,13 @@ class FheServer:
         for tenant, quota in config.tenant_quotas.items():
             self.tenants.register(tenant, quota)
         self.queue = BatchQueue(config.max_batch)
-        self._timers: dict[BatchKey, asyncio.TimerHandle] = {}
+        self._window: asyncio.TimerHandle | None = None
+        self._busy = False          # a batch holds the compute thread
         self._waiters: dict[int, asyncio.Future] = {}
         self._inflight: set[asyncio.Task] = set()
         self._next_request_id = 0
         self._compute = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-compute")
-        self._sim_engine = None
-        self._opt_stats: dict[str, dict] = {}
-        self._opt_traces: dict[str, object] = {}
-        self._price_cache: dict[tuple[str, int], dict] = {}
         # Running tallies for stats().
         self.responses = 0
         self.batch_sizes: list[int] = []
@@ -158,67 +151,82 @@ class FheServer:
         future: asyncio.Future = loop.create_future()
         self._waiters[request_id] = future
         obs.count("serve.requests")
-        key, opened, full = self.queue.add(request,
-                                           now_s=request.submitted_s)
+        _, _, full = self.queue.add(request, now_s=request.submitted_s)
         self.max_queue_depth = max(self.max_queue_depth,
                                    self.queue.depth())
         obs.observe("serve.queue_depth", self.queue.depth())
         if full:
-            self._flush(key)
-        elif opened:
-            self._timers[key] = loop.call_later(
-                self.config.window_s, self._flush, key)
+            self._cut()
+        elif not self._busy and self._window is None:
+            self._window = loop.call_later(self.config.window_s,
+                                           self._cut)
         return await future
 
     # -- batch lifecycle -------------------------------------------------
-    def _flush(self, key: BatchKey) -> None:
-        timer = self._timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
-        requests = self.queue.take(key)
-        if not requests:
-            return
-        task = asyncio.get_running_loop().create_task(
-            self._dispatch(key, requests))
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+    def _cut(self) -> None:
+        """Start the oldest pending group if the compute slot is free.
 
-    async def _dispatch(self, key: BatchKey, requests: list) -> None:
+        The one dispatch path: the idle window's timer, a group
+        reaching ``max_batch``, a finished batch and ``close`` all
+        come here.  The slot is taken only when compute is submitted,
+        so a group whose every member is refused a key quota never
+        holds it; the next group is tried instead.
+        """
+        if self._window is not None:
+            self._window.cancel()
+            self._window = None
         loop = asyncio.get_running_loop()
-        tracer = obs.get_tracer()
-        trace = get_shape(key.shape)
-        working = evk_working_set(trace, self.config.evk_method)
-        leases, admitted = [], []
-        for request in requests:
-            self.tenants.count_request(request.tenant)
-            try:
-                if working:
-                    leases.append(
-                        self.tenants.acquire(request.tenant, working))
-                admitted.append(request)
-            except TenantQuotaError as exc:
-                self._resolve(request, error=str(exc))
-        if not admitted:
-            return
-        self._prepare_shape(key.shape)
-        seeds = [request_seed(self.config.seed, r.request_id)
-                 for r in admitted]
+        while not self._busy and self.queue:
+            key = self.queue.pending_keys()[0]
+            requests = self.queue.take(key)
+            trace = get_shape(key.shape)
+            working = evk_working_set(trace, self.config.evk_method)
+            leases, admitted = [], []
+            for request in requests:
+                self.tenants.count_request(request.tenant)
+                try:
+                    if working:
+                        leases.append(
+                            self.tenants.acquire(request.tenant, working))
+                    admitted.append(request)
+                except TenantQuotaError as exc:
+                    self._resolve(request, error=str(exc))
+            if not admitted:
+                continue
+            seeds = [request_seed(self.config.seed, r.request_id)
+                     for r in admitted]
+            done = loop.run_in_executor(self._compute, self._execute,
+                                        trace, seeds)
+            self._busy = True
+            task = loop.create_task(
+                self._finish(key, admitted, leases, done))
+            self._inflight.add(task)
+            task.add_done_callback(self._inflight.discard)
+
+    async def _finish(self, key: BatchKey, admitted: list, leases: list,
+                      done: asyncio.Future) -> None:
+        """Await one batch, free the slot, then answer its requests."""
+        error = None
         try:
-            with tracer.span("serve.batch", shape=key.shape,
-                             kind=key.kind, size=len(admitted)):
-                state = await loop.run_in_executor(
-                    self._compute, self._execute, trace, seeds)
+            with obs.get_tracer().span("serve.batch", shape=key.shape,
+                                       kind=key.kind, size=len(admitted)):
+                state = await done
         except Exception as exc:  # compute must never strand waiters
+            error = f"execution failed: {exc}"
+        finally:
+            # Exactly once per batch, and before the leases and the
+            # digests, so the next batch computes while this one is
+            # answered.
+            self._busy = False
+            self._cut()
             for lease in leases:
                 self.tenants.release(lease)
+        if error is not None:
             for request in admitted:
-                self._resolve(request, error=f"execution failed: {exc}")
+                self._resolve(request, error=error)
             return
-        for lease in leases:
-            self.tenants.release(lease)
-        if self.config.price_sim:
-            self._price(key.shape, len(admitted))
         self.batch_sizes.append(len(admitted))
+        tracer = obs.get_tracer()
         if tracer.enabled:
             tracer.count("serve.batches")
             tracer.observe("serve.batch_size", len(admitted))
@@ -257,52 +265,6 @@ class FheServer:
             request_id=request.request_id, tenant=request.tenant,
             kind=request.kind, shape=request.shape, digest=digest,
             batch_size=batch_size, latency_ms=latency_ms, error=error))
-
-    # -- optimiser + sim pricing ----------------------------------------
-    def _prepare_shape(self, shape: str) -> None:
-        """Once per shape: run the optimiser pipeline over the trace.
-
-        The optimised trace prices the scheduler sim; the response
-        path executes the original trace (the functional transform is
-        op-index-sensitive, so rewriting would change digests).
-        """
-        if not self.config.optimise or shape in self._opt_stats:
-            return
-        try:
-            from repro.opt.pipeline import optimise_trace
-            optimised = optimise_trace(get_shape(shape), SET_II)
-            self._opt_traces[shape] = optimised
-            self._opt_stats[shape] = optimised.stats.as_dict()
-        except Exception as exc:
-            self._opt_stats[shape] = {"error": str(exc)}
-
-    def _sim(self):
-        if self._sim_engine is None:
-            from repro.sched.simulate import ScheduledEngine
-            config = FAST_CONFIG.with_(
-                name=f"FAST-{self.config.clusters}C",
-                clusters=self.config.clusters,
-                key_storage_bytes=self.config.key_storage_bytes)
-            self._sim_engine = ScheduledEngine(config)
-        return self._sim_engine
-
-    def _price(self, shape: str, batch: int) -> dict:
-        """Scheduler-sim cost of one admitted ``(shape, batch)``."""
-        key = (shape, batch)
-        cached = self._price_cache.get(key)
-        if cached is None:
-            try:
-                trace = self._opt_traces.get(shape) or get_shape(shape)
-                result = self._sim().run_streams(trace, batch)
-                cached = {
-                    "sim_total_s": result.total_s,
-                    "sim_amortized_s": result.amortized_s,
-                    "prefetch_misses": result.prefetch_misses,
-                }
-            except Exception as exc:
-                cached = {"error": str(exc)}
-            self._price_cache[key] = cached
-        return cached
 
     # -- TCP endpoint ----------------------------------------------------
     async def start_tcp(self, host: str = "127.0.0.1",
@@ -381,36 +343,16 @@ class FheServer:
             "window_ms": self.config.window_s * 1e3,
             "max_batch": self.config.max_batch,
             "tenancy": self.tenants.to_dict(),
-            "optimiser": dict(self._opt_stats),
-            "pricing": {f"{shape}@{batch}": price for (shape, batch),
-                        price in sorted(self._price_cache.items())},
         }
 
     def flush_all(self) -> None:
-        """Flush every pending group now, in evk-aware order.
-
-        When several groups are ready at once (drain, shutdown), the
-        cross-stream admission policy applies: groups are ordered by
-        evaluation-key working set (:func:`evk_aware_order`) so
-        shared-key batches reach the tenant key manager back to back
-        and reuse residency instead of thrashing the key store.
-        """
-        keys = self.queue.pending_keys()
-        if not keys:
-            return
-        sets = [evk_working_set(get_shape(key.shape),
-                                self.config.evk_method) for key in keys]
-        # Contiguous grouping (clusters=1): the batches drain through
-        # one shared key store, so temporal adjacency is the win.
-        for position in evk_aware_order(sets):
-            self._flush(keys[position])
+        """End the idle admission window now: the oldest group is cut
+        if the compute slot is free, and the rest follow as it frees."""
+        self._cut()
 
     async def close(self) -> None:
-        """Flush pending groups, drain in-flight batches, shut down."""
+        """Drain pending groups through the dispatch path, shut down."""
         self._closed = True
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
         self.flush_all()
         while self._inflight:
             await asyncio.gather(*list(self._inflight),

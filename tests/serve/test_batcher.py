@@ -33,6 +33,20 @@ class TestBatchQueue:
         assert [r.request_id for r in queue.take(key)] == [0, 1]
         assert queue.take(key) == []        # take is destructive
 
+    def test_take_caps_at_max_batch_and_keeps_the_rest_oldest(self):
+        queue = BatchQueue(max_batch=16)
+        for rid in range(20):
+            key, _, _ = queue.add(request(rid), now_s=1.0)
+        queue.add(request(20, shape="encode-mini", kind="encode"),
+                  now_s=2.0)
+        assert [r.request_id for r in queue.take(key)] == list(range(16))
+        # The remainder keeps its place and its opening time.
+        assert queue.pending_keys()[0] == key
+        assert queue._pending[key].opened_s == 1.0
+        assert [r.request_id for r in queue.take(key)] == \
+            list(range(16, 20))
+        assert queue.pending_keys() == [BatchKey("encode", "encode-mini")]
+
     def test_distinct_shapes_do_not_mix(self):
         queue = BatchQueue(max_batch=8)
         queue.add(request(0, shape="helr-mini-step"))

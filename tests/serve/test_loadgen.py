@@ -14,7 +14,7 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 
 def small_config(**overrides):
     base = dict(ring_degree=64, num_limbs=2, window_s=0.005,
-                max_batch=8, optimise=False, price_sim=False)
+                max_batch=8)
     base.update(overrides)
     return ServerConfig(**base)
 

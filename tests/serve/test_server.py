@@ -2,16 +2,18 @@
 
 import asyncio
 import json
+import threading
 
 import pytest
 
-from repro.serve.jobs import get_shape, request_seed
+from repro.serve.batcher import evk_working_set
+from repro.serve.jobs import default_shape, get_shape, request_seed
 from repro.serve.server import FheServer, ServerConfig
 
 
 def small_config(**overrides):
     base = dict(ring_degree=64, num_limbs=2, window_s=0.01,
-                max_batch=8, optimise=False, price_sim=False)
+                max_batch=8)
     base.update(overrides)
     return ServerConfig(**base)
 
@@ -119,6 +121,127 @@ class TestSubmit:
         assert stats["mean_batch"] == 3.0
         assert stats["tenancy"]["tenants"]["t"]["requests"] == 3
         assert stats["tenancy"]["pin_violations"] == 0
+
+
+async def until(ready, timeout_s: float = 10.0) -> None:
+    """Yield to the loop until ``ready()`` (set by the compute thread)."""
+    for _ in range(int(timeout_s / 0.001)):
+        if ready():
+            return
+        await asyncio.sleep(0.001)
+    raise TimeoutError("the compute thread never got there")
+
+
+class TestWorkConserving:
+    """One batch in flight; the next is cut the moment compute frees."""
+
+    def test_backlog_grows_the_next_batch(self):
+        config = small_config(max_batch=4)
+        held_first = [("eval", 1), ("encode", 11), ("eval", 2),
+                      ("eval", 3), ("encode", 12), ("eval", 4),
+                      ("eval", 5), ("eval", 6)]
+        held_second = [("eval", 7), ("encode", 13)]
+
+        async def body(server):
+            # One permit per batch: each batch holds the compute
+            # thread until the test lets it go.
+            permits, batches = threading.Semaphore(0), []
+            execute = server._execute
+
+            def held(trace, seeds):
+                batches.append((trace.name, list(seeds)))
+                assert permits.acquire(timeout=10.0)
+                return execute(trace, seeds)
+
+            server._execute = held
+
+            def submit(arrivals):
+                return [asyncio.ensure_future(server.submit(
+                    f"t{rid % 3}", kind=kind, request_id=rid))
+                    for kind, rid in arrivals]
+
+            pending = [asyncio.ensure_future(server.submit("t",
+                                                           request_id=0))]
+            await until(lambda: batches)
+            pending += submit(held_first)
+            await asyncio.sleep(0)
+            # Everything waits in its group while the batch is held.
+            assert len(batches) == 1
+            assert server.queue.depth() == len(held_first)
+            permits.release()
+            await until(lambda: len(batches) == 2)
+            pending += submit(held_second)
+            # Longer than the window: nothing is cut while one batch
+            # holds compute, however the slot was freed last time.
+            await asyncio.sleep(3 * config.window_s)
+            assert len(batches) == 2
+            assert server.queue.depth() == 4 + len(held_second)
+            permits.release(len(pending))
+            responses = await asyncio.gather(*pending)
+            oracle = {r.request_id: server.executor.digest_serial(
+                server.executor.run_serial(
+                    get_shape(r.shape),
+                    request_seed(config.seed, r.request_id)))
+                for r in responses}
+            return batches, responses, oracle
+
+        batches, responses, oracle = run(with_server(config, body))
+        rid_of = {request_seed(config.seed, rid): rid
+                  for rid in range(14)}
+        cut = [(name, [rid_of[seed] for seed in seeds])
+               for name, seeds in batches]
+        eval_shape, encode_shape = (get_shape(default_shape(kind)).name
+                                    for kind in ("eval", "encode"))
+        # Oldest group first, each cut up to max_batch: the backlog
+        # fills the next batch, and the eval remainder keeps its
+        # group's place ahead of the encode group.  So no request waits
+        # behind more than one batch of its own group.
+        assert cut == [(eval_shape, [0]),
+                       (eval_shape, [1, 2, 3, 4]),
+                       (eval_shape, [5, 6, 7]),
+                       (encode_shape, [11, 12, 13])]
+        by_id = {r.request_id: r for r in responses}
+        assert [by_id[rid].batch_size for rid in (0, 1, 5, 11)] == \
+            [1, 4, 3, 3]
+        for response in responses:
+            assert response.ok
+            assert response.digest == oracle[response.request_id]
+
+    def test_failed_and_refused_batches_free_the_slot(self):
+        config = small_config(tenant_quotas={"capped": 1.0})
+
+        async def body(server):
+            execute, calls = server._execute, []
+
+            def fails_once(trace, seeds):
+                calls.append(seeds)
+                if len(calls) == 1:
+                    raise RuntimeError("injected fault")
+                return execute(trace, seeds)
+
+            server._execute = fails_once
+            # A slot left taken would hang the next submit: bound each.
+            return [await asyncio.wait_for(
+                server.submit(tenant, request_id=rid), timeout=10.0)
+                for rid, tenant in enumerate(("a", "capped", "b"))]
+
+        async def scenario():
+            server = FheServer(config)
+            try:
+                responses = await body(server)
+            finally:
+                await server.close()
+            return server, responses
+
+        server, (failed, refused, served) = run(scenario())
+        assert "execution failed: injected fault" in failed.error
+        assert "quota" in refused.error
+        assert served.ok and served.batch_size == 1
+        cache = server.tenants.cache
+        working = evk_working_set(get_shape(served.shape),
+                                  config.evk_method)
+        assert working and not any(cache.pinned(key) for key in working)
+        assert server.tenants.pin_violations == 0
 
 
 class TestTcpEndpoint:
