@@ -267,9 +267,8 @@ class CkksContext:
         # A constant polynomial evaluates to ``value mod q_i`` at every
         # NTT point, so its EVAL form needs no coefficient list and no
         # transform.
-        n = self.params.ring_degree
-        poly = RnsPoly([modmath.add(modmath.zeros(n, q), value, q)
-                        for q in ct.moduli], ct.moduli, rns.EVAL)
+        poly = RnsPoly.zeros(self.params.ring_degree, ct.moduli, rns.EVAL)
+        poly.data[:] = [[value % q] for q in ct.moduli]
         return Ciphertext(ct.c0 + poly, ct.c1.copy(), ct.scale, ct.level)
 
     def _check_plain(self, ct: Ciphertext, pt: Plaintext,

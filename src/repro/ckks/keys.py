@@ -82,6 +82,11 @@ class KeySwitchKey:
     ``b_j = -a_j s + e_j + factor_j * s_from``.  ``aux_count`` is the
     number of trailing auxiliary limbs (P or T) removed by ModDown.
     For KLSS keys, ``digit_bits`` records the gadget width ``v``.
+
+    The key lives in one ``(2, d, k, N)`` block, :attr:`weights`
+    (``weights[0, j]`` is ``b_j``, ``weights[1, j]`` is ``a_j``); the
+    parts are views of it, so the fused KeyMult reads the key where it
+    is stored instead of keeping a second copy.
     """
 
     method: str
@@ -90,6 +95,18 @@ class KeySwitchKey:
     aux_count: int
     digit_bits: int = 0
     digit_indices: tuple = ()
+
+    def __post_init__(self):
+        if not self.parts:
+            object.__setattr__(self, "weights", None)
+            return
+        weights = np.stack([np.stack([pair[h].data for pair in self.parts])
+                            for h in range(2)])
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "parts", tuple(
+            tuple(RnsPoly._of(weights[h, j], part.moduli, part.form)
+                  for h, part in enumerate(pair))
+            for j, pair in enumerate(self.parts)))
 
     @property
     def num_digits(self) -> int:
@@ -130,9 +147,9 @@ def _rlwe_pair(secret_eval: RnsPoly, payload_eval: RnsPoly | None,
                rng: np.random.Generator) -> tuple[RnsPoly, RnsPoly]:
     """Sample ``(b, a)`` with ``b = -a s + e (+ payload)`` in eval form."""
     n = params.ring_degree
-    # random_uniform samples straight into the modulus's width path
-    # (int64 narrow / uint64 wide), so evk generation at 36/60-bit
-    # primes never touches arbitrary-precision arrays.
+    # random_uniform samples straight into the modulus's width path,
+    # so evk generation at 36/60-bit primes never touches
+    # arbitrary-precision arrays.
     a = RnsPoly([modmath.random_uniform(n, q, rng) for q in moduli],
                 moduli, rns.EVAL)
     e = RnsPoly.from_int_coeffs(

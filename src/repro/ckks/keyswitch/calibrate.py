@@ -65,8 +65,9 @@ def calibrate_kernel_costs(ring_degree: int = CALIBRATE_RING_DEGREE,
 
     def ntt_unit(moduli) -> float:
         """One batched forward pass over the basis, per butterfly."""
-        limbs = [modmath.random_uniform(n, q, rng) for q in moduli]
-        return (timed(lambda: transform_limbs(limbs, moduli, n))
+        block = modmath.as_block(
+            [modmath.random_uniform(n, q, rng) for q in moduli], moduli)
+        return (timed(lambda: transform_limbs(block, moduli, n))
                 / (len(moduli) * cost.ntt_ops(n)))
 
     def keymult_unit(method: str) -> float:
@@ -88,7 +89,7 @@ def calibrate_kernel_costs(ring_degree: int = CALIBRATE_RING_DEGREE,
     poly = rns.RnsPoly([modmath.random_uniform(n, q, rng)
                         for q in specials], specials, rns.COEFF)
     plan = rns.get_bconv_plan(specials, q_chain)
-    bconv_unit = (timed(lambda: plan.convert(poly.limbs))
+    bconv_unit = (timed(lambda: plan.convert(poly))
                   / cost.bconv_ops(n, len(specials), len(q_chain)))
 
     return MeasuredKernelCosts(

@@ -23,6 +23,8 @@ simultaneously) for NTT work — exactly the tension Aether arbitrates.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.ckks import rns
 from repro.ckks.ciphertext import Ciphertext
 from repro.ckks.keys import HYBRID, KLSS, KeySwitchKey
@@ -77,8 +79,8 @@ def permute_and_accumulate(stacked, plan: KeyMultPlan,
     """Per-rotation AutoU + KMU stage on a stacked digit tensor.
 
     ``stacked`` is the ``(d, k, N)`` tensor from ``plan.stack`` (built
-    once per hoisted batch); the automorphism is one fancy-index
-    gather of evaluation slots across the whole tensor, and the fused
+    once per hoisted batch); the automorphism is one gather of
+    evaluation slots across the whole tensor, and the fused
     plan accumulates the KeyMult.  No NTT runs anywhere in here —
     ``tests/ckks/test_hoisting.py`` pins that down via the ``ntt.*``
     counters.
@@ -87,7 +89,7 @@ def permute_and_accumulate(stacked, plan: KeyMultPlan,
     tracer = get_tracer()
     if tracer.enabled:
         tracer.count("keyswitch.hoisting.auto_gather")
-    return plan.accumulate(stacked[:, :, auto.eval_perm])
+    return plan.accumulate(np.take(stacked, auto.eval_perm, axis=2))
 
 
 def hoisted_rotations(ct: Ciphertext, galois_elements: list[int],

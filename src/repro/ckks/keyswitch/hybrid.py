@@ -9,8 +9,8 @@ in NTTs), multiplied element-wise with its evaluation-key pair
 
 The KeyMult stage runs through a cached :class:`KeyMultPlan` — the
 software analogue of FAST's KMU, a 3x256 output-stationary systolic
-array: the key's digit parts are stacked once into ``(2, d, k, N)``
-uint64 tensors, and the per-digit products are *accumulated lazily*
+array: the key is stored as one ``(2, d, k, N)`` uint64 block, read in
+place, and the per-digit products are *accumulated lazily*
 (raw uint64 or 128-bit hi/lo split-limb sums) across all digits
 before a single reduction per limb, instead of reducing — and
 allocating two ``RnsPoly`` temporaries — per digit.
@@ -30,13 +30,15 @@ from repro.ckks.rns import RnsPoly
 from repro.obs.tracer import get_tracer
 
 _U64_ONE = np.uint64(1)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 def digits_to_eval(digits: list[RnsPoly]) -> list[RnsPoly]:
     """Forward-NTT every limb of every digit in one batched call.
 
-    The decomposed digits share one basis, so their limb stacks
-    concatenate into a single ``(d * k, N)`` batched transform — one
+    The decomposed digits share one basis, so their blocks stack into
+    a single ``(d * k, N)`` batched transform, run in place — one
     stage-vectorised pass instead of ``d`` separate ``to_eval`` calls.
     Digits that do not share a coefficient-form basis fall back to
     per-digit conversion (bit-identical either way).
@@ -48,11 +50,15 @@ def digits_to_eval(digits: list[RnsPoly]) -> list[RnsPoly]:
     if any(d.moduli != moduli or d.form != rns.COEFF or d.n != n
            for d in digits):
         return [d.to_eval() for d in digits]
-    flat = [limb for d in digits for limb in d.limbs]
-    evaluated = transform_limbs(flat, moduli * len(digits), n)
-    k = len(moduli)
-    return [RnsPoly(evaluated[j * k:(j + 1) * k], moduli, rns.EVAL)
-            for j in range(len(digits))]
+    return _eval_in_place(np.stack([d.data for d in digits]), moduli)
+
+
+def _eval_in_place(block: np.ndarray, moduli) -> list[RnsPoly]:
+    """Forward-NTT a ``(d, k, N)`` coefficient block in place (one
+    batched call over its ``(d * k, N)`` rows); the digits are views."""
+    rows = block.reshape(-1, block.shape[-1])
+    transform_limbs(rows, moduli * len(block), block.shape[-1], out=rows)
+    return [RnsPoly._of(digit, moduli, rns.EVAL) for digit in block]
 
 
 def hybrid_decompose(poly: RnsPoly, key: KeySwitchKey,
@@ -75,7 +81,9 @@ def hybrid_decompose(poly: RnsPoly, key: KeySwitchKey,
         raise ValueError(
             f"key has {key.num_digits} digits, input needs {len(digits)}")
     extended = rns.mod_up(poly, digits, q_moduli, p_moduli)
-    return digits_to_eval(extended)
+    # mod_up's digits are the rows of one (d, k, N) block it just made:
+    # transform that block where it lies
+    return _eval_in_place(extended[0].data.base, key.moduli)
 
 
 # -- fused KeyMult (software KMU) -----------------------------------------
@@ -86,7 +94,8 @@ class KeyMultPlan:
     Built once per key (see :func:`get_key_mult_plan`) and cached on
     the key object.  The key's ``num_digits`` RLWE pairs are stacked
     into two ``(d, k, N)`` uint64 weight tensors (``b`` and ``a``
-    halves), and :meth:`accumulate` computes ``sum_j digit_j * w_j``
+    halves: the key's own :attr:`~repro.ckks.keys.KeySwitchKey.weights`
+    block, not a copy), and :meth:`accumulate` computes ``sum_j digit_j * w_j``
     with the reduction *deferred across all digits* — the
     output-stationary dataflow of FAST's KMU systolic array.  Three
     accumulation tiers, chosen from the widest modulus and the digit
@@ -115,9 +124,9 @@ class KeyMultPlan:
     falls back to the per-digit reference loop for those.
     """
 
-    __slots__ = ("moduli", "num_digits", "n", "tier", "_w", "_w32",
+    __slots__ = ("moduli", "num_digits", "n", "tier", "_w",
                  "_q_col", "_q_inv", "_r_hi", "_r_lo32", "_r_hi32",
-                 "_kernels", "_arena")
+                 "_arena")
 
     def __init__(self, key: KeySwitchKey):
         self.moduli = key.moduli
@@ -127,30 +136,23 @@ class KeyMultPlan:
         if tier is None:
             raise ValueError("key does not fit the fused KeyMult budgets")
         self.tier = tier
-        k = len(self.moduli)
-        self._kernels = [modmath.get_kernel(q) for q in self.moduli]
-        w = np.empty((2, self.num_digits, k, self.n), dtype=np.uint64)
-        for j, (b_j, a_j) in enumerate(key.parts):
-            for half, part in enumerate((b_j, a_j)):
-                if part.form != rns.EVAL:
-                    raise ValueError("key parts must be in evaluation form")
-                for i, limb in enumerate(part.limbs):
-                    w[half, j, i] = limb
-        self._w = w
+        if any(part.form != rns.EVAL for pair in key.parts for part in pair):
+            raise ValueError("key parts must be in evaluation form")
+        self._w = key.weights
         self._q_col = np.array(self.moduli, dtype=np.uint64).reshape(-1, 1)
         if tier == "float":
             self._q_inv = np.array(
                 [modmath.float_companion(1, q) for q in self.moduli]
             ).reshape(-1, 1)
         elif tier == "hilo":
-            # The split-operand 128-bit kernels: weight and
-            # Barrett-ratio tables pre-split once into uint32 halves.
+            # The split-operand 128-bit kernels: Barrett-ratio columns
+            # pre-split once into uint32 halves (the weights are split
+            # per digit into scratch, so the key is held once).
             consts = [modmath.barrett_constants(q) for q in self.moduli]
             self._r_hi = np.array(
                 [c[0] for c in consts], dtype=np.uint64).reshape(-1, 1)
             r_lo = np.array(
                 [c[1] for c in consts], dtype=np.uint64).reshape(-1, 1)
-            self._w32 = modmath.split32(self._w)
             self._r_lo32 = modmath.split32(r_lo)
             self._r_hi32 = modmath.split32(self._r_hi)
         self._arena = WorkspaceArena("kmu")
@@ -173,8 +175,7 @@ class KeyMultPlan:
                 raise ValueError("decomposed digits must be in eval form")
             if digit.moduli != self.moduli:
                 raise ValueError("digit basis does not match the key")
-            for i, limb in enumerate(digit.limbs):
-                out[j, i] = limb
+            out[j] = digit.data
         return out
 
     def accumulate(self, stacked: np.ndarray) -> tuple[RnsPoly, RnsPoly]:
@@ -216,16 +217,23 @@ class KeyMultPlan:
                 modmath.mul_float_lazy_into(acc, _U64_ONE, q_inv, q, acc, s)
                 modmath.cond_sub_into(acc, q, term)
         else:
-            hi, lo, p_hi, p_lo = arena.take_many("hilo", 4, (k, n))
+            hi, lo, p_hi, p_lo, w_lo, w_hi = arena.take_many(
+                "hilo", 6, (k, n))
             s = arena.take_many("scratch", 8, (k, n))
             carry = arena.take("carry", (k, n), dtype=bool)
-            w_lo, w_hi = self._w32
+
+            def split(w):
+                np.bitwise_and(w, _MASK32, out=w_lo)
+                np.right_shift(w, _SHIFT32, out=w_hi)
+                return w_lo, w_hi
+
             for half in range(2):
-                modmath.mul128_into(stacked[0], w_lo[half, 0],
-                                    w_hi[half, 0], hi, lo, s[:4])
+                modmath.mul128_into(stacked[0], *split(self._w[half, 0]),
+                                    hi, lo, s[:4])
                 for j in range(1, d):
-                    modmath.mul128_into(stacked[j], w_lo[half, j],
-                                        w_hi[half, j], p_hi, p_lo, s[:4])
+                    modmath.mul128_into(stacked[j],
+                                        *split(self._w[half, j]),
+                                        p_hi, p_lo, s[:4])
                     np.add(lo, p_lo, out=lo)
                     np.less(lo, p_lo, out=carry)    # carry out of lo
                     np.add(hi, p_hi, out=hi)
@@ -233,13 +241,8 @@ class KeyMultPlan:
                 modmath.barrett128_into(
                     hi, lo, self._q_col, self._r_hi, self._r_lo32,
                     self._r_hi32, res[half], s, carry)
-        out = []
-        for acc in res:
-            limbs = [acc[i].view(np.int64)
-                     if self._kernels[i].dtype == np.int64 else acc[i]
-                     for i in range(k)]
-            out.append(RnsPoly(limbs, self.moduli, rns.EVAL))
-        return out[0], out[1]
+        return (RnsPoly._of(res[0], self.moduli, rns.EVAL),
+                RnsPoly._of(res[1], self.moduli, rns.EVAL))
 
 
 def _kmu_tier(moduli, num_digits: int) -> str | None:
@@ -346,12 +349,12 @@ def mod_down_batch(
     ``(NTT(x) - NTT(conv)) * P^-1`` residue for residue.
 
     All pairs are processed together: one batched transform per
-    direction, one matrix conversion and one subtract/scale sweep per
-    limb, with the per-half vectors concatenated per modulus.  For a
-    hoisted batch of R rotations that is 2 NTT dispatches and
-    ``q_count`` element-wise sweeps total, not per rotation — the
-    stage-vectorised kernels amortise their per-stage dispatch
-    overhead over ``2R`` rows.
+    direction, one matrix conversion and one subtract and one scale
+    pass over a ``(2R, q_count, N)`` stack of every half.  For a
+    hoisted batch of R rotations that is 2 NTT dispatches and two
+    element-wise passes total, not per rotation — the stage-vectorised
+    kernels amortise their per-stage dispatch overhead over ``2R``
+    rows.
 
     Requires evaluation form and a matrix/down-scale path; callers
     fall back to :func:`mod_down_pair`'s coefficient pipeline
@@ -379,28 +382,25 @@ def mod_down_batch(
         tracer.count("keyswitch.moddown.eval_batch")
         tracer.count("keyswitch.moddown.eval_halves", m)
         tracer.count("rns.bconv.matrix")    # one batched plan.convert
-    # Rows grouped by modulus so per-modulus slices stay contiguous:
-    # row i * m + h is half h's limb for modulus i.
-    aux_coeff = transform_limbs(
-        [acc.limbs[q_count + i] for i in range(aux_count) for acc in accs],
-        tuple(p for p in p_moduli for _ in range(m)), n, inverse=True)
-    stacked = [np.concatenate(aux_coeff[i * m:(i + 1) * m])
-               for i in range(aux_count)]
-    conv = plan.convert(stacked)            # q_count rows of length m*n
-    conv_eval = transform_limbs(
-        [conv[i][h * n:(h + 1) * n] for i in range(q_count)
-         for h in range(m)],
-        tuple(q for q in q_moduli for _ in range(m)), n)
-    diffs = []
-    for i, q in enumerate(q_moduli):
-        x = np.concatenate([acc.limbs[i] for acc in accs])
-        c = np.concatenate(conv_eval[i * m:(i + 1) * m])
-        diffs.append(modmath.sub(x, c, q))
-    scaled = plan.down_scale(diffs)         # q_count rows of length m*n
-    halves = [RnsPoly([scaled[i][h * n:(h + 1) * n]
-                       for i in range(q_count)], q_moduli, rns.EVAL)
-              for h in range(m)]
-    return [(halves[2 * j], halves[2 * j + 1]) for j in range(len(pairs))]
+    # Aux rows grouped by modulus, (aux_count, m, n): the inverse NTT
+    # sees one (aux_count * m, n) block and the conversion one
+    # (aux_count, m * n) block over the same memory.
+    aux = np.stack([acc.data[q_count:] for acc in accs], axis=1)
+    rows = aux.reshape(-1, n)
+    transform_limbs(rows, tuple(p for p in p_moduli for _ in range(m)), n,
+                    inverse=True, out=rows)
+    conv = plan.convert(RnsPoly._of(aux.reshape(aux_count, m * n),
+                                    p_moduli, rns.COEFF))
+    rows = conv.reshape(-1, n)
+    transform_limbs(rows, tuple(q for q in q_moduli for _ in range(m)), n,
+                    out=rows)
+    kernel = plan.dst_kernel
+    x = np.stack([acc.data[:q_count] for acc in accs])     # (m, q_count, n)
+    diff = kernel.sub(x, conv.reshape(q_count, m, n).transpose(1, 0, 2))
+    scaled = plan.down_scale(diff)
+    return [(RnsPoly._of(scaled[2 * j], q_moduli, rns.EVAL, kernel),
+             RnsPoly._of(scaled[2 * j + 1], q_moduli, rns.EVAL, kernel))
+            for j in range(len(pairs))]
 
 
 def _mod_down_batch_ready(acc0: RnsPoly, acc1: RnsPoly,
@@ -433,10 +433,10 @@ def mod_down_pair(acc0: RnsPoly, acc1: RnsPoly,
     n = acc0.n
     down0 = rns.mod_down(acc0.to_coeff(), q_count)
     down1 = rns.mod_down(acc1.to_coeff(), q_count)
-    evaluated = transform_limbs(list(down0.limbs) + list(down1.limbs),
-                                down0.moduli + down1.moduli, n)
-    return (RnsPoly(evaluated[:q_count], down0.moduli, rns.EVAL),
-            RnsPoly(evaluated[q_count:], down1.moduli, rns.EVAL))
+    both = np.concatenate((down0.data, down1.data))
+    transform_limbs(both, down0.moduli + down1.moduli, n, out=both)
+    return (RnsPoly._of(both[:q_count], down0.moduli, rns.EVAL),
+            RnsPoly._of(both[q_count:], down1.moduli, rns.EVAL))
 
 
 FOLD_CACHE_MAXSIZE = 64
@@ -454,19 +454,6 @@ def _fold_scalars(p_moduli: tuple[int, ...],
     """
     big_p = rns.product(p_moduli)
     return tuple(big_p % q for q in q_moduli)
-
-
-def _fold_aux_into(acc: RnsPoly, d: RnsPoly, q_count: int) -> list:
-    """Rows of ``Z = acc + P * d`` on the Q limbs (same form as inputs).
-
-    ``P * d`` vanishes on the P limbs, so only the ``q_count`` Q rows
-    change: ``z_i = acc_i + (P mod q_i) * d_i``.
-    """
-    q_moduli = acc.moduli[:q_count]
-    scalars = _fold_scalars(acc.moduli[q_count:], q_moduli)
-    return [modmath.add(acc.limbs[i],
-                        modmath.mul_scalar(d.limbs[i], scalars[i], q), q)
-            for i, q in enumerate(q_moduli)]
 
 
 def _mod_down_rescale_ready(acc0: RnsPoly, acc1: RnsPoly,
@@ -539,37 +526,32 @@ def mod_down_rescale_pair(
         tracer.count("keyswitch.moddown.fused_rescale")
         tracer.count("keyswitch.moddown.fused_rescale_drop", drop)
         tracer.count("rns.bconv.matrix")
-    z0 = _fold_aux_into(acc0, d0, q_count)
-    z1 = _fold_aux_into(acc1, d1, q_count)
-    src_count = len(src)                # drop + aux_count
-    # Aux rows per half: the dropped Q rows of Z plus the P rows of
-    # acc (Z == acc there).  One batched inverse transform, rows
-    # grouped by modulus so per-modulus slices stay contiguous.
-    aux_rows = []
-    for i in range(src_count):
-        for z, acc in ((z0, acc0), (z1, acc1)):
-            aux_rows.append(z[keep + i] if i < drop
-                            else acc.limbs[q_count + (i - drop)])
-    aux_coeff = transform_limbs(
-        aux_rows, tuple(q for q in src for _ in range(2)), n,
-        inverse=True)
-    stacked = [np.concatenate(aux_coeff[2 * i:2 * i + 2])
-               for i in range(src_count)]
-    conv = plan.convert(stacked)        # keep rows of length 2n
-    conv_eval = transform_limbs(
-        [conv[i][h * n:(h + 1) * n] for i in range(keep)
-         for h in range(2)],
-        tuple(q for q in kept for _ in range(2)), n)
-    diffs = []
-    for i, q in enumerate(kept):
-        x = np.concatenate((z0[i], z1[i]))
-        c = np.concatenate(conv_eval[2 * i:2 * i + 2])
-        diffs.append(modmath.sub(x, c, q))
-    scaled = plan.down_scale(diffs)
-    return (RnsPoly([scaled[i][:n] for i in range(keep)],
-                    kept, rns.EVAL),
-            RnsPoly([scaled[i][n:] for i in range(keep)],
-                    kept, rns.EVAL))
+    fold = d0.kernel
+    fold_cols = fold.row_scalars(_fold_scalars(acc0.moduli[q_count:],
+                                               q_moduli))
+    z = [fold.add(acc.data[:q_count], fold.mul_rows(d.data, fold_cols))
+         for acc, d in ((acc0, d0), (acc1, d1))]
+    # Aux rows grouped by modulus, (src_count, 2, n): the dropped Q
+    # rows of Z, then the P rows of acc (Z == acc there); one batched
+    # inverse transform over its (src_count * 2, n) view.
+    aux = np.empty((len(src), 2, n), np.uint64)
+    for h, acc in enumerate((acc0, acc1)):
+        aux[:drop, h] = z[h][keep:]
+        aux[drop:, h] = acc.data[q_count:]
+    rows = aux.reshape(-1, n)
+    transform_limbs(rows, tuple(q for q in src for _ in range(2)), n,
+                    inverse=True, out=rows)
+    conv = plan.convert(RnsPoly._of(aux.reshape(len(src), 2 * n), src,
+                                    rns.COEFF))
+    rows = conv.reshape(-1, n)
+    transform_limbs(rows, tuple(q for q in kept for _ in range(2)), n,
+                    out=rows)
+    kernel = plan.dst_kernel
+    conv = conv.reshape(keep, 2, n)
+    return tuple(
+        RnsPoly._of(plan.down_scale(kernel.sub(z[h][:keep], conv[:, h])),
+                    kept, rns.EVAL, kernel)
+        for h in range(2))
 
 
 def mod_down_rescale_reference(
@@ -594,23 +576,17 @@ def mod_down_rescale_reference(
     p_moduli = acc.moduli[q_count:]
     if d.moduli != q_moduli:
         raise ValueError("tensor part must live on the Q basis")
-    scalars = _fold_scalars(p_moduli, q_moduli)
-    z_rows = [modmath.add(acc.limbs[i],
-                          modmath.mul_scalar(d.limbs[i], scalars[i], q),
-                          q)
-              for i, q in enumerate(q_moduli)]
+    z = acc.drop_limbs(q_count) + d.mul_scalar_per_limb(
+        _fold_scalars(p_moduli, q_moduli))
     keep = q_count - drop
-    kept = q_moduli[:keep]
     src = acc.moduli[keep:]
-    aux_part = RnsPoly(z_rows[keep:q_count] + list(acc.limbs[q_count:]),
+    aux_part = RnsPoly(np.concatenate((z.data[keep:],
+                                       acc.data[q_count:])),
                        src, rns.COEFF)
-    approx = rns.base_convert(aux_part, kept)
-    out = []
-    for i, q in enumerate(kept):
-        diff = modmath.sub(z_rows[i], approx.limbs[i], q)
-        out.append(modmath.mul_scalar(
-            diff, modmath.inv_mod(rns.product(src) % q, q), q))
-    return RnsPoly(out, kept, rns.COEFF)
+    approx = rns.base_convert(aux_part, q_moduli[:keep])
+    inv = [modmath.inv_mod(rns.product(src) % q, q)
+           for q in q_moduli[:keep]]
+    return (z.drop_limbs(keep) - approx).mul_scalar_per_limb(inv)
 
 
 def hybrid_key_switch(poly: RnsPoly, key: KeySwitchKey,

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.ckks import modmath, rns
 from repro.ckks.keys import KeySwitchKey
-from repro.ckks.keyswitch.hybrid import (digits_to_eval,
+from repro.ckks.keyswitch.hybrid import (_eval_in_place, digits_to_eval,
                                          key_mult_accumulate, mod_down_pair)
 from repro.ckks.rns import RnsPoly
 from repro.obs.tracer import get_tracer
@@ -95,17 +95,16 @@ def klss_decompose(poly: RnsPoly, key: KeySwitchKey) -> list[RnsPoly]:
     big_coeffs = rns.compose_crt(coeff)
     columns = _balanced_digits_columns(big_coeffs, key.digit_bits,
                                        key.num_digits)
-    if key.digit_bits <= 62:
+    if key.digit_bits <= 62 and modmath.block_dtype(key.moduli) == np.uint64:
         # Balanced digits stay below 1.5 * 2^digit_bits in magnitude,
-        # so the whole column fits int64 and each limb reduces as one
-        # vectorised pass; digits_to_eval then batches every limb of
-        # *every* digit through a single stage-vectorised NTT call.
-        out = []
-        for col in columns:
-            col64 = col.astype(np.int64)
-            limbs = [modmath.asresidues(col64, q) for q in key.moduli]
-            out.append(RnsPoly(limbs, key.moduli, rns.COEFF))
-        return digits_to_eval(out)
+        # so every column fits int64 and the whole (digits, k, N)
+        # residue stack reduces in one pass; digits_to_eval then runs
+        # every limb of *every* digit through one batched NTT call.
+        cols = np.array(columns, dtype=np.int64)[:, None, :]
+        q = np.array(key.moduli, dtype=np.int64).reshape(-1, 1)
+        block = np.empty((len(columns), len(key.moduli), poly.n), np.uint64)
+        np.mod(cols, q, out=block.view(np.int64))
+        return _eval_in_place(block, key.moduli)
     return digits_to_eval(
         [rns.from_big_ints(col.tolist(), key.moduli, poly.n)
          for col in columns])

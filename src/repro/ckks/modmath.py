@@ -1,16 +1,12 @@
-"""Tunable-width vectorised modular arithmetic over a single prime.
+"""Tunable-width vectorised modular arithmetic.
 
-All polynomial limbs in this library are 1-D :class:`numpy.ndarray`
-objects holding coefficients reduced modulo one RNS prime.  Three
-representations exist, selected automatically per modulus — the
-software analogue of the paper's Tunable-Bit Multiplier picking its
-datapath width per operation (Sec. 4.2, 36-bit vs 60-bit mode):
+The software analogue of the accelerator's modular ALUs and of the
+paper's Tunable-Bit Multiplier picking its datapath width per
+operation (Sec. 4.2, 36-bit vs 60-bit mode).  Each modulus runs one of
+three paths, by width alone (:func:`width_path`):
 
-* ``narrow`` — ``int64`` arrays for moduli up to 31 bits, so that a
-  product of two reduced residues fits a signed 64-bit integer.  This
-  is the path the scaled-down toy parameter sets run on.
-* ``wide`` — ``uint64`` arrays for moduli up to 62 bits, with two
-  multipliers behind it, picked from the modulus alone by
+* ``narrow`` (up to 31 bits) and ``wide`` (up to 62 bits) — the uint64
+  datapath, with two multipliers picked from the modulus alone by
   :func:`fits_float_quotient` (the TBM's two modes):
 
   - **36-bit mode**, ``q < 2^46``: the quotient ``floor(a*w/q)`` fits
@@ -21,39 +17,39 @@ datapath width per operation (Sec. 4.2, 36-bit vs 60-bit mode):
   - **60-bit mode**, ``2^46 <= q < 2^62``: products are formed
     exactly as 128-bit (hi, lo) pairs via 32-bit-limb schoolbook
     multiplication and reduced with a vectorised Barrett reduction
-    using the precomputed per-modulus constant ``floor(2^128 / q)``;
-    multiplications by a fixed operand (twiddles, CRT scalars) use
-    Shoup's precomputed-quotient trick (:func:`mul_shoup_lazy_into`,
-    20 passes: a 64x64 ``mulhi`` costs 17 of them).
+    using ``floor(2^128 / q)``; a fixed operand (twiddles, CRT
+    scalars) uses Shoup's precomputed-quotient trick
+    (:func:`mul_shoup_lazy_into`, 20 passes: a 64x64 ``mulhi`` costs
+    17 of them).
 
-  Both multiplies return the exact representative in ``[0, 2q)``
-  (quotient estimate short by at most one), so every lazy-domain
-  consumer (the NTT engine's ``[0, 4q)`` / ``[0, 2q)`` discipline,
-  the KeyMult accumulator) is the same code in either mode.  This is
-  the path the paper's full-size 36/60-bit parameter sets
-  (Set-I/Set-II) run on.
-* ``object`` — arbitrary-precision Python integers.  Exactness oracle
-  for the wide kernels and the only path for moduli beyond 62 bits.
+  Both multiplies return the exact representative in ``[0, 2q)``, so
+  every lazy-domain consumer (the NTT engine's ``[0, 4q)`` / ``[0,
+  2q)`` discipline, the KeyMult accumulator) is the same code in
+  either mode.
+* ``object`` — arbitrary-precision Python integers: the exactness
+  oracle for the uint64 kernels and the only path beyond 62 bits.
 
 Why 46 bits and why ``a < 2^49``: the float multiply admits any
 operand below ``2^49`` against a reduced ``w < q`` (the proof is in
 :func:`mul_float_lazy_into`), and the NTT engine's widest lazy value
 is ``4q - 1``; ``4q <= 2^48 < 2^49`` exactly when ``q < 2^46``.
 
-Per-modulus constants live in a :class:`ModulusKernel` plan, cached by
-:func:`get_kernel`.  The module-level functions keep their historic
-``f(a, b, modulus)`` signatures and dispatch through the kernel.  When
-the observability layer is enabled, every kernel invocation bumps a
-``modmath.path.{narrow,wide,object}`` counter — the software analogue
-of TBM mode-occupancy statistics (Fig. 12).
-
-The functions here are deliberately free of any CKKS semantics; they
-are the software analogue of the accelerator's modular ALUs.
+An RNS polynomial is one ``(k, N)`` block, one modulus per row
+(:func:`block_dtype`: uint64 at every width up to 62 bits), and
+:class:`BasisKernel` runs its element-wise ops as one pass over the
+block per step.  :class:`ModulusKernel` (cached by :func:`get_kernel`)
+is the per-modulus plan behind the module-level ``f(a, b, modulus)``
+functions, the reference NTT and the conversion oracle; its narrow
+path keeps int64 vectors and accepts uint64 rows.  With the
+observability layer on, every kernel invocation bumps
+``modmath.path.{narrow,wide,object}`` once per row — the software
+analogue of TBM mode-occupancy statistics (Fig. 12).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -112,10 +108,6 @@ def fits_float_quotient(modulus: int) -> bool:
 def uses_int64(modulus: int) -> bool:
     """Return True when residues mod ``modulus`` use the int64 path."""
     return width_path(modulus) == NARROW
-
-
-def _dtype_for(modulus: int):
-    return get_kernel(modulus).dtype
 
 
 # -- 64x64 -> 128-bit building blocks (uint64 arrays) ---------------------
@@ -511,6 +503,16 @@ class ModulusKernel:
             return a
         return self._asresidues(a, copy=False)
 
+    def _narrow(self, a, b) -> tuple:
+        """Array operands as int64 on the narrow path: a ``(k, N)``
+        polynomial block holds narrow rows as uint64, where ``a - b``
+        would wrap instead of going negative."""
+        if self.path != NARROW:
+            return a, b
+        if isinstance(b, np.ndarray):
+            b = self._coerce(b)
+        return self._coerce(a), b
+
     def _asresidues(self, values, copy: bool = True) -> np.ndarray:
         q = self.modulus
         if isinstance(values, np.ndarray):
@@ -556,6 +558,7 @@ class ModulusKernel:
         s = self._scalar(scalar)
         if self.path == WIDE:
             return self._mul_shoup(self._coerce(a), *self.shoup(s))
+        a, _ = self._narrow(a, None)
         return np.mod(a * s, self.modulus)
 
     def _mul_shoup(self, a, w, companion) -> np.ndarray:
@@ -603,6 +606,7 @@ class ModulusKernel:
     # -- element-wise ring ops -----------------------------------------
     def add(self, a, b) -> np.ndarray:
         self._tick()
+        a, b = self._narrow(a, b)
         if isinstance(b, (int, np.integer)):
             b = self._scalar(b)
             if self.path == WIDE:
@@ -614,6 +618,7 @@ class ModulusKernel:
 
     def sub(self, a, b) -> np.ndarray:
         self._tick()
+        a, b = self._narrow(a, b)
         if isinstance(b, (int, np.integer)):
             b = self._scalar(b)
             if self.path == WIDE:
@@ -625,6 +630,7 @@ class ModulusKernel:
 
     def neg(self, a) -> np.ndarray:
         self._tick()
+        a, _ = self._narrow(a, None)
         if self.path == WIDE:
             return np.where(a == _U64_ZERO, _U64_ZERO, self._q64 - a)
         return np.mod(-a, self.modulus)
@@ -644,6 +650,7 @@ class ModulusKernel:
                 return self._mul_shoup(a, b, b * self._q_inv)
             hi, lo = _mul128(a, b)
             return _barrett128(hi, lo, self._q64, self._r_hi, self._r_lo)
+        a, b = self._narrow(a, b)
         return np.mod(a * b, self.modulus)
 
     def mul_scalar(self, a, scalar: int) -> np.ndarray:
@@ -710,6 +717,158 @@ def get_kernel(modulus: int, path: str | None = None) -> ModulusKernel:
     modulus = int(modulus)
     return _build_kernel(modulus,
                          width_path(modulus) if path is None else path)
+
+
+# -- one modulus per row: the (k, N) block of an RNS polynomial ------------
+
+def block_dtype(moduli):
+    """The dtype of a ``(k, N)`` residue block over ``moduli``: uint64
+    at every width up to 62 bits (narrow rows included), Python ints
+    (``object``) once any modulus needs the object path."""
+    if any(width_path(q) == OBJECT for q in moduli):
+        return object
+    return np.uint64
+
+
+def as_block(rows, moduli, out=None) -> np.ndarray:
+    """Reduce a sequence of residue vectors, row ``i`` modulo
+    ``moduli[i]``, into one C-contiguous ``(k, N)`` block (``out`` when
+    given, else a new one of :func:`block_dtype`)."""
+    if len(rows) != len(moduli):
+        raise ValueError("limb count does not match the basis")
+    if out is None:
+        n = len(rows[0]) if len(rows) else 0
+        out = np.empty((len(moduli), n), block_dtype(moduli))
+    for i, q in enumerate(moduli):
+        row = get_kernel(q).asresidues(rows[i], copy=False)
+        if len(row) != out.shape[1]:
+            raise ValueError("ragged limb lengths")
+        out[i] = row
+    return out
+
+
+class BasisKernel:
+    """:class:`ModulusKernel` for a whole basis: row ``i`` of a
+    ``(..., k, N)`` block holds residues modulo ``moduli[i]``, and each
+    op is one ufunc pass per step over the block, the moduli riding as
+    a ``(k, 1)`` column.
+
+    Add, sub and neg are mode-free (two variable operands below
+    ``2q < 2^63``, one branch-free fold).  A multiply runs once per
+    *run*: a maximal slice of consecutive rows in one TBM mode, the
+    float-quotient multiply below 2^46, the 128-bit product (Shoup for
+    a per-row scalar) above.  A basis sorted by mode, as every CKKS
+    chain is, costs one call per mode.  A basis holding any modulus of
+    62 bits or more is an object block and runs exact Python-int
+    arithmetic on the same shapes.  Operands must be canonical and of
+    one shape; results are fresh, canonical and equal to the per-limb
+    kernels' bit for bit.
+    """
+
+    __slots__ = ("moduli", "dtype", "q", "_runs", "_paths")
+
+    def __init__(self, moduli):
+        self.moduli = tuple(int(q) for q in moduli)
+        self.dtype = block_dtype(self.moduli)
+        paths = [width_path(q) for q in self.moduli]
+        self._paths = [("modmath.path." + p, paths.count(p))
+                       for p in _PATH_RANK if p in paths]
+        self.q = np.array(self.moduli, self.dtype).reshape(-1, 1)
+        self._runs = []
+        if self.dtype is object:
+            return
+        start = 0
+        for float_mode, group in groupby(self.moduli, fits_float_quotient):
+            moduli = list(group)
+            rows = slice(start, start + len(moduli))
+            start = rows.stop
+            if float_mode:
+                const = np.array([float_companion(1, q)
+                                  for q in moduli]).reshape(-1, 1)
+            else:
+                const = tuple(np.array(col, np.uint64).reshape(-1, 1)
+                              for col in zip(*map(barrett_constants, moduli)))
+            self._runs.append((rows, self.q[rows], const))
+
+    def _tick(self) -> None:
+        if _TRACER.enabled:
+            for name, rows in self._paths:
+                _TRACER.count(name, rows)
+
+    def _fold(self, x) -> np.ndarray:
+        cond_sub_into(x, self.q, np.empty_like(x))      # [0, 2q) -> [0, q)
+        return x
+
+    def add(self, a, b) -> np.ndarray:
+        self._tick()
+        if self.dtype is object:
+            return np.mod(a + b, self.q)
+        return self._fold(np.add(a, b))
+
+    def sub(self, a, b) -> np.ndarray:
+        self._tick()
+        if self.dtype is object:
+            return np.mod(a - b, self.q)
+        out = np.subtract(self.q, b)
+        return self._fold(np.add(out, a, out=out))
+
+    def neg(self, a) -> np.ndarray:
+        self._tick()
+        if self.dtype is object:
+            return np.mod(-a, self.q)
+        return self._fold(np.subtract(self.q, a))
+
+    def mul(self, a, b) -> np.ndarray:
+        """Row-wise ``a * b mod q`` of two variable blocks."""
+        self._tick()
+        if self.dtype is object:
+            return np.mod(a * b, self.q)
+        out = np.empty_like(a)
+        s = (np.empty_like(a), np.empty_like(a))
+        for rows, q, const in self._runs:
+            x, y, o = a[..., rows, :], b[..., rows, :], out[..., rows, :]
+            if isinstance(const, tuple):
+                o[...] = _barrett128(*_mul128(x, y), q, *const)
+                continue
+            t = (s[0][..., rows, :], s[1][..., rows, :])
+            mul_float_lazy_var_into(x, y, const, q, o, t)
+            cond_sub_into(o, q, t[0])
+        return out
+
+    def row_scalars(self, scalars):
+        """Per-row scalars prepared for :meth:`mul_rows`: per run, the
+        reduced ``(w, companion)`` columns of its multiply."""
+        ws = [int(s) % q for s, q in zip(scalars, self.moduli)]
+        if self.dtype is object:
+            return np.array(ws, object).reshape(-1, 1)
+        cols = []
+        for rows, _q, const in self._runs:
+            pairs = [(w, q) for w, q in zip(ws[rows], self.moduli[rows])]
+            if isinstance(const, tuple):
+                comp = np.array([(w << 64) // q for w, q in pairs], np.uint64)
+            else:
+                comp = np.array([float_companion(w, q) for w, q in pairs])
+            cols.append((np.array([w for w, _ in pairs], np.uint64)
+                         .reshape(-1, 1), comp.reshape(-1, 1)))
+        return cols
+
+    def mul_rows(self, a, scalars) -> np.ndarray:
+        """Row ``i`` times scalar ``i``, ``scalars`` from
+        :meth:`row_scalars` (plans hoist them)."""
+        self._tick()
+        if self.dtype is object:
+            return np.mod(a * scalars, self.q)
+        out = np.empty_like(a)
+        s = (np.empty_like(a), np.empty_like(a))
+        for (rows, q, const), (w, comp) in zip(self._runs, scalars):
+            x, o = a[..., rows, :], out[..., rows, :]
+            t = (s[0][..., rows, :], s[1][..., rows, :])
+            if isinstance(const, tuple):
+                o[...] = mul_shoup_lazy(x, w, comp, q)
+            else:
+                mul_float_lazy_into(x, w, comp, q, o, t)
+            cond_sub_into(o, q, t[0])
+        return out
 
 
 # -- module-level functional API (historic signatures) --------------------

@@ -27,7 +27,7 @@ batch plans wherever the host can build it, and one reference:
   which is exactly the wide-path bound.  Its twiddle tables and their
   multiply companions are derived once per ``(N, q)`` by
   :class:`NttPlan` (:meth:`NttPlan.fused_tables`);
-  :class:`BatchNttPlan` stacks them per limb, and a scalar transform
+  :class:`BatchNttPlan` stacks them per row, and a scalar transform
   is the shared-modulus rows transform (:meth:`NttPlan.forward_rows`)
   with one row.
 
@@ -614,8 +614,8 @@ class NttPlan:
 # Bound on cached batch plans: one entry per (N, basis) pair actually
 # transformed.  A full workload touches one basis per level per
 # key-switch flavour — a few dozen — and each entry only *references*
-# per-prime twiddle tables plus small stacked copies, so eviction
-# costs a restack, never a root search.
+# per-prime twiddle tables (the ufunc fallback: stacked copies), so
+# eviction costs a rebind, never a root search.
 BATCH_PLAN_CACHE_MAXSIZE = 64
 
 
@@ -624,12 +624,11 @@ class BatchNttPlan:
 
     The per-limb :class:`NttPlan` loop spends most of its time in
     Python dispatch: ``k`` limbs times ``log2 N`` stages times a
-    handful of kernel calls each.  This plan stacks all limbs whose
-    modulus fits the uint64 datapath (``q < 2^62`` — both the narrow
-    and wide width paths) into one C-contiguous ``(k, N)`` block and
-    transforms it in place in one call.  This is the software shape of
-    the accelerator's NTTU operating on a whole limb set per ModUp
-    digit.
+    handful of kernel calls each.  This plan transforms a polynomial's
+    C-contiguous ``(k, N)`` block (:class:`~repro.ckks.rns.RnsPoly`)
+    in place in one call, every row whose modulus fits the uint64
+    datapath (``q < 2^62``) at once: the software shape of the
+    accelerator's NTTU operating on a whole limb set per ModUp digit.
 
     Where the host has the compiled kernel
     (:func:`repro.backend.native.load`), that call is the C butterfly,
@@ -640,16 +639,17 @@ class BatchNttPlan:
     :class:`FusedNttEngine` is a single set of whole-batch numpy ops
     with the per-limb modulus broadcast as a ``(k, 1, 1)`` column.
 
-    On that fallback the stack is ordered by multiplier mode
+    On that fallback the rows are ordered by multiplier mode
     (:func:`~repro.ckks.modmath.fits_float_quotient`): rows below 2^46
     first, on a float-quotient engine, then the rest on a 64-bit Shoup
-    engine.  Each engine transforms its contiguous row range of the
-    one block in place, so a mixed basis (a KLSS ModUp: 36/44-bit Q
-    limbs beside 60-bit T words) costs two engine calls and no copy.
+    engine, each transforming its contiguous row range.  A basis
+    already in that order (every CKKS chain: 36/44-bit Q limbs, then
+    60-bit T words) is transformed where it lies; any other order, or a
+    basis with object rows, goes through one mode-ordered copy.
 
-    Limbs over the exact ``object`` path (moduli beyond 62 bits) run
-    their scalar reference plans; results are bit-identical to the
-    per-limb plans on every path.
+    Rows over the exact ``object`` path (moduli beyond 62 bits, an
+    object block) run their scalar reference plans; results are
+    bit-identical to the per-limb plans on every path.
     """
 
     def __init__(self, ring_degree: int, moduli: tuple[int, ...]):
@@ -672,6 +672,8 @@ class BatchNttPlan:
                 by_mode[modmath.fits_float_quotient(kernel.modulus)
                         ].append(i)
         self._batch_rows = by_mode[True] + by_mode[False]   # stack order
+        self._in_place = self._batch_rows == list(range(len(self.moduli)))
+        self._dtype = modmath.block_dtype(self.moduli)
         # Rows per TBM mode, by modulus width alone: what
         # ``ntt.path.wide36`` / ``wide60`` count under either butterfly.
         self._mode_rows = [(mode, len(by_mode[fq])) for fq, mode in
@@ -714,64 +716,51 @@ class BatchNttPlan:
                     float_quotient=float_quotient)))
             start += len(rows)
 
-    def _stack_into(self, limbs, block) -> None:
-        for row, i in enumerate(self._batch_rows):
-            arr = self._kernels[i].asresidues(limbs[i], copy=False)
-            if len(arr) != self.n:
-                raise ValueError("limb length does not match the plan")
-            block[row] = arr
-
-    def _unstack(self, a: np.ndarray, out: list) -> None:
-        """Hand rows back as per-limb arrays (free dtype views).
-
-        Rows are views into the output block (each caller gets a fresh
-        block, so views never alias across calls); narrow limbs are
-        reinterpreted to int64 in place — canonical residues fit both.
-        """
-        for row, i in enumerate(self._batch_rows):
-            if self._kernels[i].dtype == np.int64:
-                out[i] = a[row].view(np.int64)
-            else:
-                out[i] = a[row]
-
     def _out_block(self, out):
-        rows = len(self._batch_rows)
+        shape = (len(self.moduli), self.n)
         if out is None:
-            return np.empty((rows, self.n), np.uint64)
+            return np.empty(shape, self._dtype)
         # Both butterflies transform the block in place through
         # reshaped views (and the compiled one through its address), so
-        # anything but a C-contiguous uint64 block would be a silent
-        # copy, or a wild write.
-        if (out.shape != (rows, self.n) or out.dtype != np.uint64
+        # anything but a C-contiguous block would be a silent copy, or
+        # a wild write.
+        if (out.shape != shape or out.dtype != self._dtype
                 or not out.flags.c_contiguous):
-            raise ValueError(
-                "out block must be C-contiguous (batch_rows, N) uint64")
+            raise ValueError("out block must be C-contiguous (k, N) "
+                             f"{np.dtype(self._dtype)}")
         return out
 
-    def _transform(self, limbs, out, inverse: bool) -> list:
-        if len(limbs) != len(self.moduli):
-            raise ValueError("limb count does not match the basis")
+    def _transform(self, block, out, inverse: bool) -> np.ndarray:
+        a = self._out_block(out)
+        if not isinstance(block, np.ndarray) or block.ndim != 2:
+            modmath.as_block(block, self.moduli, out=a)   # limb vectors
+        elif block.shape != a.shape:
+            raise ValueError("block shape does not match the plan")
+        elif a is not block:
+            np.copyto(a, block)
         tracer = get_tracer()
         start = perf_counter() if tracer.enabled else 0.0
-        result: list = [None] * len(limbs)
         if self._batch_rows:
-            a = self._out_block(out)
-            self._stack_into(limbs, a)
+            # The block in basis order is the work block whenever every
+            # row is uint64 and the basis is sorted by mode (every CKKS
+            # chain); otherwise the rows go through a mode-ordered copy.
+            rows = a if self._in_place else \
+                a[self._batch_rows].astype(np.uint64)
             if self._native is not None:
                 if inverse:
-                    self._native.inverse(a)
+                    self._native.inverse(rows)
                 else:
-                    self._native.forward(a)
-            for rows, engine in self._engines:
+                    self._native.forward(rows)
+            for span, engine in self._engines:
                 if inverse:
-                    engine.inverse(a[rows])
+                    engine.inverse(rows[span])
                 else:
-                    engine.forward(a[rows])
-            self._unstack(a, result)
+                    engine.forward(rows[span])
+            if rows is not a:
+                a[self._batch_rows] = rows
         for i in self._object_rows:
             plan = self._scalar_plans[i]
-            result[i] = plan.inverse(limbs[i]) if inverse \
-                else plan.forward(limbs[i])
+            a[i] = plan.inverse(a[i]) if inverse else plan.forward(a[i])
         if tracer.enabled:
             name = "ntt.batch_inverse" if inverse else "ntt.batch_forward"
             tracer.count(name)
@@ -782,22 +771,19 @@ class BatchNttPlan:
             if self._native is not None:
                 tracer.count("ntt.kernel.native", len(self._batch_rows))
             tracer.observe(name + "_s", perf_counter() - start)
-        return result
+        return a
 
-    def forward(self, limbs, out=None) -> list:
-        """Batched forward NTT; ``out`` may supply the output block.
+    def forward(self, block, out=None) -> np.ndarray:
+        """Batched forward NTT of a ``(k, N)`` block (or a sequence of
+        limb vectors, reduced on the way in) into a new block, or into
+        ``out``: a caller-owned C-contiguous ``(k, N)`` block of the
+        basis's dtype, which may be ``block`` itself (in place, no
+        allocation); anything else raises ``ValueError``."""
+        return self._transform(block, out, inverse=False)
 
-        The only steady-state allocation is the output block itself —
-        pass a caller-owned C-contiguous ``(len(batch_rows), N)``
-        uint64 array as ``out`` to run fully allocation-free (returned
-        limbs are then views into that block; anything else raises
-        ``ValueError``).
-        """
-        return self._transform(limbs, out, inverse=False)
-
-    def inverse(self, limbs, out=None) -> list:
-        """Batched inverse NTT; ``out`` may supply the output block."""
-        return self._transform(limbs, out, inverse=True)
+    def inverse(self, block, out=None) -> np.ndarray:
+        """Batched inverse NTT; ``out`` as for :meth:`forward`."""
+        return self._transform(block, out, inverse=True)
 
 
 @lru_cache(maxsize=BATCH_PLAN_CACHE_MAXSIZE)
@@ -821,18 +807,16 @@ def clear_batch_plan_cache() -> None:
     _build_batch_plan.cache_clear()
 
 
-def transform_limbs(limbs, moduli, ring_degree: int,
-                    inverse: bool = False) -> list:
-    """Run every limb of one basis through a single batched NTT call.
-
-    ``limbs[i]`` must be a residue vector modulo ``moduli[i]``.
-    Returns the transformed limbs in basis order, bit-identical to
-    looping :meth:`NttPlan.forward` / :meth:`NttPlan.inverse` per
-    limb, but with one fused pass over a ``(k, N)`` stack instead of
-    ``k`` separate transforms.
+def transform_limbs(block, moduli, ring_degree: int,
+                    inverse: bool = False, out=None) -> np.ndarray:
+    """Run every row of a ``(k, N)`` block, row ``i`` modulo
+    ``moduli[i]``, through one batched NTT call (the cached
+    :class:`BatchNttPlan`); ``out`` as for :meth:`BatchNttPlan.forward`.
+    Bit-identical to looping :meth:`NttPlan.forward` /
+    :meth:`NttPlan.inverse` per row.
     """
     plan = get_batch_plan(int(ring_degree), tuple(int(q) for q in moduli))
-    return plan.inverse(limbs) if inverse else plan.forward(limbs)
+    return plan.inverse(block, out) if inverse else plan.forward(block, out)
 
 
 def negacyclic_convolution_reference(a, b, modulus: int) -> np.ndarray:

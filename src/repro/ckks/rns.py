@@ -4,8 +4,10 @@ A CKKS ciphertext limb set is a polynomial of degree ``N`` whose huge
 integer coefficients (mod ``Q = prod q_i``) are stored as *limbs*: one
 residue vector per prime.  This module provides
 
-* :class:`RnsPoly` — an RNS polynomial with coefficient/evaluation
-  form tracking, element-wise ring ops, NTTs and automorphisms;
+* :class:`RnsPoly` — an RNS polynomial held as one ``(k, N)`` block
+  (one row per prime), with coefficient/evaluation form tracking,
+  element-wise ring ops, NTTs and automorphisms, each one call over
+  the block;
 * fast approximate base conversion (:func:`base_convert`) executed by
   a precomputed-matrix kernel (:class:`BConvPlan`), the workhorse of
   ModUp/ModDown — the software analogue of the accelerator's BConvU
@@ -78,134 +80,186 @@ def clear_plan_cache() -> None:
 
 
 class RnsPoly:
-    """Polynomial in ``prod_i Z_{q_i}[X]/(X^N+1)``, one limb per prime.
+    """Polynomial in ``prod_i Z_{q_i}[X]/(X^N+1)``, one row per prime.
 
     Attributes
     ----------
-    limbs:
-        List of residue vectors (one per modulus, each of length N).
+    data:
+        One C-contiguous ``(k, N)`` block, row ``i`` holding the
+        residues modulo ``moduli[i]``: uint64 at every width up to 62
+        bits, Python ints (``object``) once the basis holds a wider
+        modulus (:func:`~repro.ckks.modmath.block_dtype`).
     moduli:
-        Tuple of the primes, aligned with ``limbs``.
+        Tuple of the primes, aligned with the rows.
     form:
         Either ``"coeff"`` or ``"eval"``; element-wise multiplication
         is only defined in evaluation form.
+
+    Every ring op is one pass over the block through the basis's
+    :class:`~repro.ckks.modmath.BasisKernel` and returns a fresh block;
+    nothing writes a block after it is wrapped, so row views
+    (:attr:`limbs`, :meth:`drop_limbs`) stay valid.  The constructor
+    takes a block as is (it must be C-contiguous, of the basis's dtype,
+    one row per modulus) or reduces a sequence of limb vectors into
+    one.
     """
 
-    __slots__ = ("limbs", "moduli", "form", "n")
+    __slots__ = ("data", "moduli", "form", "_kernel")
 
-    def __init__(self, limbs, moduli, form: str):
-        self.limbs = list(limbs)
+    def __init__(self, data, moduli, form: str):
         self.moduli = tuple(int(q) for q in moduli)
-        if len(self.limbs) != len(self.moduli):
-            raise ValueError("limb/modulus count mismatch")
         if len(set(self.moduli)) != len(self.moduli):
-            # A repeated prime would silently mis-pair limbs wherever
-            # a basis is navigated by modulus *value* (mod_up builds
-            # the digit complement that way), so reject it outright.
+            # A repeated prime would silently mis-pair rows wherever a
+            # basis is navigated by modulus *value* (mod_up builds the
+            # digit complement that way), so reject it outright.
             raise ValueError("duplicate moduli in RNS basis")
         if form not in (COEFF, EVAL):
             raise ValueError(f"unknown form {form!r}")
+        if isinstance(data, np.ndarray) and data.ndim == 2:
+            dtype = modmath.block_dtype(self.moduli)
+            if data.dtype != dtype:
+                raise ValueError(f"block dtype must be {np.dtype(dtype)} "
+                                 f"for this basis, not {data.dtype}")
+            if not data.flags.c_contiguous:
+                raise ValueError("block must be C-contiguous")
+            if data.shape[0] != len(self.moduli):
+                raise ValueError(f"block has {data.shape[0]} rows for "
+                                 f"{len(self.moduli)} moduli")
+        else:
+            data = modmath.as_block(data, self.moduli)
+        self.data = data
         self.form = form
-        self.n = len(self.limbs[0]) if self.limbs else 0
-        for limb in self.limbs:
-            if len(limb) != self.n:
-                raise ValueError("ragged limb lengths")
+        self._kernel = None
+
+    @classmethod
+    def _of(cls, data, moduli, form, kernel=None) -> "RnsPoly":
+        """Wrap a block a kernel just produced (no checks, no copy)."""
+        poly = object.__new__(cls)
+        poly.data, poly.moduli, poly.form = data, moduli, form
+        poly._kernel = kernel
+        return poly
+
+    @property
+    def n(self) -> int:
+        return self.data.shape[1]
+
+    # A polynomial is also the sequence of its rows: ``len(poly)``
+    # limbs, ``poly[i]`` a row view.
+    def __len__(self) -> int:
+        return len(self.moduli)
+
+    def __getitem__(self, index):
+        return self.data[index]
+
+    @property
+    def limbs(self) -> list:
+        """Row views of the block, for callers that index limbs."""
+        return list(self.data)
+
+    @property
+    def kernel(self) -> modmath.BasisKernel:
+        """The basis's row-column arithmetic (built on first use and
+        handed on to every result over the same basis)."""
+        if self._kernel is None:
+            self._kernel = modmath.BasisKernel(self.moduli)
+        return self._kernel
 
     # -- constructors -------------------------------------------------
     @classmethod
     def zeros(cls, n: int, moduli, form: str = COEFF) -> "RnsPoly":
-        return cls([modmath.zeros(n, q) for q in moduli], moduli, form)
+        moduli = tuple(int(q) for q in moduli)
+        data = np.zeros((len(moduli), n), modmath.block_dtype(moduli))
+        return cls(data, moduli, form)
 
     @classmethod
     def from_int_coeffs(cls, coeffs, moduli) -> "RnsPoly":
         """Reduce signed integer coefficients into every limb (coeff form)."""
-        return cls([modmath.asresidues(coeffs, q) for q in moduli],
+        return cls(modmath.as_block([coeffs] * len(moduli), moduli),
                    moduli, COEFF)
 
     def copy(self) -> "RnsPoly":
-        return RnsPoly([limb.copy() for limb in self.limbs],
-                       self.moduli, self.form)
+        return RnsPoly._of(self.data.copy(), self.moduli, self.form,
+                           self._kernel)
 
     # -- form conversion ---------------------------------------------
     def to_eval(self) -> "RnsPoly":
         if self.form == EVAL:
             return self.copy()
-        if len(self.limbs) > 1:
-            limbs = transform_limbs(self.limbs, self.moduli, self.n)
-        else:
-            limbs = [get_plan(self.n, q).forward(limb)
-                     for limb, q in zip(self.limbs, self.moduli)]
-        return RnsPoly(limbs, self.moduli, EVAL)
+        return RnsPoly._of(transform_limbs(self.data, self.moduli, self.n),
+                           self.moduli, EVAL, self._kernel)
 
     def to_coeff(self) -> "RnsPoly":
         if self.form == COEFF:
             return self.copy()
-        if len(self.limbs) > 1:
-            limbs = transform_limbs(self.limbs, self.moduli, self.n,
-                                    inverse=True)
-        else:
-            limbs = [get_plan(self.n, q).inverse(limb)
-                     for limb, q in zip(self.limbs, self.moduli)]
-        return RnsPoly(limbs, self.moduli, COEFF)
+        return RnsPoly._of(transform_limbs(self.data, self.moduli, self.n,
+                                           inverse=True),
+                           self.moduli, COEFF, self._kernel)
 
     # ``from_eval`` mirrors the accelerator's INTT direction name.
     from_eval = to_coeff
 
     # -- ring operations ----------------------------------------------
-    def _check_compatible(self, other: "RnsPoly") -> None:
+    def _check_compatible(self, other: "RnsPoly") -> modmath.BasisKernel:
         if self.moduli != other.moduli:
             raise ValueError("RNS bases differ")
         if self.form != other.form:
             raise ValueError("representation forms differ")
+        if self._kernel is None and other._kernel is not None:
+            self._kernel = other._kernel
+        return self.kernel
 
     def __add__(self, other: "RnsPoly") -> "RnsPoly":
-        self._check_compatible(other)
-        limbs = [modmath.add(a, b, q) for a, b, q in
-                 zip(self.limbs, other.limbs, self.moduli)]
-        return RnsPoly(limbs, self.moduli, self.form)
+        kernel = self._check_compatible(other)
+        return RnsPoly._of(kernel.add(self.data, other.data),
+                           self.moduli, self.form, kernel)
 
     def __sub__(self, other: "RnsPoly") -> "RnsPoly":
-        self._check_compatible(other)
-        limbs = [modmath.sub(a, b, q) for a, b, q in
-                 zip(self.limbs, other.limbs, self.moduli)]
-        return RnsPoly(limbs, self.moduli, self.form)
+        kernel = self._check_compatible(other)
+        return RnsPoly._of(kernel.sub(self.data, other.data),
+                           self.moduli, self.form, kernel)
 
     def __neg__(self) -> "RnsPoly":
-        limbs = [modmath.neg(a, q) for a, q in zip(self.limbs, self.moduli)]
-        return RnsPoly(limbs, self.moduli, self.form)
+        kernel = self.kernel
+        return RnsPoly._of(kernel.neg(self.data), self.moduli, self.form,
+                           kernel)
 
     def __mul__(self, other) -> "RnsPoly":
         if isinstance(other, (int, np.integer)):
-            limbs = [modmath.mul_scalar(a, int(other), q)
-                     for a, q in zip(self.limbs, self.moduli)]
-            return RnsPoly(limbs, self.moduli, self.form)
-        self._check_compatible(other)
+            return self.mul_scalar_per_limb([int(other)] * len(self.moduli))
+        kernel = self._check_compatible(other)
         if self.form != EVAL:
             raise ValueError("polynomial product requires evaluation form")
-        limbs = [modmath.mul(a, b, q) for a, b, q in
-                 zip(self.limbs, other.limbs, self.moduli)]
-        return RnsPoly(limbs, self.moduli, EVAL)
+        return RnsPoly._of(kernel.mul(self.data, other.data),
+                           self.moduli, EVAL, kernel)
 
     __rmul__ = __mul__
 
     def mul_scalar_per_limb(self, scalars) -> "RnsPoly":
         """Multiply limb ``i`` by scalar ``scalars[i]`` (any form)."""
-        limbs = [modmath.mul_scalar(a, int(s), q) for a, s, q in
-                 zip(self.limbs, scalars, self.moduli)]
-        return RnsPoly(limbs, self.moduli, self.form)
+        kernel = self.kernel
+        return RnsPoly._of(
+            kernel.mul_rows(self.data, kernel.row_scalars(scalars)),
+            self.moduli, self.form, kernel)
 
     # -- basis manipulation ---------------------------------------------
     def drop_limbs(self, keep: int) -> "RnsPoly":
-        """Restrict to the first ``keep`` moduli (rescale/level drop)."""
+        """Restrict to the first ``keep`` moduli (rescale/level drop):
+        a view of the leading rows."""
         if keep > len(self.moduli):
             raise ValueError("cannot keep more limbs than present")
-        return RnsPoly(self.limbs[:keep], self.moduli[:keep], self.form)
+        return RnsPoly._of(self.data[:keep], self.moduli[:keep], self.form)
 
     def select_limbs(self, indices) -> "RnsPoly":
-        """Arbitrary sub-basis selection (used by digit grouping)."""
-        limbs = [self.limbs[i] for i in indices]
-        moduli = [self.moduli[i] for i in indices]
-        return RnsPoly(limbs, moduli, self.form)
+        """Arbitrary sub-basis selection (used by digit grouping): a
+        view when ``indices`` is a run of consecutive rows."""
+        indices = [int(i) for i in indices]
+        moduli = tuple(self.moduli[i] for i in indices)
+        if indices and indices == list(range(indices[0],
+                                             indices[-1] + 1)):
+            data = self.data[indices[0]:indices[-1] + 1]
+        else:
+            data = self.data[indices]
+        return RnsPoly._of(data, moduli, self.form)
 
     def concat(self, other: "RnsPoly") -> "RnsPoly":
         """Adjoin the limbs of ``other`` (bases must be disjoint)."""
@@ -213,8 +267,8 @@ class RnsPoly:
             raise ValueError("representation forms differ")
         if set(self.moduli) & set(other.moduli):
             raise ValueError("bases overlap")
-        return RnsPoly(self.limbs + other.limbs,
-                       self.moduli + other.moduli, self.form)
+        return RnsPoly._of(np.concatenate((self.data, other.data)),
+                           self.moduli + other.moduli, self.form)
 
     # -- automorphism -----------------------------------------------------
     def automorphism(self, galois_power: int) -> "RnsPoly":
@@ -246,23 +300,18 @@ class RnsPoly:
                 return self.to_coeff().automorphism(galois_power).to_eval()
             if tracer.enabled:
                 tracer.count("rns.auto.eval")
-            # Fancy-index gather per limb: works unchanged on every
-            # width path (int64 / uint64 / object arrays).
-            return RnsPoly([limb[perm] for limb in self.limbs],
-                           self.moduli, EVAL)
+            # One gather on the point axis of the block.
+            return RnsPoly._of(np.take(self.data, perm, axis=1),
+                               self.moduli, EVAL, self._kernel)
         if tracer.enabled:
             tracer.count("rns.auto.coeff")
-        dest = plan.coeff_dest
-        negate = plan.coeff_negate
-        out_limbs = []
-        for limb, q in zip(self.limbs, self.moduli):
-            # np.where instead of a sign multiply: mixing an int64 sign
-            # array into a uint64 limb would silently promote to
-            # float64 and corrupt wide residues.
-            out = modmath.zeros(self.n, q)
-            out[dest] = np.where(negate, modmath.neg(limb, q), limb)
-            out_limbs.append(out)
-        return RnsPoly(out_limbs, self.moduli, COEFF)
+        out = np.zeros_like(self.data)
+        # np.where instead of a sign multiply: mixing an int64 sign
+        # array into a uint64 block would promote to float64 and
+        # corrupt wide residues.
+        out[:, plan.coeff_dest] = np.where(
+            plan.coeff_negate, self.kernel.neg(self.data), self.data)
+        return RnsPoly._of(out, self.moduli, COEFF, self._kernel)
 
 
 # -- automorphism plans (software AutoU) ----------------------------------
@@ -404,7 +453,7 @@ def compose_crt(poly: RnsPoly) -> list[int]:
     # mod-Q reduction to a single sweep at the end (the accumulated
     # magnitude stays below len(moduli) * q_max * Q).
     acc = np.zeros(poly.n, dtype=object)
-    for limb, q, hat, hat_inv in zip(poly.limbs, poly.moduli,
+    for limb, q, hat, hat_inv in zip(poly.data, poly.moduli,
                                      q_hat, q_hat_inv):
         scale = hat * hat_inv % big_q
         boxed = np.empty(poly.n, dtype=object)
@@ -415,11 +464,10 @@ def compose_crt(poly: RnsPoly) -> list[int]:
 
 
 def from_big_ints(coeffs: list[int], moduli, n: int | None = None) -> RnsPoly:
-    """Reduce big-integer coefficients into an RNS polynomial."""
-    if n is None:
-        n = len(coeffs)
-    limbs = [modmath.asresidues(coeffs, q) for q in moduli]
-    return RnsPoly(limbs, moduli, COEFF)
+    """Reduce big-integer coefficients into an RNS polynomial (``n``
+    is implied by ``coeffs``; kept for the historic signature)."""
+    return RnsPoly(modmath.as_block([coeffs] * len(moduli), moduli),
+                   moduli, COEFF)
 
 
 # -- fast base conversion (BConv) -----------------------------------------
@@ -471,8 +519,8 @@ class BConvPlan:
     _WS_POOL_SETS = 4
 
     __slots__ = ("src_moduli", "dst_moduli", "k_in", "k_out",
-                 "src_product", "matrix_path", "total_bits",
-                 "_dst_kernels", "_src_kernels", "_ew_w", "_ew_ws",
+                 "src_product", "matrix_path", "total_bits", "dst_kernel",
+                 "_down_cols", "_ew_w", "_ew_ws",
                  "_src_q", "_ew_wf",
                  "_pieces_in", "_block_stack", "_shifts",
                  "_reduce_float", "_vf_gemm", "_scales", "_dst_qf",
@@ -486,8 +534,7 @@ class BConvPlan:
         self.k_out = len(self.dst_moduli)
         big_q, q_hat, q_hat_inv = _crt_constants(self.src_moduli)
         self.src_product = big_q
-        self._dst_kernels = [modmath.get_kernel(p) for p in self.dst_moduli]
-        self._src_kernels = [modmath.get_kernel(q) for q in self.src_moduli]
+        self.dst_kernel = modmath.BasisKernel(self.dst_moduli)
         self._ws_pool = []
         self._ws_lock = threading.Lock()
         self.matrix_path = self._matrix_feasible()
@@ -550,8 +597,9 @@ class BConvPlan:
         try:
             self._down_inv = tuple(modmath.inv_mod(big_q % p, p)
                                    for p in self.dst_moduli)
+            self._down_cols = self.dst_kernel.row_scalars(self._down_inv)
         except ValueError:
-            self._down_inv = None
+            self._down_inv = self._down_cols = None
 
     def _matrix_feasible(self) -> bool:
         """Whether the split-piece matrix kernel is exact for this pair."""
@@ -667,12 +715,10 @@ class BConvPlan:
         empty = np.empty
         ws = {
             "n": n,
-            "x": empty((k_in, n), np.uint64),
             "y": empty((k_in, n), np.uint64),
             "tq": empty((k_in, n), np.uint64),
             "pieces": empty((self._pieces_in * k_in, n), np.float64),
             "flat": empty((self._block_stack.shape[0], n), np.float64),
-            "lo": empty((k_out, n), np.uint64),
             "quo": empty((k_out, n), np.uint64),
             "tmpu": empty((k_out, n), np.uint64),
             "tmpf": empty((k_out, n), np.float64),
@@ -681,6 +727,7 @@ class BConvPlan:
             ws["est"] = empty((k_in, n), np.uint64)
         if not self._reduce_float:
             ws["hi"] = empty((k_out, n), np.uint64)
+            ws["lo"] = empty((k_out, n), np.uint64)
         return ws
 
     def _release(self, ws: dict) -> None:
@@ -689,29 +736,26 @@ class BConvPlan:
                 del self._ws_pool[0]        # least recently released
             self._ws_pool.append(ws)
 
-    def _stack_input(self, limbs, n: int, out: np.ndarray) -> np.ndarray:
-        for i, kernel in enumerate(self._src_kernels):
-            arr = kernel.asresidues(limbs[i], copy=False)
-            if len(arr) != n:
-                raise ValueError("ragged limb lengths")
-            out[i] = arr
-        return out
+    def convert(self, poly) -> np.ndarray:
+        """Matrix-form conversion of a ``(k_in, L)`` source block.
 
-    def convert(self, limbs) -> list:
-        """Matrix-form conversion of stacked source limbs.
-
-        ``limbs[i]`` is a residue vector modulo ``src_moduli[i]``.
-        Returns one residue vector per target modulus (the kernel's
-        dtype for that modulus), bit-identical to
-        :func:`base_convert_reference`.
+        ``poly`` is an :class:`RnsPoly` over the source basis (rows of
+        any length ``L``), its ``(k_in, L)`` block, or a sequence of
+        limb vectors (reduced into a block first).  Returns a new
+        ``(k_out, L)`` uint64 block, row ``j`` modulo ``dst_moduli[j]``,
+        bit-identical to :func:`base_convert_reference`.
         """
         if not self.matrix_path:
             raise ValueError("plan has no matrix path for this basis pair")
-        n = len(limbs[0]) if self.k_in else 0
+        x = poly.data if isinstance(poly, RnsPoly) else poly
+        if not isinstance(x, np.ndarray):
+            x = modmath.as_block(x, self.src_moduli)
+        if x.shape[0] != self.k_in or x.dtype != np.uint64:
+            raise ValueError("source block must be (k_in, L) uint64")
+        n = x.shape[1]
         if not self.k_in or not self.k_out:
-            return [kernel.zeros(n) for kernel in self._dst_kernels]
+            return np.zeros((self.k_out, n), np.uint64)
         ws = self._workspace(n)
-        x = self._stack_input(limbs, n, ws["x"])
         # Element-wise stage over the whole stack: one lazy multiply
         # by (Q/q_i)^-1 in the source moduli's multiplier mode
         # (float-quotient below 2^46, Shoup above) and one fold.
@@ -749,7 +793,9 @@ class BConvPlan:
         comps = [flat[s * self.k_out:(s + 1) * self.k_out]
                  for s in range(len(self._shifts))]
         pq = self._dst_q
-        lo = ws["lo"]
+        # the result block is the one allocation a warmed call makes
+        lo = np.empty((self.k_out, n), np.uint64) if self._reduce_float \
+            else ws["lo"]
         tmpu = ws["tmpu"]
         lo[:] = comps[0]
         if self._reduce_float:
@@ -811,20 +857,15 @@ class BConvPlan:
                     np.add(hi, tmpu, out=hi)
             r = hi * self._t64_w - modmath.mulhi(hi, self._t64_ws) * pq
             acc = np.mod(np.mod(lo, pq) + r, pq)
-        out = []
-        for j, kernel in enumerate(self._dst_kernels):
-            row = acc[j]
-            out.append(row.astype(np.int64)
-                       if kernel.dtype == np.int64 else row.copy())
         self._release(ws)
-        return out
+        return acc
 
-    def down_scale(self, limbs) -> list:
-        """Multiply limb ``j`` by the hoisted ``(prod src)^{-1} mod p_j``."""
+    def down_scale(self, block) -> np.ndarray:
+        """Row ``j`` of a ``(..., k_out, L)`` block times the hoisted
+        ``(prod src)^{-1} mod p_j``."""
         if self._down_inv is None:
             raise ValueError("source product not invertible in target basis")
-        return [kernel.mul_scalar(limb, inv) for limb, kernel, inv
-                in zip(limbs, self._dst_kernels, self._down_inv)]
+        return self.dst_kernel.mul_rows(block, self._down_cols)
 
 
 @lru_cache(maxsize=PLAN_CACHE_MAXSIZE)
@@ -932,7 +973,8 @@ def base_convert(poly: RnsPoly, target_moduli) -> RnsPoly:
     target = tuple(int(p) for p in target_moduli)
     plan = get_bconv_plan(poly.moduli, target)
     if plan.matrix_path:
-        result = RnsPoly(plan.convert(poly.limbs), target, COEFF)
+        result = RnsPoly._of(plan.convert(poly), target, COEFF,
+                             plan.dst_kernel)
         if tracer.enabled:
             tracer.count("rns.bconv.matrix")
     else:
@@ -953,24 +995,25 @@ def mod_up(poly: RnsPoly, digit_indices: list[list[int]],
     ``poly``.  Each digit is base-converted onto the *complement*
     moduli (the rest of the Q basis plus all auxiliary P moduli) and
     recombined with its own limbs, yielding one RnsPoly per digit over
-    ``full_moduli + aux_moduli``.  Input/outputs in coefficient form.
+    ``full_moduli + aux_moduli``, the digits being consecutive views of
+    one ``(digits, k, N)`` block.  Input/outputs in coefficient form.
     """
     if poly.form != COEFF:
         raise ValueError("mod_up expects coefficient form")
     get_tracer().count("rns.mod_up")
-    full = tuple(int(q) for q in full_moduli)
-    aux = tuple(int(p) for p in aux_moduli)
-    extended = []
-    for indices in digit_indices:
+    basis = tuple(int(q) for q in full_moduli) + tuple(
+        int(p) for p in aux_moduli)
+    position = {q: i for i, q in enumerate(basis)}
+    block = np.empty((len(digit_indices), len(basis), poly.n),
+                     modmath.block_dtype(basis))
+    for out, indices in zip(block, digit_indices):
         digit = poly.select_limbs(indices)
-        own = {poly.moduli[i] for i in indices}
-        complement = tuple(q for q in full + aux if q not in own)
-        converted = base_convert(digit, complement)
-        limb_of = dict(zip(converted.moduli, converted.limbs))
-        limb_of.update(zip(digit.moduli, digit.limbs))
-        limbs = [limb_of[q] for q in full + aux]
-        extended.append(RnsPoly(limbs, full + aux, COEFF))
-    return extended
+        own = [position[q] for q in digit.moduli]
+        rest = [i for i in range(len(basis)) if i not in own]
+        converted = base_convert(digit, tuple(basis[i] for i in rest))
+        out[own] = digit.data
+        out[rest] = converted.data
+    return [RnsPoly._of(out, basis, COEFF) for out in block]
 
 
 def mod_down(poly: RnsPoly, main_count: int) -> RnsPoly:
@@ -988,14 +1031,15 @@ def mod_down(poly: RnsPoly, main_count: int) -> RnsPoly:
     p_moduli = poly.moduli[main_count:]
     if not p_moduli:
         raise ValueError("nothing to mod-down: no auxiliary limbs")
-    aux_part = RnsPoly(poly.limbs[main_count:], p_moduli, COEFF)
-    approx = base_convert(aux_part, q_moduli)
+    approx = base_convert(poly.select_limbs(range(main_count,
+                                                  len(poly.moduli))),
+                          q_moduli)
     # The P^-1 mod q scalars are hoisted into the conversion plan —
     # no per-call inv_mod.
     plan = get_bconv_plan(p_moduli, q_moduli)
-    diffs = [modmath.sub(limb, conv, q)
-             for limb, conv, q in zip(poly.limbs, approx.limbs, q_moduli)]
-    return RnsPoly(plan.down_scale(diffs), q_moduli, COEFF)
+    kernel = plan.dst_kernel
+    diff = kernel.sub(poly.data[:main_count], approx.data)
+    return RnsPoly._of(plan.down_scale(diff), q_moduli, COEFF, kernel)
 
 
 def exact_rescale(poly: RnsPoly) -> RnsPoly:
@@ -1008,17 +1052,15 @@ def exact_rescale(poly: RnsPoly) -> RnsPoly:
         raise ValueError("exact_rescale expects coefficient form")
     if len(poly.moduli) < 2:
         raise ValueError("cannot rescale a single-limb polynomial")
-    last_q = poly.moduli[-1]
-    last_limb = poly.limbs[-1]
     front = poly.moduli[:-1]
     # A single-limb conversion plan: its matrix stage is exactly the
     # fold ``x mod q_i`` (HPS is exact for one source limb), and it
     # hoists the q_last^-1 mod q_i scalars across calls.
-    plan = get_bconv_plan((last_q,), front)
+    plan = get_bconv_plan(poly.moduli[-1:], front)
     if plan.matrix_path:
-        folded = plan.convert([last_limb])
+        folded = plan.convert(poly.select_limbs([len(front)]))
     else:
-        folded = [modmath.asresidues(last_limb, q) for q in front]
-    diffs = [modmath.sub(limb, fold, q)
-             for limb, fold, q in zip(poly.limbs, folded, front)]
-    return RnsPoly(plan.down_scale(diffs), front, COEFF)
+        folded = modmath.as_block([poly.data[-1]] * len(front), front)
+    kernel = plan.dst_kernel
+    diff = kernel.sub(poly.data[:-1], folded)
+    return RnsPoly._of(plan.down_scale(diff), front, COEFF, kernel)

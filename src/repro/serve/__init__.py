@@ -23,8 +23,7 @@ batch it landed in, so every served response is bit-exact against a
 serial per-request oracle run.
 """
 
-from repro.serve.batcher import (BatchKey, BatchQueue, evk_aware_order,
-                                 evk_working_set)
+from repro.serve.batcher import BatchKey, BatchQueue, evk_working_set
 from repro.serve.engine import RowBatchNtt, ServeCheck, ServeExecutor
 from repro.serve.jobs import (DECRYPT, ENCODE, ENCRYPT, EVAL, JOB_KINDS,
                               SHAPES, ServeRequest, ServeResponse,
@@ -39,6 +38,5 @@ __all__ = [
     "FheServer", "JOB_KINDS", "LoadReport", "RowBatchNtt", "SHAPES",
     "ServeCheck", "ServeExecutor", "ServeRequest", "ServeResponse",
     "ServerConfig", "TenantKeyManager", "TenantQuotaError",
-    "TenantStats", "default_shape", "evk_aware_order",
-    "evk_working_set", "get_shape", "request_seed", "run_loadgen",
+    "TenantStats", "default_shape", "evk_working_set", "get_shape", "request_seed", "run_loadgen",
 ]

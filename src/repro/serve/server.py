@@ -151,7 +151,7 @@ class FheServer:
         future: asyncio.Future = loop.create_future()
         self._waiters[request_id] = future
         obs.count("serve.requests")
-        _, _, full = self.queue.add(request, now_s=request.submitted_s)
+        _, _, full = self.queue.add(request)
         self.max_queue_depth = max(self.max_queue_depth,
                                    self.queue.depth())
         obs.observe("serve.queue_depth", self.queue.depth())

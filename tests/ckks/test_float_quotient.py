@@ -422,3 +422,71 @@ class TestHelrStep:
 @pytest.mark.usefixtures("ufunc_ntt")
 class TestHelrStepUfunc(TestHelrStep):
     """The same digests and counters on the host without a compiler."""
+
+
+# The same digest over the hoisted baby rotations and the rescaled
+# result of benchmarks/e2e's ``hoisted_bsgs`` matvec (dim 16, baby 4:
+# its smoke shape) at Set-II-mini N=512, taken at commit 41714fe, the
+# last commit whose ``RnsPoly`` held a list of limb vectors.
+HOISTED_BSGS_DIGESTS = {
+    1: ["0863f9a15490795a", "03bd5322d7e872bb", "2fc7453d3e96f9f4",
+        "9915ec5f813c7f82"],
+    2: ["b1f67555c7fe4c8e", "58ec0aa30ea20c41", "2a4ca79d6147e8c6",
+        "f3bb2fd18658f2b4"],
+}
+
+
+class _HoistedBsgs:
+    """benchmarks/e2e ``hoisted_bsgs``: set-up, then one matvec."""
+
+    def __init__(self, seed: int, n: int = 512, dim: int = 16,
+                 baby: int = 4):
+        params = set_ii_mini(ring_degree=n)
+        self.ctx = ctx = CkksContext(params, seed=seed)
+        rng = np.random.default_rng(seed)
+        self.baby, giant = baby, dim // baby
+        top = params.max_level
+        for step in list(range(1, baby)) + [g * baby
+                                            for g in range(1, giant)]:
+            ctx.rotation_key(HYBRID, top, step)
+        self.matrix = rng.uniform(-1, 1, (dim, dim)) / 8.0
+        self.vector = rng.uniform(-1, 1, dim)
+        self.ct = ctx.encrypt(self.vector)
+        rows = np.arange(dim)
+        self.plains = [
+            [ctx.plain_for(self.ct, np.roll(
+                self.matrix[rows, (rows + g * baby + b) % dim], g * baby))
+             for b in range(baby)]
+            for g in range(giant)]
+        self.slots = params.num_slots
+
+    def iterate(self) -> list:
+        """The hoisted baby rotations and the result; checks the result."""
+        ctx, bs = self.ctx, self.baby
+        babies = [self.ct] + ctx.hoisted_rotate(self.ct, range(1, bs),
+                                                method=HYBRID)
+        result = None
+        for g, row in enumerate(self.plains):
+            partial = ctx.multiply_plain(babies[0], row[0])
+            for baby, plain in zip(babies[1:], row[1:]):
+                partial = ctx.add(partial, ctx.multiply_plain(baby, plain))
+            if g:
+                partial = ctx.rotate(partial, g * bs, method=HYBRID)
+            result = partial if result is None else ctx.add(result, partial)
+        result = ctx.rescale(result)
+        dim = len(self.vector)
+        expected = np.tile(self.matrix @ self.vector, self.slots // dim)
+        assert np.max(np.abs(ctx.decrypt(result) - expected)) < 1e-2
+        return babies[1:] + [result]
+
+
+class TestHoistedBsgs:
+    @pytest.mark.parametrize("seed", sorted(HOISTED_BSGS_DIGESTS))
+    def test_ciphertexts_equal_the_list_layout(self, seed):
+        got = [_digest(ct) for ct in _HoistedBsgs(seed).iterate()]
+        assert got == HOISTED_BSGS_DIGESTS[seed]
+
+
+@pytest.mark.usefixtures("ufunc_ntt")
+class TestHoistedBsgsUfunc(TestHoistedBsgs):
+    """The same digests on the host without a compiler."""

@@ -159,6 +159,26 @@ class TestDigitCountValidation:
             KeyMultPlan(key).stack(coeff_digits)
 
 
+class TestKeyStorage:
+    @pytest.mark.parametrize("method", (HYBRID, KLSS))
+    def test_plan_reads_the_keys_own_block(self, mini_ctx, method):
+        key = mini_ctx.evaluation_key(method, 3, "mult")
+        d, k, n = key.num_digits, len(key.moduli), key.parts[0][0].n
+        assert key.weights.shape == (2, d, k, n)
+        for j, (b_j, a_j) in enumerate(key.parts):
+            assert np.shares_memory(b_j.data, key.weights[0, j])
+            assert np.shares_memory(a_j.data, key.weights[1, j])
+        plan = get_key_mult_plan(key)
+        assert plan.tier == ("float" if method == HYBRID else "hilo")
+        assert np.shares_memory(plan._w, key.weights)
+        # no table of the plan's holds key-sized bytes of its own
+        key_bytes = key.weights.nbytes
+        assert all(not isinstance(getattr(plan, slot, None), np.ndarray)
+                   or getattr(plan, slot).nbytes < key_bytes // d
+                   or np.shares_memory(getattr(plan, slot), key.weights)
+                   for slot in KeyMultPlan.__slots__)
+
+
 class TestPlanCaching:
     def test_plan_cached_on_key(self, toy_ctx):
         key = toy_ctx.evaluation_key(HYBRID, 2, "mult")

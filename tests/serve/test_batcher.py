@@ -1,12 +1,11 @@
-"""Admission bookkeeping and the evk-aware stream ordering."""
+"""Admission bookkeeping and the evaluation-key working set."""
 
 import pytest
 
 from repro.ckks.keys import HYBRID
 from repro.core.hemera import KeyId
 from repro.core.optrace import TraceBuilder
-from repro.serve.batcher import (BatchKey, BatchQueue, evk_aware_order,
-                                 evk_working_set)
+from repro.serve.batcher import BatchKey, BatchQueue, evk_working_set
 from repro.serve.jobs import ServeRequest
 
 
@@ -36,13 +35,11 @@ class TestBatchQueue:
     def test_take_caps_at_max_batch_and_keeps_the_rest_oldest(self):
         queue = BatchQueue(max_batch=16)
         for rid in range(20):
-            key, _, _ = queue.add(request(rid), now_s=1.0)
-        queue.add(request(20, shape="encode-mini", kind="encode"),
-                  now_s=2.0)
+            key, _, _ = queue.add(request(rid))
+        queue.add(request(20, shape="encode-mini", kind="encode"))
         assert [r.request_id for r in queue.take(key)] == list(range(16))
-        # The remainder keeps its place and its opening time.
+        # The remainder keeps its place.
         assert queue.pending_keys()[0] == key
-        assert queue._pending[key].opened_s == 1.0
         assert [r.request_id for r in queue.take(key)] == \
             list(range(16, 20))
         assert queue.pending_keys() == [BatchKey("encode", "encode-mini")]
@@ -85,49 +82,3 @@ class TestEvkWorkingSet:
             return evk_working_set(tb.build())
 
         assert not rots("a", [1, 2]) & rots("b", [10, 11])
-
-
-class TestEvkAwareOrder:
-    def _sets(self, letters):
-        table = {"A": frozenset({KeyId(HYBRID, 5, "rot", 1)}),
-                 "B": frozenset({KeyId(HYBRID, 5, "rot", 2)}),
-                 "C": frozenset({KeyId(HYBRID, 5, "rot", 3)})}
-        return [table[letter] for letter in letters]
-
-    def test_is_a_permutation(self):
-        sets = self._sets("ABABAB")
-        order = evk_aware_order(sets)
-        assert sorted(order) == list(range(6))
-
-    def test_contiguous_grouping_by_default(self):
-        sets = self._sets("ABABAB")
-        order = evk_aware_order(sets)
-        drained = [sets[i] for i in order]
-        # Same-set streams must be adjacent: exactly one transition.
-        transitions = sum(1 for a, b in zip(drained, drained[1:])
-                          if a != b)
-        assert transitions == 1
-
-    def test_largest_bucket_first(self):
-        sets = self._sets("ABBB")
-        order = evk_aware_order(sets)
-        assert [sets[i] for i in order[:3]] == [sets[1]] * 3
-
-    def test_cluster_mode_aligns_buckets_to_clusters(self):
-        sets = self._sets("AABB")
-        order = evk_aware_order(sets, clusters=2)
-        # Position p runs on cluster p % 2: each bucket must land on
-        # one cluster only.
-        homes = {}
-        for position, index in enumerate(order):
-            homes.setdefault(sets[index], set()).add(position % 2)
-        assert all(len(clusters) == 1 for clusters in homes.values())
-
-    def test_cluster_mode_steals_when_counts_skew(self):
-        sets = self._sets("AAAB")
-        order = evk_aware_order(sets, clusters=2)
-        assert sorted(order) == list(range(4))
-
-    def test_rejects_bad_cluster_count(self):
-        with pytest.raises(ValueError):
-            evk_aware_order(self._sets("AB"), clusters=0)
