@@ -179,29 +179,29 @@ class BoundNtt:
 
 
 def _self_check(kernel: NttKernel) -> bool:
-    """Forward and inverse against the object-path reference at N=16:
+    """Forward and inverse against the Python-int reference at N=16:
     a 36-bit and a 60-bit prime, a random and an all-(q-1) row each."""
-    from repro.ckks import modmath, primes
+    from repro.ckks import primes
     from repro.ckks.ntt import NttPlan
 
     n = 16
     rng = np.random.default_rng(0)
-    moduli, rows, tables, references = [], [], [], []
+    moduli, rows, plans = [], [], []
     for bits in (36, 60):
         q = primes.ntt_primes(1, bits, n)[0]
         moduli += [q, q]
         rows += [rng.integers(0, q, n, dtype=np.uint64),
                  np.full(n, q - 1, dtype=np.uint64)]
-        tables += [NttPlan(n, q).fused_tables()] * 2
-        references += [NttPlan(n, q, path=modmath.OBJECT)] * 2
+        plans += [NttPlan(n, q)] * 2
     rows = np.stack(rows)
-    bound = kernel.bind(n, moduli, tables)
+    bound = kernel.bind(n, moduli, [plan.fused_tables() for plan in plans])
     for name in ("forward", "inverse"):
         got = rows.copy()
         getattr(bound, name)(got)
-        for row, reference, mine in zip(rows, references, got):
-            want = getattr(reference, name)(row.tolist())
-            if mine.tolist() != [int(v) for v in want]:
+        for row, plan, mine in zip(rows, plans, got):
+            # object rows: the plan's Python-int reference network
+            want = getattr(plan, name)(row.astype(object))
+            if mine.tolist() != want.tolist():
                 return False
     return True
 

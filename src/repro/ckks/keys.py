@@ -147,11 +147,9 @@ def _rlwe_pair(secret_eval: RnsPoly, payload_eval: RnsPoly | None,
                rng: np.random.Generator) -> tuple[RnsPoly, RnsPoly]:
     """Sample ``(b, a)`` with ``b = -a s + e (+ payload)`` in eval form."""
     n = params.ring_degree
-    # random_uniform samples straight into the modulus's width path,
-    # so evk generation at 36/60-bit primes never touches
-    # arbitrary-precision arrays.
-    a = RnsPoly([modmath.random_uniform(n, q, rng) for q in moduli],
-                moduli, rns.EVAL)
+    # uniform_block draws straight into the uint64 block, so evk
+    # generation at 36/60-bit primes never touches Python ints.
+    a = RnsPoly(modmath.uniform_block(n, moduli, rng), moduli, rns.EVAL)
     e = RnsPoly.from_int_coeffs(
         modmath.random_discrete_gaussian(n, rng, params.sigma),
         moduli).to_eval()

@@ -65,8 +65,7 @@ def calibrate_kernel_costs(ring_degree: int = CALIBRATE_RING_DEGREE,
 
     def ntt_unit(moduli) -> float:
         """One batched forward pass over the basis, per butterfly."""
-        block = modmath.as_block(
-            [modmath.random_uniform(n, q, rng) for q in moduli], moduli)
+        block = modmath.uniform_block(n, moduli, rng)
         return (timed(lambda: transform_limbs(block, moduli, n))
                 / (len(moduli) * cost.ntt_ops(n)))
 
@@ -79,15 +78,16 @@ def calibrate_kernel_costs(ring_degree: int = CALIBRATE_RING_DEGREE,
         return timed(lambda: plan.accumulate(stacked)) / (2.0 * stacked.size)
 
     def elementwise_unit(q: int) -> float:
-        """One full-width modular multiply per coefficient."""
-        kernel = modmath.get_kernel(q)
-        a = modmath.random_uniform(n, q, rng)
-        b = modmath.random_uniform(n, q, rng)
+        """One full-width modular multiply per coefficient, on a
+        one-row block."""
+        kernel = modmath.BasisKernel((q,))
+        a = modmath.uniform_block(n, (q,), rng)
+        b = modmath.uniform_block(n, (q,), rng)
         return timed(lambda: kernel.mul(a, b)) / n
 
     # BConv: the ModDown shape (specials -> Q) on the matrix path.
-    poly = rns.RnsPoly([modmath.random_uniform(n, q, rng)
-                        for q in specials], specials, rns.COEFF)
+    poly = rns.RnsPoly(modmath.uniform_block(n, specials, rng), specials,
+                       rns.COEFF)
     plan = rns.get_bconv_plan(specials, q_chain)
     bconv_unit = (timed(lambda: plan.convert(poly))
                   / cost.bconv_ops(n, len(specials), len(q_chain)))

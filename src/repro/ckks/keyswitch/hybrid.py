@@ -103,8 +103,8 @@ class KeyMultPlan:
     ``2 * max_bits + ceil(log2 d)``:
 
     * ``u64`` (budget <= 64): raw wrapping-uint64 products summed
-      directly, one ``np.mod`` per limb at the end.  Covers narrow
-      (<= 31-bit) moduli at any realistic digit count.
+      directly, one ``np.mod`` per limb at the end.  Covers moduli
+      of 31 bits or fewer at any realistic digit count.
     * ``float`` (every modulus below 2^46, ``2 q d <= 2^49``): each
       product comes out of the float-quotient multiply
       (:func:`repro.ckks.modmath.mul_float_lazy_var_into`) already

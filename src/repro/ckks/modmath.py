@@ -3,11 +3,11 @@
 The software analogue of the accelerator's modular ALUs and of the
 paper's Tunable-Bit Multiplier picking its datapath width per
 operation (Sec. 4.2, 36-bit vs 60-bit mode).  Each modulus runs one of
-three paths, by width alone (:func:`width_path`):
+two paths, by width alone (:func:`width_path`):
 
-* ``narrow`` (up to 31 bits) and ``wide`` (up to 62 bits) — the uint64
-  datapath, with two multipliers picked from the modulus alone by
-  :func:`fits_float_quotient` (the TBM's two modes):
+* ``wide`` (below 2^62) — the uint64 datapath, with two multipliers
+  picked from the modulus alone by :func:`fits_float_quotient` (the
+  TBM's two modes):
 
   - **36-bit mode**, ``q < 2^46``: the quotient ``floor(a*w/q)`` fits
     a float64 with room to spare, so a modular multiply is the
@@ -26,8 +26,8 @@ three paths, by width alone (:func:`width_path`):
   every lazy-domain consumer (the NTT engine's ``[0, 4q)`` / ``[0,
   2q)`` discipline, the KeyMult accumulator) is the same code in
   either mode.
-* ``object`` — arbitrary-precision Python integers: the exactness
-  oracle for the uint64 kernels and the only path beyond 62 bits.
+* ``object`` — arbitrary-precision Python integers: the only path
+  beyond 62 bits.
 
 Why 46 bits and why ``a < 2^49``: the float multiply admits any
 operand below ``2^49`` against a reduced ``w < q`` (the proof is in
@@ -35,32 +35,26 @@ operand below ``2^49`` against a reduced ``w < q`` (the proof is in
 is ``4q - 1``; ``4q <= 2^48 < 2^49`` exactly when ``q < 2^46``.
 
 An RNS polynomial is one ``(k, N)`` block, one modulus per row
-(:func:`block_dtype`: uint64 at every width up to 62 bits), and
-:class:`BasisKernel` runs its element-wise ops as one pass over the
-block per step.  :class:`ModulusKernel` (cached by :func:`get_kernel`)
-is the per-modulus plan behind the module-level ``f(a, b, modulus)``
-functions, the reference NTT and the conversion oracle; its narrow
-path keeps int64 vectors and accepts uint64 rows.  With the
-observability layer on, every kernel invocation bumps
-``modmath.path.{narrow,wide,object}`` once per row — the software
-analogue of TBM mode-occupancy statistics (Fig. 12).
+(:func:`block_dtype`: uint64 at every width up to 62 bits).
+:func:`as_block` is the one boundary that reduces integers into a
+block, and :class:`BasisKernel` the one element-wise kernel: each op
+is one pass over the block per step.  With the observability layer
+on, every kernel invocation bumps ``modmath.path.{wide,object}`` once
+per row — the software analogue of TBM mode-occupancy statistics
+(Fig. 12).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
 
 from repro.obs.tracer import get_tracer
 
-NARROW = "narrow"
 WIDE = "wide"
 OBJECT = "object"
 
-# Largest modulus for which a*b of two reduced residues fits in int64.
-_INT64_SAFE_BITS = 31
 # Largest modulus for the split-limb Barrett path: the reduction needs
 # q < 2^62 so that the (< 3q) pre-subtraction remainder and the lazy
 # Shoup product (< 2q) both fit in uint64 with slack.
@@ -71,8 +65,6 @@ _FLOAT_QUOTIENT_BITS = 46
 # Shrinks a float companion so three roundings cannot push the
 # quotient estimate above the true quotient (mul_float_lazy_into).
 _FLOAT_SHRINK = 1.0 - 2.0 ** -50
-
-_PATH_RANK = {NARROW: 0, WIDE: 1, OBJECT: 2}
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -85,13 +77,9 @@ _TRACER = get_tracer()
 
 
 def width_path(modulus: int) -> str:
-    """Auto-selected width path (``narrow``/``wide``/``object``)."""
-    bits = int(modulus).bit_length()
-    if bits <= _INT64_SAFE_BITS:
-        return NARROW
-    if bits <= _WIDE_SAFE_BITS:
-        return WIDE
-    return OBJECT
+    """The width path of ``modulus``: ``wide`` (uint64) below 2^62,
+    ``object`` (Python ints) from there up."""
+    return WIDE if int(modulus).bit_length() <= _WIDE_SAFE_BITS else OBJECT
 
 
 def fits_float_quotient(modulus: int) -> bool:
@@ -99,15 +87,10 @@ def fits_float_quotient(modulus: int) -> bool:
     mode, ``q < 2^46``) rather than the 64-bit Shoup/Barrett one.
 
     The one switch between the two wide multipliers: the per-row NTT
-    engine, :class:`ModulusKernel` and the KeyMult tiers all ask this
+    engine, :class:`BasisKernel` and the KeyMult tiers all ask this
     and nothing else.
     """
     return int(modulus).bit_length() <= _FLOAT_QUOTIENT_BITS
-
-
-def uses_int64(modulus: int) -> bool:
-    """Return True when residues mod ``modulus`` use the int64 path."""
-    return width_path(modulus) == NARROW
 
 
 # -- 64x64 -> 128-bit building blocks (uint64 arrays) ---------------------
@@ -404,9 +387,8 @@ def barrett_constants(modulus: int) -> tuple[np.uint64, np.uint64]:
 def shoup_pair(w: int, modulus: int) -> tuple[np.uint64, np.uint64]:
     """``(w mod q, floor(w * 2^64 / q))`` for lazy fixed-operand mulmod.
 
-    Unlike :meth:`ModulusKernel.shoup` this is path-agnostic — the
-    batch kernels run narrow moduli through the same uint64 datapath
-    as wide ones, where the Shoup trick is valid for any ``q < 2^62``.
+    The Shoup trick is valid for any ``q < 2^62``, whatever the
+    multiplier mode the modulus runs elsewhere.
     """
     q = int(modulus)
     w = int(w) % q
@@ -430,339 +412,78 @@ def shoup_companions(w, modulus: int):
     return est + ((_U64_ZERO - est * q) >= q)
 
 
-class ModulusKernel:
-    """Per-modulus arithmetic plan: width path plus reduction constants.
-
-    The plan object is the software TBM: one kernel runs either the
-    narrow int64 datapath or the wide uint64 datapath (or the exact
-    object oracle), chosen once per modulus, and a wide kernel is
-    built in one of the TBM's two modes: below 2^46
-    (:func:`fits_float_quotient`) every multiply is the float-quotient
-    one, 8 ufunc passes with the fold; from 2^46 up it is the exact
-    128-bit product with Barrett reduction (or Shoup's trick for a
-    fixed operand), about 60 (22), against the hardware TBM's 2:1
-    issue ratio.
-
-    Residue arrays handed to the binary ops must be **canonical**
-    (``< q``); :meth:`asresidues` is the boundary that establishes
-    that invariant.  The 60-bit mode happens to tolerate more (its
-    Barrett step is exact for any product below 2^126); the 36-bit
-    mode does not, so no caller may rely on it.
-    """
-
-    __slots__ = ("modulus", "path", "dtype", "bits",
-                 "_q64", "_r_hi", "_r_lo", "_half", "_q_inv")
-
-    def __init__(self, modulus: int, path: str | None = None):
-        modulus = int(modulus)
-        if modulus < 2:
-            raise ValueError("modulus must be at least 2")
-        auto = width_path(modulus)
-        if path is None:
-            path = auto
-        elif path not in _PATH_RANK:
-            raise ValueError(f"unknown width path {path!r}")
-        elif _PATH_RANK[path] < _PATH_RANK[auto]:
-            raise ValueError(
-                f"modulus {modulus} ({modulus.bit_length()} bits) does "
-                f"not fit the {path} path")
-        self.modulus = modulus
-        self.path = path
-        self.bits = modulus.bit_length()
-        self._half = modulus // 2
-        # 1/q as a float companion on a wide kernel in 36-bit mode;
-        # None is 60-bit mode (and every other path).
-        self._q_inv = None
-        if path == NARROW:
-            self.dtype = np.int64
-        elif path == WIDE:
-            self.dtype = np.uint64
-            self._q64 = np.uint64(modulus)
-            self._r_hi, self._r_lo = barrett_constants(modulus)
-            if fits_float_quotient(modulus):
-                self._q_inv = float_companion(1, modulus)
-        else:
-            self.dtype = object
-
-    def __repr__(self) -> str:
-        return (f"ModulusKernel(modulus={self.modulus}, "
-                f"path={self.path!r}, bits={self.bits})")
-
-    # -- internals ----------------------------------------------------
-    def _tick(self) -> None:
-        if _TRACER.enabled:
-            _TRACER.count("modmath.path." + self.path)
-
-    def _scalar(self, value) -> int:
-        """A reduced plain-int scalar operand."""
-        return int(value) % self.modulus
-
-    def _coerce(self, a) -> np.ndarray:
-        """Ensure ``a`` is a residue array of this kernel's dtype."""
-        if isinstance(a, np.ndarray) and a.dtype == self.dtype:
-            return a
-        return self._asresidues(a, copy=False)
-
-    def _narrow(self, a, b) -> tuple:
-        """Array operands as int64 on the narrow path: a ``(k, N)``
-        polynomial block holds narrow rows as uint64, where ``a - b``
-        would wrap instead of going negative."""
-        if self.path != NARROW:
-            return a, b
-        if isinstance(b, np.ndarray):
-            b = self._coerce(b)
-        return self._coerce(a), b
-
-    def _asresidues(self, values, copy: bool = True) -> np.ndarray:
-        q = self.modulus
-        if isinstance(values, np.ndarray):
-            arr = values
-        else:
-            arr = np.asarray(values)
-            if arr.dtype.kind == "f":
-                # numpy converts an int list to float64 (losing low
-                # bits) when any element lands in [2^63, 2^64); rebox
-                # from the original exact values.
-                boxed = np.empty(len(values), dtype=object)
-                boxed[:] = [int(v) for v in values]
-                arr = boxed
-        if self.path == OBJECT:
-            if arr.dtype != object:
-                boxed = np.empty(arr.size, dtype=object)
-                boxed[:] = arr.ravel().tolist()
-                arr = boxed
-            else:
-                arr = arr.ravel()
-            return np.mod(arr, q)
-        if arr.dtype == object:
-            # Single reduce-then-convert pass: one vectorised Python-%
-            # sweep, then a bulk dtype conversion (no per-element
-            # comprehension).
-            return np.mod(arr.ravel(), q).astype(self.dtype)
-        if arr.dtype == self.dtype and arr.ndim == 1:
-            # Fast path: already-reduced input needs at most a copy.
-            if self.path == WIDE:
-                reduced = bool((arr < self._q64).all())
-            else:
-                reduced = bool(((arr >= 0) & (arr < q)).all())
-            if reduced:
-                return arr.copy() if copy else arr
-        if self.path == WIDE:
-            if arr.dtype == np.uint64:
-                return np.mod(arr, self._q64)
-            return np.mod(arr.astype(np.int64, copy=False),
-                          q).astype(np.uint64)
-        return np.mod(arr.astype(np.int64, copy=True), q)
-
-    def _mul_scalar(self, a, scalar: int) -> np.ndarray:
-        s = self._scalar(scalar)
-        if self.path == WIDE:
-            return self._mul_shoup(self._coerce(a), *self.shoup(s))
-        a, _ = self._narrow(a, None)
-        return np.mod(a * s, self.modulus)
-
-    def _mul_shoup(self, a, w, companion) -> np.ndarray:
-        q = self._q64
-        if self._q_inv is None:
-            r = mul_shoup_lazy(a, w, companion, q)
-            prod = r - q
-        else:
-            # mul_float_lazy_into, allocating its own out and scratch
-            r = (a * companion).astype(np.uint64)
-            np.multiply(r, q, out=r)
-            prod = a * w
-            np.subtract(prod, r, out=r)
-            np.subtract(r, q, out=prod)
-        return np.minimum(r, prod, out=r)       # [0, 2q) -> [0, q)
-
-    # -- constructors / conversions -----------------------------------
-    def zeros(self, n: int) -> np.ndarray:
-        if self.path == OBJECT:
-            out = np.empty(n, dtype=object)
-            out[:] = 0
-            return out
-        return np.zeros(n, self.dtype)
-
-    def asresidues(self, values, copy: bool = True) -> np.ndarray:
-        """Coerce ints/arrays into a reduced residue vector.
-
-        With ``copy=False``, input that is already a reduced vector of
-        the kernel's dtype is returned as-is (no copy); callers opting
-        in must not mutate the result.
-        """
-        self._tick()
-        return self._asresidues(values, copy=copy)
-
-    def to_signed(self, a) -> np.ndarray:
-        """Map residues to the symmetric interval (-q/2, q/2]."""
-        self._tick()
-        half = self._half
-        if self.path == OBJECT:
-            return np.where(np.greater(a, half), a - self.modulus, a)
-        signed = a.astype(np.int64, copy=True)
-        signed[signed > half] -= self.modulus
-        return signed
-
-    # -- element-wise ring ops -----------------------------------------
-    def add(self, a, b) -> np.ndarray:
-        self._tick()
-        a, b = self._narrow(a, b)
-        if isinstance(b, (int, np.integer)):
-            b = self._scalar(b)
-            if self.path == WIDE:
-                b = np.uint64(b)
-        if self.path == WIDE:
-            s = a + b                   # < 2^63: no wraparound
-            return np.where(s >= self._q64, s - self._q64, s)
-        return np.mod(a + b, self.modulus)
-
-    def sub(self, a, b) -> np.ndarray:
-        self._tick()
-        a, b = self._narrow(a, b)
-        if isinstance(b, (int, np.integer)):
-            b = self._scalar(b)
-            if self.path == WIDE:
-                b = np.uint64(b)
-        if self.path == WIDE:
-            d = a + (self._q64 - b)     # in [0, 2q)
-            return np.where(d >= self._q64, d - self._q64, d)
-        return np.mod(a - b, self.modulus)
-
-    def neg(self, a) -> np.ndarray:
-        self._tick()
-        a, _ = self._narrow(a, None)
-        if self.path == WIDE:
-            return np.where(a == _U64_ZERO, _U64_ZERO, self._q64 - a)
-        return np.mod(-a, self.modulus)
-
-    def mul(self, a, b) -> np.ndarray:
-        """Element-wise ``(a * b) mod q``; ``b`` may be a scalar.
-
-        Array operands must be canonical residues (``< q``).
-        """
-        self._tick()
-        if isinstance(b, (int, np.integer)):
-            return self._mul_scalar(a, int(b))
-        if self.path == WIDE:
-            a, b = self._coerce(a), self._coerce(b)
-            if self._q_inv is not None:
-                # the variable-operand form: b's companion on the fly
-                return self._mul_shoup(a, b, b * self._q_inv)
-            hi, lo = _mul128(a, b)
-            return _barrett128(hi, lo, self._q64, self._r_hi, self._r_lo)
-        a, b = self._narrow(a, b)
-        return np.mod(a * b, self.modulus)
-
-    def mul_scalar(self, a, scalar: int) -> np.ndarray:
-        """``(a * scalar) mod q`` for canonical ``a`` and any int
-        ``scalar`` (reduced here)."""
-        self._tick()
-        return self._mul_scalar(a, int(scalar))
-
-    # -- fixed-operand multiplication (wide path) -----------------------
-    def shoup(self, w: int) -> tuple:
-        """Precompute ``(w mod q, companion)`` for :meth:`mul_shoup`.
-
-        The companion is this kernel's business: Shoup's
-        ``floor(w * 2^64 / q)`` in 60-bit mode,
-        :func:`float_companion` in 36-bit mode.
-        """
-        w = self._scalar(w)
-        if self._q_inv is not None:
-            return np.uint64(w), float_companion(w, self.modulus)
-        return np.uint64(w), np.uint64((w << 64) // self.modulus)
-
-    def mul_shoup(self, a, w, w_shoup) -> np.ndarray:
-        """Lazy-reduction multiply by precomputed operands (wide only).
-
-        ``w``/``w_shoup`` come from :meth:`shoup`; ``a`` must be
-        canonical.  Exact result in [0, q).
-        """
-        if self.path != WIDE:
-            raise ValueError(f"mul_shoup requires the wide path, "
-                             f"not {self.path}")
-        self._tick()
-        return self._mul_shoup(a, w, w_shoup)
-
-    # -- sampling -------------------------------------------------------
-    def random_uniform(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        self._tick()
-        q = self.modulus
-        if self.path == NARROW:
-            return rng.integers(0, q, size=n, dtype=np.int64)
-        if self.path == WIDE:
-            return rng.integers(0, q, size=n, dtype=np.uint64)
-        words = (q.bit_length() + 62) // 63
-        out = np.empty(n, dtype=object)
-        for i in range(n):
-            v = 0
-            for _ in range(words):
-                v = (v << 63) | int(rng.integers(0, 1 << 63,
-                                                 dtype=np.uint64))
-            out[i] = v % q
-        return out
-
-
-@lru_cache(maxsize=1024)
-def _build_kernel(modulus: int, path: str) -> ModulusKernel:
-    return ModulusKernel(modulus, path)
-
-
-def get_kernel(modulus: int, path: str | None = None) -> ModulusKernel:
-    """Shared :class:`ModulusKernel` for one (modulus, path).
-
-    ``path=None`` is resolved to :func:`width_path` before the cache
-    lookup, so the default and the explicit auto path share one kernel.
-    """
-    modulus = int(modulus)
-    return _build_kernel(modulus,
-                         width_path(modulus) if path is None else path)
-
-
 # -- one modulus per row: the (k, N) block of an RNS polynomial ------------
 
 def block_dtype(moduli):
     """The dtype of a ``(k, N)`` residue block over ``moduli``: uint64
-    at every width up to 62 bits (narrow rows included), Python ints
-    (``object``) once any modulus needs the object path."""
+    at every width up to 62 bits, Python ints (``object``) once any
+    modulus needs the object path."""
     if any(width_path(q) == OBJECT for q in moduli):
         return object
     return np.uint64
 
 
-def as_block(rows, moduli, out=None) -> np.ndarray:
-    """Reduce a sequence of residue vectors, row ``i`` modulo
-    ``moduli[i]``, into one C-contiguous ``(k, N)`` block (``out`` when
-    given, else a new one of :func:`block_dtype`)."""
-    if len(rows) != len(moduli):
+def as_block(values, moduli, out=None) -> np.ndarray:
+    """The one reduction boundary: the residues of ``values`` as a
+    C-contiguous ``(k, N)`` block, row ``i`` modulo ``moduli[i]``
+    (``out`` when given, else a new block of :func:`block_dtype`).
+
+    ``values`` is ``k`` rows (a ``(k, N)`` array or a sequence of
+    vectors) or one length-``N`` vector every row shares; either way
+    it is converted once and reduced in one pass against the ``(k,
+    1)`` modulus column.  Signed and unreduced integers are welcome;
+    the pass runs on Python ints only where a value exceeds int64 or a
+    modulus needs the object path.
+    """
+    moduli = tuple(int(q) for q in moduli)
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
+        # numpy turns a list holding ints in [2^63, 2^64) beside
+        # signed ones into float64, losing low bits: rebox them
+        arr = np.array(values, dtype=object)
+    if arr.ndim == 2 and arr.shape[0] != len(moduli):
         raise ValueError("limb count does not match the basis")
+    if arr.ndim not in (1, 2):
+        raise ValueError("values must be rows or one shared vector")
+    shape = (len(moduli), arr.shape[-1])
+    dtype = block_dtype(moduli)
     if out is None:
-        n = len(rows[0]) if len(rows) else 0
-        out = np.empty((len(moduli), n), block_dtype(moduli))
-    for i, q in enumerate(moduli):
-        row = get_kernel(q).asresidues(rows[i], copy=False)
-        if len(row) != out.shape[1]:
-            raise ValueError("ragged limb lengths")
-        out[i] = row
+        out = np.empty(shape, dtype)
+    elif out.shape != shape:
+        raise ValueError("limb length does not match the out block")
+    if dtype is object or arr.dtype == object:
+        q = np.array(moduli, object).reshape(-1, 1)
+        out[...] = np.mod(arr.astype(object, copy=False), q)
+    elif arr.dtype == np.uint64:
+        q = np.array(moduli, np.uint64).reshape(-1, 1)
+        if (arr < q).all():
+            out[...] = arr                   # already canonical: a copy
+        else:
+            np.mod(arr, q, out=out)
+    else:
+        # signed: int64 remainders of a positive modulus are canonical
+        q = np.array(moduli, np.int64).reshape(-1, 1)
+        np.mod(arr.astype(np.int64, copy=False), q, out=out,
+               casting="unsafe")
     return out
 
 
 class BasisKernel:
-    """:class:`ModulusKernel` for a whole basis: row ``i`` of a
+    """The element-wise modular kernel of one basis: row ``i`` of a
     ``(..., k, N)`` block holds residues modulo ``moduli[i]``, and each
     op is one ufunc pass per step over the block, the moduli riding as
-    a ``(k, 1)`` column.
+    a ``(k, 1)`` column.  A single modulus is the basis of one row.
 
     Add, sub and neg are mode-free (two variable operands below
     ``2q < 2^63``, one branch-free fold).  A multiply runs once per
     *run*: a maximal slice of consecutive rows in one TBM mode, the
     float-quotient multiply below 2^46, the 128-bit product (Shoup for
     a per-row scalar) above.  A basis sorted by mode, as every CKKS
-    chain is, costs one call per mode.  A basis holding any modulus of
-    62 bits or more is an object block and runs exact Python-int
+    chain is, costs one call per mode.  A basis holding any modulus
+    beyond 62 bits is an object block and runs exact Python-int
     arithmetic on the same shapes.  Operands must be canonical and of
-    one shape; results are fresh, canonical and equal to the per-limb
-    kernels' bit for bit.
+    one shape; results are fresh, canonical and equal to Python-int
+    arithmetic bit for bit.
     """
 
     __slots__ = ("moduli", "dtype", "q", "_runs", "_paths")
@@ -772,7 +493,7 @@ class BasisKernel:
         self.dtype = block_dtype(self.moduli)
         paths = [width_path(q) for q in self.moduli]
         self._paths = [("modmath.path." + p, paths.count(p))
-                       for p in _PATH_RANK if p in paths]
+                       for p in (WIDE, OBJECT) if p in paths]
         self.q = np.array(self.moduli, self.dtype).reshape(-1, 1)
         self._runs = []
         if self.dtype is object:
@@ -871,52 +592,7 @@ class BasisKernel:
         return out
 
 
-# -- module-level functional API (historic signatures) --------------------
-
-def zeros(n: int, modulus: int) -> np.ndarray:
-    """An all-zero residue vector of length ``n`` for ``modulus``."""
-    return get_kernel(modulus).zeros(n)
-
-
-def asresidues(values, modulus: int, copy: bool = True) -> np.ndarray:
-    """Coerce ``values`` (ints / array) into a reduced residue vector."""
-    return get_kernel(modulus).asresidues(values, copy=copy)
-
-
-def add(a: np.ndarray, b, modulus: int) -> np.ndarray:
-    """Element-wise ``(a + b) mod modulus``."""
-    return get_kernel(modulus).add(a, b)
-
-
-def sub(a: np.ndarray, b, modulus: int) -> np.ndarray:
-    """Element-wise ``(a - b) mod modulus``."""
-    return get_kernel(modulus).sub(a, b)
-
-
-def neg(a: np.ndarray, modulus: int) -> np.ndarray:
-    """Element-wise ``(-a) mod modulus``."""
-    return get_kernel(modulus).neg(a)
-
-
-def mul(a: np.ndarray, b, modulus: int) -> np.ndarray:
-    """Element-wise ``(a * b) mod modulus``; ``b`` may be a scalar.
-
-    Narrow path: the product of two reduced residues is at most
-    ``(2^31 - 1)^2 < 2^62`` so it never overflows int64.  Wide path:
-    exact 128-bit product + Barrett reduction.
-    """
-    return get_kernel(modulus).mul(a, b)
-
-
-def mul_scalar(a: np.ndarray, scalar: int, modulus: int) -> np.ndarray:
-    """Element-wise multiplication by a plain integer scalar."""
-    return get_kernel(modulus).mul_scalar(a, scalar)
-
-
-def mul_shoup(a: np.ndarray, w, w_shoup, modulus: int) -> np.ndarray:
-    """Wide-path lazy multiply by Shoup-precomputed operands."""
-    return get_kernel(modulus).mul_shoup(a, w, w_shoup)
-
+# -- scalars and samplers --------------------------------------------------
 
 def pow_mod(base: int, exp: int, modulus: int) -> int:
     """Scalar modular exponentiation (thin wrapper over built-in pow)."""
@@ -929,26 +605,6 @@ def inv_mod(value: int, modulus: int) -> int:
     if value == 0:
         raise ValueError("zero has no modular inverse")
     return pow(value, -1, modulus)
-
-
-def to_signed(a: np.ndarray, modulus: int) -> np.ndarray:
-    """Map residues to the symmetric interval (-q/2, q/2].
-
-    Returns an int64 array on the narrow and wide paths (safe: moduli
-    there are < 2^62, so centred values fit a signed 64-bit integer)
-    and an object array of Python ints on the object path.  Used when
-    rounding/decoding and in ModDown error analysis.
-    """
-    return get_kernel(modulus).to_signed(a)
-
-
-def random_uniform(n: int, modulus: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform residue vector, used for RLWE masks and evk ``a`` parts.
-
-    Narrow/wide moduli sample directly into int64/uint64 arrays; only
-    the object path pays a per-element rejection loop.
-    """
-    return get_kernel(modulus).random_uniform(n, rng)
 
 
 def random_ternary(n: int, rng: np.random.Generator,
@@ -967,3 +623,26 @@ def random_discrete_gaussian(n: int, rng: np.random.Generator,
                              sigma: float = 3.2) -> np.ndarray:
     """Rounded-Gaussian error vector (standard RLWE error distribution)."""
     return np.rint(rng.normal(0.0, sigma, size=n)).astype(np.int64)
+
+
+def uniform_block(n: int, moduli, rng: np.random.Generator) -> np.ndarray:
+    """Uniform ``(k, n)`` residue block, drawn row by row into place:
+    the RLWE masks and the evk ``a`` halves.
+
+    A uint64 row is one ``rng.integers`` draw; a modulus beyond 62
+    bits pays a per-element loop over 63-bit words.
+    """
+    moduli = tuple(int(q) for q in moduli)
+    out = np.empty((len(moduli), n), block_dtype(moduli))
+    for row, q in zip(out, moduli):
+        if width_path(q) == WIDE:
+            row[:] = rng.integers(0, q, size=n, dtype=np.uint64)
+            continue
+        words = (q.bit_length() + 62) // 63
+        for i in range(n):
+            v = 0
+            for _ in range(words):
+                v = (v << 63) | int(rng.integers(0, 1 << 63,
+                                                 dtype=np.uint64))
+            row[i] = v % q
+    return out

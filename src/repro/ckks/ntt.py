@@ -55,11 +55,12 @@ batch plans wherever the host can build it, and one reference:
   them; the engine is the fallback, unchanged.  Shared-modulus plans
   stay on the engine (DESIGN.md Sec. 21).
 * **the reference** — the radix-2 network, one canonically reduced
-  stage per pass, on Python ints through
-  :class:`~repro.ckks.modmath.ModulusKernel`.  It is what
-  ``NttPlan(n, q, path=modmath.OBJECT)`` executes: the only path for
-  moduli above 62 bits, and the plan every bit-exactness test and the
-  serving layer's serial oracle compare the engine against.
+  stage per pass, on Python ints (``%`` on object arrays).  The rows'
+  dtype selects it, as it selects :class:`~repro.ckks.modmath.
+  BasisKernel`'s path: any :class:`NttPlan` runs object rows on it.
+  It is the only path for moduli above 62 bits, and what every
+  bit-exactness test and the serving layer's serial oracle compare
+  the engine against.
 
 All three emit the same slot ordering (``2*brv(i)+1``, see
 :func:`eval_point_exponents`) and bit-identical canonical outputs.
@@ -138,8 +139,8 @@ class FusedNttEngine:
       operands feed the multiply unfolded; sums are then
       ``< 2q + 2q = 4q``, so the invariant holds and nothing exceeds
       ``4q < 2^64`` — which is precisely ``q < 2^62``, the wide-path
-      bound (:data:`repro.ckks.modmath._WIDE_SAFE_BITS`).  26/28/31-bit
-      narrow moduli ride the same datapath with even more slack.
+      bound (:data:`repro.ckks.modmath._WIDE_SAFE_BITS`); 26- to 31-bit
+      moduli ride the same datapath with even more slack.
     * inverse (Gentleman-Sande): stage values stay in ``[0, 2q)`` —
       sums are folded once, differences are computed as
       ``a + (2q - b) < 4q`` and immediately consumed by a multiply
@@ -394,22 +395,18 @@ class NttPlan:
         Power-of-two polynomial degree ``N``.
     modulus:
         NTT-friendly prime with ``modulus = 1 (mod 2N)``.
-    path:
-        Optional width-path override: ``modmath.OBJECT`` builds the
-        **reference** plan for a modulus that would auto-select the
-        fused datapath.  Defaults to the modulus's auto-selected path.
 
-    A narrow or wide plan (``q < 2^62``) transforms on a shared-modulus
-    :class:`FusedNttEngine`; an object-path plan runs the radix-2
+    The rows' dtype picks the butterfly: uint64 rows (``q < 2^62``)
+    transform on a shared-modulus :class:`FusedNttEngine`, object rows
+    (Python ints; the only kind beyond 62 bits) on the radix-2
     reference network (:meth:`_forward_stages` /
-    :meth:`_inverse_stages`) on Python ints.  The primitive is the
-    in-place ``(B, N)`` rows transform (:meth:`forward_rows` /
-    :meth:`inverse_rows`); the scalar :meth:`forward` /
-    :meth:`inverse` are that transform with ``B = 1``.
+    :meth:`_inverse_stages`).  The primitive is the in-place ``(B,
+    N)`` rows transform (:meth:`forward_rows` / :meth:`inverse_rows`);
+    the scalar :meth:`forward` / :meth:`inverse` are that transform
+    with ``B = 1``.
     """
 
-    def __init__(self, ring_degree: int, modulus: int,
-                 path: str | None = None):
+    def __init__(self, ring_degree: int, modulus: int):
         if ring_degree & (ring_degree - 1):
             raise ValueError("ring degree must be a power of two")
         if (modulus - 1) % (2 * ring_degree) != 0:
@@ -417,22 +414,22 @@ class NttPlan:
                 f"modulus {modulus} is not NTT-friendly for N={ring_degree}")
         self.n = ring_degree
         self.modulus = modulus
-        self._kernel = modmath.get_kernel(modulus, path)
-        self.path = self._kernel.path
+        self.wide = modmath.width_path(modulus) == modmath.WIDE
         psi = primes.root_of_unity(2 * ring_degree, modulus)
         psi_inv = modmath.inv_mod(psi, modulus)
         # Twiddle tables are built once, here, from exact Python ints.
         self._psi_rev = self._power_table(psi)
         self._psi_inv_rev = self._power_table(psi_inv)
         self._n_inv = modmath.inv_mod(ring_degree, modulus)
-        if self.path != modmath.OBJECT:
+        self._reference = None       # Python-int tables, on first use
+        if self.wide:
             # The one derivation of the multiply companions: the batch
             # plan and the serving layer reuse these through
             # :meth:`fused_tables` instead of re-deriving them.
             self._psi_rev_shoup = modmath.shoup_companions(
-                self._psi_rev.view(np.uint64), modulus)
+                self._psi_rev, modulus)
             self._psi_inv_rev_shoup = modmath.shoup_companions(
-                self._psi_inv_rev.view(np.uint64), modulus)
+                self._psi_inv_rev, modulus)
             self._n_inv_pair = modmath.shoup_pair(self._n_inv, modulus)
         # The shared-modulus engine is built lazily on first use:
         # plans built only for their tables (the batch plan stacks
@@ -447,13 +444,8 @@ class NttPlan:
         derived here on request, since only batch-plan builds ask and
         they stack a copy: a plan the serving layer holds pays no
         bytes for them).
-
-        Narrow plans keep int64 twiddles; canonical residues
-        (``< q < 2^31``) fit both dtypes, so the uint64 tables are
-        reinterpreting views, not copies.
         """
-        psi = self._psi_rev.view(np.uint64)
-        psi_inv = self._psi_inv_rev.view(np.uint64)
+        psi, psi_inv = self._psi_rev, self._psi_inv_rev
         if float_quotient:
             q = self.modulus
             return (psi, modmath.float_companion(psi, q),
@@ -482,16 +474,23 @@ class NttPlan:
         for i in range(n):
             powers[i] = acc
             acc = acc * base % q
-        rev = bit_reverse_permutation(n)
-        return self._kernel.asresidues(powers[rev])
+        return modmath.as_block(powers[bit_reverse_permutation(n)],
+                                (self.modulus,))[0]
 
     # -- the reference: radix-2, one stage per pass, Python ints ---------
-    # Only object-path plans run these, so the fused engine is never
-    # checked against its own arithmetic.
+    # Only object rows run these, so the fused engine is never checked
+    # against its own arithmetic.
+
+    def _reference_tables(self) -> tuple:
+        if self._reference is None:
+            self._reference = (self._psi_rev.astype(object),
+                               self._psi_inv_rev.astype(object))
+        return self._reference
 
     def _forward_stages(self, a: np.ndarray) -> None:
         """In-place Cooley-Tukey network on one length-N object row."""
-        kernel = self._kernel
+        q = self.modulus
+        psi = self._reference_tables()[0]
         t = self.n
         m = 1
         while m < self.n:
@@ -499,15 +498,16 @@ class NttPlan:
             view = a.reshape(m, 2 * t)
             lo = view[:, :t]
             hi = view[:, t:]
-            prod = kernel.mul(hi, self._psi_rev[m:2 * m].reshape(m, 1))
-            new_hi = kernel.sub(lo, prod)
-            view[:, :t] = kernel.add(lo, prod)
+            prod = hi * psi[m:2 * m].reshape(m, 1) % q
+            new_hi = (lo - prod) % q
+            view[:, :t] = (lo + prod) % q
             view[:, t:] = new_hi
             m *= 2
 
     def _inverse_stages(self, a: np.ndarray) -> None:
         """In-place Gentleman-Sande network plus the ``N^-1`` scaling."""
-        kernel = self._kernel
+        q = self.modulus
+        psi_inv = self._reference_tables()[1]
         t = 1
         m = self.n
         while m > 1:
@@ -517,24 +517,26 @@ class NttPlan:
             hi = view[:, t:]
             # diff must be taken before lo's slot is overwritten:
             # lo/hi are views into the working array.
-            diff = kernel.sub(lo, hi)
-            view[:, :t] = kernel.add(lo, hi)
-            view[:, t:] = kernel.mul(
-                diff, self._psi_inv_rev[h:2 * h].reshape(h, 1))
+            diff = lo - hi
+            view[:, :t] = (lo + hi) % q
+            view[:, t:] = diff * psi_inv[h:2 * h].reshape(h, 1) % q
             t *= 2
             m = h
-        a[:] = kernel.mul(a, self._n_inv)
+        a[:] = a * self._n_inv % q
 
     # -- transforms --------------------------------------------------------
     def _transform_rows(self, a, inverse: bool) -> None:
         if a.ndim != 2 or a.shape[1] != self.n:
             raise ValueError("rows must be (B, N) for this plan")
-        if self.path == modmath.OBJECT:
+        if a.dtype == object:
             stages = self._inverse_stages if inverse \
                 else self._forward_stages
             for row in a:
                 stages(row)
             return
+        if not self.wide:
+            raise ValueError(f"rows modulo a {self.modulus.bit_length()}"
+                             f"-bit prime must be Python ints")
         if a.dtype != np.uint64 or not a.flags.c_contiguous:
             # a reshape of anything else would transform a silent copy
             raise ValueError("rows must be C-contiguous uint64")
@@ -547,8 +549,9 @@ class NttPlan:
         """In-place forward NTT of every row of a ``(B, N)`` stack.
 
         Rows are canonical residues of this plan's modulus: a
-        C-contiguous uint64 array (an object array on the object
-        path).  ``B`` independent :meth:`forward` calls, bit for bit.
+        C-contiguous uint64 array for the engine, an object array of
+        Python ints for the reference.  ``B`` independent
+        :meth:`forward` calls, bit for bit.
         """
         self._transform_rows(a, inverse=False)
         tracer = get_tracer()
@@ -565,48 +568,50 @@ class NttPlan:
             tracer.count("ntt.rows_inverse")
             tracer.observe("ntt.rows_inverse.rows", a.shape[0])
 
-    def _one_row(self, values) -> tuple:
-        """Fresh residue vector plus its ``(1, N)`` working view.
-
-        Narrow residues are int64 but canonical (< q < 2^31), so the
-        uint64 reinterpret the engine wants is a free view.
-        """
-        a = self._kernel.asresidues(values)
-        if len(a) != self.n:
+    def _one_row(self, values) -> np.ndarray:
+        """A fresh ``(1, N)`` working row of canonical residues: Python
+        ints when ``values`` is an object array (the reference), else
+        the plan's block dtype."""
+        if isinstance(values, np.ndarray) and values.dtype == object:
+            rows = np.mod(values, self.modulus).reshape(1, -1)
+        else:
+            rows = modmath.as_block(values, (self.modulus,))
+        if rows.shape[1] != self.n:
             raise ValueError("limb length does not match the plan")
-        rows = a.view(np.uint64) if a.dtype == np.int64 else a
-        return a, rows.reshape(1, -1)
+        return rows
 
-    def _count_path(self, tracer) -> None:
+    def _count_path(self, tracer, rows) -> None:
         """One limb row under its width path and, on the engine, its
         multiplier mode (``ntt.path.wide36`` / ``ntt.path.wide60``)."""
-        tracer.count("ntt.path." + self.path)
-        if self._engine is not None:
-            tracer.count("ntt.path." + self._engine.mode)
+        if rows.dtype == object:
+            tracer.count("ntt.path." + modmath.OBJECT)
+            return
+        tracer.count("ntt.path." + modmath.WIDE)
+        tracer.count("ntt.path." + self._engine.mode)
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Coefficient form -> evaluation form (negacyclic NTT)."""
         tracer = get_tracer()
         start = perf_counter() if tracer.enabled else 0.0
-        a, rows = self._one_row(coeffs)
+        rows = self._one_row(coeffs)
         self._transform_rows(rows, inverse=False)
         if tracer.enabled:
             tracer.count("ntt.forward")
-            self._count_path(tracer)
+            self._count_path(tracer, rows)
             tracer.observe("ntt.forward_s", perf_counter() - start)
-        return a
+        return rows[0]
 
     def inverse(self, evals: np.ndarray) -> np.ndarray:
         """Evaluation form -> coefficient form (inverse negacyclic NTT)."""
         tracer = get_tracer()
         start = perf_counter() if tracer.enabled else 0.0
-        a, rows = self._one_row(evals)
+        rows = self._one_row(evals)
         self._transform_rows(rows, inverse=True)
         if tracer.enabled:
             tracer.count("ntt.inverse")
-            self._count_path(tracer)
+            self._count_path(tracer, rows)
             tracer.observe("ntt.inverse_s", perf_counter() - start)
-        return a
+        return rows[0]
 
 
 # -- batched multi-limb transforms ----------------------------------------
@@ -661,16 +666,14 @@ class BatchNttPlan:
 
         self.n = int(ring_degree)
         self.moduli = tuple(int(q) for q in moduli)
-        self._kernels = [modmath.get_kernel(q) for q in self.moduli]
         self._scalar_plans = [get_plan(self.n, q) for q in self.moduli]
         self._object_rows = []               # limb positions on the oracle
         by_mode = {True: [], False: []}      # float-quotient rows first
-        for i, kernel in enumerate(self._kernels):
-            if kernel.path == modmath.OBJECT:
-                self._object_rows.append(i)
+        for i, plan in enumerate(self._scalar_plans):
+            if plan.wide:
+                by_mode[modmath.fits_float_quotient(plan.modulus)].append(i)
             else:
-                by_mode[modmath.fits_float_quotient(kernel.modulus)
-                        ].append(i)
+                self._object_rows.append(i)
         self._batch_rows = by_mode[True] + by_mode[False]   # stack order
         self._in_place = self._batch_rows == list(range(len(self.moduli)))
         self._dtype = modmath.block_dtype(self.moduli)
@@ -764,8 +767,9 @@ class BatchNttPlan:
         if tracer.enabled:
             name = "ntt.batch_inverse" if inverse else "ntt.batch_forward"
             tracer.count(name)
-            for i in self._batch_rows:
-                tracer.count("ntt.path." + self._kernels[i].path)
+            if self._batch_rows:
+                tracer.count("ntt.path." + modmath.WIDE,
+                             len(self._batch_rows))
             for mode, rows in self._mode_rows:
                 tracer.count("ntt.path." + mode, rows)
             if self._native is not None:
@@ -834,4 +838,4 @@ def negacyclic_convolution_reference(a, b, modulus: int) -> np.ndarray:
                 out[k] = (out[k] + term) % modulus
             else:
                 out[k - n] = (out[k - n] - term) % modulus
-    return modmath.asresidues(out, modulus)
+    return modmath.as_block(out, (modulus,))[0]

@@ -9,8 +9,9 @@ Two kinds of parameter objects exist in this reproduction:
   cycle simulator at the paper's scale.
 * Scaled-down *toy* sets produced by :func:`toy_params`, used for the
   functional scheme: the ring is smaller and the primes are narrower
-  (so the int64 fast path applies), but the structure — digit size
-  ``alpha``, special-modulus count, KLSS gadget width — is preserved.
+  (28 bits by default, the gadget digits shrinking with them), but the structure — digit
+  size ``alpha``, special-modulus count, KLSS gadget width — is
+  preserved.  Every prime below 2^62 runs the same uint64 path.
 * :func:`set_ii_mini` sets, which keep Set-II's *real word lengths*
   (36-bit scale primes, 60-bit KLSS gadget/T words) on the vectorised
   wide uint64 path and shrink only the ring and chain length.
@@ -49,8 +50,8 @@ class CkksParams:
     klss_digit_bits:
         Gadget decomposition width ``v`` (60 in the paper).
     klss_word_bits:
-        Word length of the wide KLSS primes (60 in the paper; narrower
-        in toy sets so the int64 path applies).
+        Word length of the wide KLSS primes (60 in the paper; 30 in
+        toy sets, scaled with their primes).
     hamming_weight:
         Secret-key Hamming weight (sparse ternary secret).
     sigma:
@@ -202,10 +203,11 @@ def toy_params(ring_degree: int = 64, max_level: int = 6,
                klss_digit_bits: int = 12, klss_word_bits: int = 30,
                hamming_weight: int = 16, boot_levels: int = 4,
                name: str = "toy") -> CkksParams:
-    """A scaled-down set preserving Set-II structure on the int64 path.
+    """A scaled-down set preserving Set-II structure.
 
-    Primes stay below 31 bits so all modular arithmetic runs on the
-    numpy fast path; the gadget digit width shrinks proportionally.
+    Primes default to 28 bits and the gadget digit width shrinks
+    proportionally; the arithmetic is the uint64 path every modulus
+    below 2^62 runs.
     """
     if num_special_primes is None:
         num_special_primes = alpha

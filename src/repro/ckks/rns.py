@@ -62,11 +62,7 @@ def _build_plan(ring_degree: int, modulus: int) -> NttPlan:
 
 
 def get_plan(ring_degree: int, modulus: int) -> NttPlan:
-    """Shared NTT plan for one (N, q) pair (bounded LRU).
-
-    Reference plans (``NttPlan(n, q, path=modmath.OBJECT)``) are built
-    by their callers and never enter this cache.
-    """
+    """Shared NTT plan for one (N, q) pair (bounded LRU)."""
     return _build_plan(int(ring_degree), int(modulus))
 
 
@@ -174,8 +170,7 @@ class RnsPoly:
     @classmethod
     def from_int_coeffs(cls, coeffs, moduli) -> "RnsPoly":
         """Reduce signed integer coefficients into every limb (coeff form)."""
-        return cls(modmath.as_block([coeffs] * len(moduli), moduli),
-                   moduli, COEFF)
+        return cls(modmath.as_block(coeffs, moduli), moduli, COEFF)
 
     def copy(self) -> "RnsPoly":
         return RnsPoly._of(self.data.copy(), self.moduli, self.form,
@@ -466,8 +461,7 @@ def compose_crt(poly: RnsPoly) -> list[int]:
 def from_big_ints(coeffs: list[int], moduli, n: int | None = None) -> RnsPoly:
     """Reduce big-integer coefficients into an RNS polynomial (``n``
     is implied by ``coeffs``; kept for the historic signature)."""
-    return RnsPoly(modmath.as_block([coeffs] * len(moduli), moduli),
-                   moduli, COEFF)
+    return RnsPoly(modmath.as_block(coeffs, moduli), moduli, COEFF)
 
 
 # -- fast base conversion (BConv) -----------------------------------------
@@ -925,30 +919,27 @@ def plan_cache_evictions() -> dict:
 
 
 def base_convert_reference(poly: RnsPoly, target_moduli) -> RnsPoly:
-    """Per-pair scalar-loop HPS conversion (the exactness oracle).
+    """HPS conversion on Python ints (the exactness oracle).
 
-    The pre-matrix implementation: element-wise stage per source limb,
-    then one scalar multiply-accumulate per (target, source) pair.  It
-    only goes through :mod:`modmath`'s per-modulus kernels, so it is
-    structurally independent of the matrix kernel and serves as its
-    bit-exactness oracle; it is also the only path for bases with
-    moduli beyond the 62-bit uint64 datapath.
+    The element-wise stage ``y_i = x_i (Q/q_i)^{-1} mod q_i``, then one
+    multiply-accumulate per (target, source) pair, ``sum_i y_i (Q/q_i
+    mod p_j) mod p_j``: ``%`` on object arrays, nothing shared with the
+    matrix kernel, so it serves as that kernel's bit-exactness oracle.
+    It is also the only path for bases with moduli beyond the 62-bit
+    uint64 datapath.
     """
     if poly.form != COEFF:
         raise ValueError("base_convert expects coefficient form")
     moduli = poly.moduli
     _, q_hat, q_hat_inv = _crt_constants(moduli)
     target = tuple(int(p) for p in target_moduli)
-    scaled = [modmath.mul_scalar(limb, inv, q)
-              for limb, inv, q in zip(poly.limbs, q_hat_inv, moduli)]
-    out_limbs = []
-    for p in target:
-        acc = modmath.zeros(poly.n, p)
-        for y, q, hat in zip(scaled, moduli, q_hat):
-            acc = modmath.add(acc, modmath.mul_scalar(
-                modmath.asresidues(y, p), hat % p, p), p)
-        out_limbs.append(acc)
-    return RnsPoly(out_limbs, target, COEFF)
+    scaled = [limb * inv % q for limb, inv, q in
+              zip(poly.data.astype(object), q_hat_inv, moduli)]
+    out = np.zeros((len(target), poly.n), object)
+    for acc, p in zip(out, target):
+        for y, hat in zip(scaled, q_hat):
+            acc[:] = (acc + y * (hat % p)) % p
+    return RnsPoly(modmath.as_block(out, target), target, COEFF)
 
 
 def base_convert(poly: RnsPoly, target_moduli) -> RnsPoly:
@@ -1060,7 +1051,7 @@ def exact_rescale(poly: RnsPoly) -> RnsPoly:
     if plan.matrix_path:
         folded = plan.convert(poly.select_limbs([len(front)]))
     else:
-        folded = modmath.as_block([poly.data[-1]] * len(front), front)
+        folded = modmath.as_block(poly.data[-1], front)
     kernel = plan.dst_kernel
     diff = kernel.sub(poly.data[:-1], folded)
     return RnsPoly._of(plan.down_scale(diff), front, COEFF, kernel)

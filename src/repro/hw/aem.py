@@ -84,12 +84,12 @@ class EvaluationKeyGenerator:
         self.config = config
         self.expansions = 0
 
-    def expand(self, seed: int, ring_degree: int, moduli) -> list[np.ndarray]:
-        """Expand ``seed`` into one uniform limb per modulus."""
+    def expand(self, seed: int, ring_degree: int, moduli) -> np.ndarray:
+        """Expand ``seed`` into a uniform ``(k, N)`` block, one row
+        per modulus."""
         self.expansions += 1
-        rng = np.random.default_rng(seed)
-        return [modmath.random_uniform(ring_degree, int(q), rng)
-                for q in moduli]
+        return modmath.uniform_block(ring_degree, moduli,
+                                     np.random.default_rng(seed))
 
     def traffic_saving_factor(self) -> float:
         """Key bytes that still move off-chip: the stored half only."""

@@ -30,7 +30,7 @@ serving layer (:mod:`repro.serve.engine`):
 * **one worker context** — :func:`worker_context`, per-process and
   lazily cached, so a forked pool worker inherits or rebuilds it on
   first use.  Its ``reference`` variant swaps the fused NTT for the
-  object-path reference plans (the serving layer's serial oracle);
+  Python-int reference network (the serving layer's serial oracle);
 * **one DAG-ready dispatcher** — :func:`dispatch_ready`, and one
   pooled run over a shared-memory arena (:func:`run_pooled`).
 
@@ -164,28 +164,24 @@ class RowNtt:
     A holder around one :class:`~repro.ckks.ntt.NttPlan`: copies the
     rows and runs the copy through the plan's in-place rows entry
     point, so every row equals the scalar plan's transform of that
-    row bit for bit.  ``reference=True`` holds the object-path
-    reference plan instead of the shared fused one (rows cross to
-    Python ints and back) — the oracle never shares butterflies with
-    what it vets.
+    row bit for bit.  ``reference=True`` holds a plan of its own and
+    runs the reference network on it (rows cross to Python ints and
+    back) — the oracle never shares butterflies with what it vets.
     """
 
     def __init__(self, ring_degree: int, modulus: int,
                  reference: bool = False):
         self.n = int(ring_degree)
         self.modulus = int(modulus)
+        self.reference = reference
         if reference:
-            self._plan = NttPlan(self.n, self.modulus,
-                                 path=modmath.OBJECT)
+            self._plan = NttPlan(self.n, self.modulus)
         else:
             self._plan = get_plan(self.n, self.modulus)
 
     def _transform(self, rows, inverse: bool) -> np.ndarray:
         plan = self._plan
-        if plan.path == modmath.OBJECT:
-            a = np.array(rows, dtype=object)
-        else:
-            a = np.array(rows, dtype=np.uint64)
+        a = np.array(rows, dtype=object if self.reference else np.uint64)
         if inverse:
             plan.inverse_rows(a)
         else:
@@ -205,9 +201,9 @@ def _affine(rows: np.ndarray, scale: np.ndarray, offsets: np.ndarray,
             q: int) -> np.ndarray:
     """Canonical ``rows * scale + offsets mod q`` with one scalar per
     row.  The scale is the fixed operand of its row, so the multiply
-    is the lazy Shoup one (exact in ``[0, 2q)`` for any ``q < 2^62``,
-    narrow moduli included); adding a canonical offset stays below
-    ``3q < 2^64`` and two folds finish."""
+    is the lazy Shoup one (exact in ``[0, 2q)`` for any ``q < 2^62``);
+    adding a canonical offset stays below ``3q < 2^64`` and two folds
+    finish."""
     qq = np.uint64(q)
     s = modmath.mul_shoup_lazy(
         rows, scale[:, None],

@@ -23,7 +23,7 @@ Cross-request batching is **bit-transparent** by construction:
   :class:`repro.ckks.ntt.NttPlan` rows entry point (one
   shared-modulus fused engine), bit-identical to the scalar plan per
   row, while the serial oracle runs the same op body at ``B = 1`` on
-  the object-path **reference** plans — the fused engine never vets
+  the Python-int **reference** network — the fused engine never vets
   itself;
 * all residues stay canonical (``[0, q)``), so mathematically equal
   intermediate values are bit-identical regardless of kernel path.
@@ -138,8 +138,8 @@ class ServeExecutor:
     def run_serial(self, trace: OpTrace,
                    seed: int) -> dict[int, np.ndarray]:
         """Program-order single-request run: the ground truth.  The
-        same op body at ``B = 1``, on the object-path reference NTT
-        plans — the oracle must not share the fused butterflies the
+        same op body at ``B = 1``, on the Python-int reference NTT
+        network — the oracle must not share the fused butterflies the
         stacked path runs."""
         reference = worker_context(self.moduli, self.ring_degree,
                                    reference=True)

@@ -18,9 +18,8 @@ def _basis(n: int, bits: int, count: int = 2) -> tuple[int, ...]:
 
 def _random_poly(n: int, moduli, seed: int = 0) -> RnsPoly:
     rng = np.random.default_rng(seed)
-    limbs = [modmath.asresidues(
-        rng.integers(0, q, size=n, dtype=np.uint64), q) for q in moduli]
-    return RnsPoly(limbs, moduli, rns.COEFF)
+    limbs = [rng.integers(0, q, size=n, dtype=np.uint64) for q in moduli]
+    return RnsPoly(modmath.as_block(limbs, moduli), moduli, rns.COEFF)
 
 
 def _assert_poly_equal(a: RnsPoly, b: RnsPoly) -> None:

@@ -32,8 +32,7 @@ def _chain(specs, exclude=(), n=N):
 
 
 def _uniform_poly(rng, moduli, n=N):
-    return RnsPoly([modmath.random_uniform(n, q, rng) for q in moduli],
-                   moduli, rns.COEFF)
+    return RnsPoly(modmath.uniform_block(n, moduli, rng), moduli, rns.COEFF)
 
 
 def _assert_bit_exact(got: RnsPoly, want: RnsPoly):
@@ -82,9 +81,8 @@ class TestMatrixBitExact:
         # shows up here first.
         src = _chain(src_spec)
         dst = _chain(dst_spec, exclude=src)
-        limbs = [modmath.asresidues(np.full(N, q - 1, dtype=np.uint64), q)
-                 for q in src]
-        poly = RnsPoly(limbs, src, rns.COEFF)
+        poly = RnsPoly([np.full(N, q - 1, dtype=np.uint64) for q in src],
+                       src, rns.COEFF)
         _assert_bit_exact(rns.base_convert(poly, dst),
                           base_convert_reference(poly, dst))
         zero = RnsPoly.zeros(N, src)
@@ -144,7 +142,8 @@ def test_property_result_is_x_plus_e_times_q(seed, k_in, k_out, bits, skip):
 # -- ModDown / exact_rescale after the matrix rewrite ---------------------
 
 def _mod_down_reference(poly: RnsPoly, main_count: int) -> RnsPoly:
-    """Pre-plan ModDown: oracle conversion + per-call inv_mod scalars."""
+    """Pre-plan ModDown: oracle conversion + per-call inv_mod scalars,
+    on Python ints."""
     q_moduli = poly.moduli[:main_count]
     p_moduli = poly.moduli[main_count:]
     aux = RnsPoly(poly.limbs[main_count:], p_moduli, rns.COEFF)
@@ -153,19 +152,20 @@ def _mod_down_reference(poly: RnsPoly, main_count: int) -> RnsPoly:
     out = []
     for limb, conv, q in zip(poly.limbs, approx.limbs, q_moduli):
         inv = modmath.inv_mod(big_p % q, q)
-        out.append(modmath.mul_scalar(modmath.sub(limb, conv, q), inv, q))
+        out.append((limb.astype(object) - conv.astype(object)) * inv % q)
     return RnsPoly(out, q_moduli, rns.COEFF)
 
 
 def _exact_rescale_reference(poly: RnsPoly) -> RnsPoly:
-    """Pre-plan rescale: asresidues fold + per-call inv_mod scalars."""
+    """Pre-plan rescale: fold + per-call inv_mod scalars, on Python
+    ints."""
     last_q, last_limb = poly.moduli[-1], poly.limbs[-1]
     front = poly.moduli[:-1]
     out = []
     for limb, q in zip(poly.limbs[:-1], front):
-        fold = modmath.asresidues(last_limb, q)
+        fold = last_limb.astype(object) % q
         inv = modmath.inv_mod(last_q % q, q)
-        out.append(modmath.mul_scalar(modmath.sub(limb, fold, q), inv, q))
+        out.append((limb.astype(object) - fold) * inv % q)
     return RnsPoly(out, front, rns.COEFF)
 
 
@@ -310,7 +310,7 @@ class TestBConvPlanCache:
 class TestDuplicateModuliGuard:
     def test_init_rejects_duplicate_moduli(self):
         q = primes.ntt_primes(1, 28, N)[0]
-        limbs = [modmath.zeros(N, q), modmath.zeros(N, q)]
+        limbs = [np.zeros(N, np.uint64), np.zeros(N, np.uint64)]
         with pytest.raises(ValueError, match="duplicate moduli"):
             RnsPoly(limbs, (q, q), rns.COEFF)
 
@@ -337,7 +337,7 @@ class TestDuplicateModuliGuard:
 class TestTransformLimbs:
     def test_forward_matches_per_limb_plans(self, rng):
         moduli = _chain([(2, 28), (1, 44), (1, 36)])
-        limbs = [modmath.random_uniform(N, q, rng) for q in moduli]
+        limbs = list(modmath.uniform_block(N, moduli, rng))
         batched = transform_limbs([limb.copy() for limb in limbs],
                                   moduli, N)
         for q, limb, got in zip(moduli, limbs, batched):
@@ -346,7 +346,7 @@ class TestTransformLimbs:
 
     def test_inverse_roundtrip(self, rng):
         moduli = _chain([(3, 28), (1, 36)])
-        limbs = [modmath.random_uniform(N, q, rng) for q in moduli]
+        limbs = list(modmath.uniform_block(N, moduli, rng))
         fwd = transform_limbs([limb.copy() for limb in limbs], moduli, N)
         back = transform_limbs(fwd, moduli, N, inverse=True)
         for limb, got in zip(limbs, back):

@@ -4,7 +4,7 @@
 return the exact representative of ``a*w mod q`` in ``[0, 2q)`` for
 every ``q < 2^46``, ``w < q`` and ``a < 2^49``; moduli from 47 bits up
 must refuse it and keep the 64-bit Shoup/Barrett multiply.  On top of
-the primitive: the per-row NTT engine against the object-path
+the primitive: the per-row NTT engine against the Python-int
 reference on mixed-mode bases in every row order, the batch plan
 against per-limb scalar plans, the third KeyMult tier against its
 reference loop, the HELR-step ciphertexts against digests taken at the
@@ -130,11 +130,12 @@ class TestModeSelection:
         assert not modmath.fits_float_quotient(q)
         with pytest.raises(ValueError):
             modmath.float_companion(1, q)
-        kernel = modmath.get_kernel(q)
-        assert kernel._q_inv is None
-        w, companion = kernel.shoup(q - 1)
+        kernel = modmath.BasisKernel((q,))
+        [(_rows, _q, const)] = kernel._runs
+        assert isinstance(const, tuple)          # Barrett constants
+        [(w, companion)] = kernel.row_scalars([q - 1])
         assert companion.dtype == np.uint64
-        assert int(companion) == ((q - 1) << 64) // q
+        assert int(companion[0, 0]) == ((q - 1) << 64) // q
         plan = get_plan(64, _prime(bits, 64))
         with pytest.raises(ValueError):
             plan.fused_tables(float_quotient=True)
@@ -162,26 +163,25 @@ class TestModeSelection:
 
 
 class TestKernelOps:
-    """``ModulusKernel`` on both sides of the choice, against Python."""
+    """``BasisKernel`` on both sides of the choice, against Python."""
 
     @settings(deadline=None, max_examples=60)
     @given(bits=st.sampled_from(FLOAT_BITS[2:] + SHOUP_BITS),
            seed=st.integers(0, 2**32 - 1))
     def test_mul_forms_match_python_ints(self, bits, seed):
         q = _prime(bits)
-        kernel = modmath.get_kernel(q)
-        assert kernel.path == modmath.WIDE
+        kernel = modmath.BasisKernel((q,))
+        assert kernel.dtype == np.uint64
         rng = np.random.default_rng(seed)
-        a = rng.integers(0, q, size=33, dtype=np.uint64)
-        b = rng.integers(0, q, size=33, dtype=np.uint64)
-        a[:3] = b[:3] = q - 1
+        a = rng.integers(0, q, size=(1, 33), dtype=np.uint64)
+        b = rng.integers(0, q, size=(1, 33), dtype=np.uint64)
+        a[0, :3] = b[0, :3] = q - 1
         scalar = int(rng.integers(0, 2**62))
-        assert kernel.mul(a, b).tolist() == [
-            int(x) * int(y) % q for x, y in zip(a, b)]
-        want = [int(x) * scalar % q for x in a]
-        assert kernel.mul(a, scalar).tolist() == want
-        assert kernel.mul_scalar(a, scalar).tolist() == want
-        assert kernel.mul_shoup(a, *kernel.shoup(scalar)).tolist() == want
+        assert kernel.mul(a, b)[0].tolist() == [
+            int(x) * int(y) % q for x, y in zip(a[0], b[0])]
+        want = [int(x) * scalar % q for x in a[0]]
+        got = kernel.mul_rows(a, kernel.row_scalars([scalar]))
+        assert got[0].tolist() == want
 
 
 def _limb(q: int, n: int, seed: int) -> np.ndarray:
@@ -198,11 +198,11 @@ class TestMixedModeNtt:
         limbs[base[0]][:] = base[0] - 1          # worst case rides along
         want_f, want_i = {}, {}
         for q in base:
-            oracle = NttPlan(n, q, path=modmath.OBJECT)
-            want_f[q] = np.asarray(oracle.forward(limbs[q].copy()),
-                                   dtype=np.uint64)
-            want_i[q] = np.asarray(oracle.inverse(limbs[q].copy()),
-                                   dtype=np.uint64)
+            oracle = NttPlan(n, q)             # object rows: the reference
+            want_f[q] = oracle.forward(limbs[q].astype(object)
+                                       ).astype(np.uint64)
+            want_i[q] = oracle.inverse(limbs[q].astype(object)
+                                       ).astype(np.uint64)
         for order in itertools.permutations(base):
             plan = BatchNttPlan(n, order)
             rows = [limbs[q] for q in order]
@@ -245,8 +245,8 @@ def _synthetic_key(moduli, digits: int, n: int, seed: int):
     rng = np.random.default_rng(seed)
 
     def poly():
-        return RnsPoly([modmath.random_uniform(n, q, rng) for q in moduli],
-                       moduli, rns.EVAL)
+        return RnsPoly(modmath.uniform_block(n, moduli, rng), moduli,
+                       rns.EVAL)
 
     key = KeySwitchKey(HYBRID, tuple((poly(), poly())
                                      for _ in range(digits)),

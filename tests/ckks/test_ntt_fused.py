@@ -3,8 +3,8 @@
 The fused engine (merged two-stage butterflies, cross-stage lazy
 reduction, arena-pooled workspaces) and the compiled kernel that
 replaces it under batch plans where a C compiler exists must be
-**bit-identical** to the reference — the radix-2 network on Python ints that
-``NttPlan(n, q, path=modmath.OBJECT)`` executes — across the whole
+**bit-identical** to the reference — the radix-2 network on Python ints
+that any ``NttPlan(n, q)`` runs on object rows — across the whole
 supported width grid, in both engine modes (shared modulus: scalar
 plans and the rows entry point; per-row moduli: batch plans), and a
 warmed plan must allocate nothing.  The reference itself is anchored
@@ -18,21 +18,22 @@ host without a compiler), and ``TestCompiledKernel`` is skipped where
 no kernel can be built.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
 from repro.backend.arena import ledger_counters
-from repro.ckks import modmath, primes
+from repro.ckks import primes
 from repro.ckks.ntt import (BatchNttPlan, NttPlan, clear_batch_plan_cache,
                             get_batch_plan,
                             negacyclic_convolution_reference)
 from repro.ckks.rns import clear_plan_cache, get_plan
 
-#: the supported uint64-datapath width grid: narrow (26/28/31) and
-#: wide (36/60/62) moduli; 62 bits is the lazy-domain headroom edge
-#: (4q < 2^64).
+#: the supported uint64-datapath width grid, 26 to 62 bits; 62 bits
+#: is the lazy-domain headroom edge (4q < 2^64).
 WIDTHS = (26, 28, 31, 36, 60, 62)
 
 N = 64
@@ -51,11 +52,17 @@ def _host(arr) -> np.ndarray:
     return np.asarray(arr, dtype=np.uint64)
 
 
-def _reference(n: int, q: int) -> NttPlan:
-    """The one reference: the object-path plan of the same (N, q)."""
-    plan = NttPlan(n, q, path=modmath.OBJECT)
-    assert plan.path == modmath.OBJECT
-    return plan
+def _boxed(x) -> np.ndarray:
+    return np.array([int(v) for v in x], dtype=object)
+
+
+def _reference(n: int, q: int) -> SimpleNamespace:
+    """The one reference: the Python-int network of an (N, q) plan of
+    its own, reached by handing it object rows."""
+    plan = NttPlan(n, q)
+    return SimpleNamespace(forward=lambda x: plan.forward(_boxed(x)),
+                           inverse=lambda x: plan.inverse(_boxed(x)),
+                           forward_rows=plan.forward_rows)
 
 
 class TestReference:
@@ -98,7 +105,7 @@ class TestScalarDifferential:
         q = _prime(bits, n)
         fused = get_plan(n, q)
         oracle = _reference(n, q)
-        assert fused.path != modmath.OBJECT
+        assert fused.wide
         x = _limb(q, n, seed)
         fwd_fused = _host(fused.forward(x.copy()))
         fwd_oracle = _host(oracle.forward(x.copy()))
@@ -260,7 +267,7 @@ class TestBatchDifferential:
                   primes.ntt_primes(1, 60, n)[0])
         plan = BatchNttPlan(n, moduli)
         assert plan._object_rows == [1] and plan._batch_rows == [0, 2]
-        assert plan._scalar_plans[1].path == modmath.OBJECT
+        assert not plan._scalar_plans[1].wide
         limbs = [[int(v) % q for v in
                   np.random.default_rng(i).integers(0, 2**62, size=n)]
                  for i, q in enumerate(moduli)]
@@ -329,7 +336,7 @@ class TestBatchDifferentialUfunc(TestBatchDifferential):
 
 
 class TestCompiledKernel:
-    """The kernel itself: hypothesis against the object-path reference,
+    """The kernel itself: hypothesis against the Python-int reference,
     and the gate in front of every address it is handed."""
 
     @settings(deadline=None, max_examples=60,

@@ -1,9 +1,9 @@
 """The ``(k, N)`` block layout of :class:`RnsPoly`.
 
 Every ring op is one pass over the block through the basis's
-``BasisKernel``; it must equal the per-limb ``ModulusKernel`` results
-bit for bit on a basis that mixes both TBM modes (and narrow rows, and
-in either row order), return fresh memory, and never disturb a row
+``BasisKernel``; it must equal Python-int arithmetic row by row, bit
+for bit, on a basis that mixes both TBM modes (and sub-31-bit rows,
+and in either row order), return fresh memory, and never disturb a row
 view handed out earlier.  The constructor refuses a block it cannot
 own by name.
 """
@@ -15,46 +15,44 @@ from repro.ckks import modmath, primes, rns
 from repro.ckks.rns import RnsPoly
 
 N = 64
-#: 28-bit narrow, 36/44-bit float-quotient, 60-bit Shoup/128-bit rows
+#: 28-bit, 36/44-bit float-quotient, 60-bit Shoup/128-bit rows
 MIXED = tuple(primes.ntt_primes(1, bits, N)[0] for bits in (28, 36, 44, 60))
 ORDERS = (MIXED, MIXED[::-1], (MIXED[3], MIXED[0], MIXED[2], MIXED[1]))
 
 
 def _poly(moduli, seed, form=rns.EVAL, worst=False) -> RnsPoly:
-    rng = np.random.default_rng(seed)
-    rows = [modmath.random_uniform(N, q, rng) for q in moduli]
+    rows = modmath.uniform_block(N, moduli, np.random.default_rng(seed))
     for row, q in zip(rows, moduli):
         row[:] = q - 1 if worst else row
         row[:3] = (q - 1, 0, 1)
     return RnsPoly(rows, moduli, form)
 
 
-def _per_limb(op, *polys, **kw):
-    """The same op limb by limb through ``ModulusKernel``."""
+def _per_limb(op, *polys) -> list[list[int]]:
+    """The same op row by row on Python ints."""
     out = []
     for i, q in enumerate(polys[0].moduli):
-        kernel = modmath.get_kernel(q)
-        rows = [p.data[i] for p in polys]
-        out.append(np.asarray(op(kernel, i, *rows, **kw), dtype=np.uint64))
-    return np.stack(out)
+        rows = [p.data[i].astype(object) for p in polys]
+        out.append([int(v) for v in op(q, i, *rows)])
+    return out
 
 
 OPS = {
     "add": (lambda a, b: a + b,
-            lambda k, i, x, y: k.add(x, y)),
+            lambda q, i, x, y: (x + y) % q),
     "sub": (lambda a, b: a - b,
-            lambda k, i, x, y: k.sub(x, y)),
+            lambda q, i, x, y: (x - y) % q),
     "neg": (lambda a, b: -a,
-            lambda k, i, x, y: k.neg(x)),
+            lambda q, i, x, y: -x % q),
     "mul": (lambda a, b: a * b,
-            lambda k, i, x, y: k.mul(x, y)),
+            lambda q, i, x, y: x * y % q),
     "scalar": (lambda a, b: a * (2**61 + 12345),
-               lambda k, i, x, y: k.mul_scalar(x, 2**61 + 12345)),
+               lambda q, i, x, y: x * (2**61 + 12345) % q),
     "negative-scalar": (lambda a, b: a * -7,
-                        lambda k, i, x, y: k.mul_scalar(x, -7)),
+                        lambda q, i, x, y: x * -7 % q),
     "per-limb": (lambda a, b: a.mul_scalar_per_limb(
                      [3**40 + j for j in range(len(a.moduli))]),
-                 lambda k, i, x, y: k.mul_scalar(x, 3**40 + i)),
+                 lambda q, i, x, y: x * (3**40 + i) % q),
 }
 
 
@@ -70,7 +68,7 @@ class TestBlockOpsEqualPerLimbKernels:
         got = block_op(a, b)
         assert got.moduli == order and got.form == rns.EVAL
         assert got.data.dtype == np.uint64 and got.data.flags.c_contiguous
-        np.testing.assert_array_equal(got.data, _per_limb(limb_op, a, b))
+        assert got.data.tolist() == _per_limb(limb_op, a, b)
 
     def test_object_block_matches_too(self):
         moduli = MIXED[:2] + (primes.ntt_primes(1, 70, N)[0],)
@@ -79,9 +77,8 @@ class TestBlockOpsEqualPerLimbKernels:
         for op in sorted(OPS):
             block_op, limb_op = OPS[op]
             got = block_op(a, b)
-            want = [[int(v) for v in row] for row in
-                    _per_limb_object(limb_op, a, b)]
-            assert [[int(v) for v in row] for row in got.data] == want
+            assert [[int(v) for v in row] for row in got.data] == \
+                _per_limb(limb_op, a, b)
 
     def test_rows_per_width_path_are_counted(self):
         from repro import obs
@@ -93,16 +90,9 @@ class TestBlockOpsEqualPerLimbKernels:
             counters = obs.get_tracer().metrics.counters()
         finally:
             obs.configure(enabled=False, reset=True)
-        assert counters["modmath.path.narrow"] == 1
-        assert counters["modmath.path.wide"] == 3
-
-
-def _per_limb_object(op, *polys):
-    out = []
-    for i, q in enumerate(polys[0].moduli):
-        kernel = modmath.get_kernel(q)
-        out.append(op(kernel, i, *[p.data[i] for p in polys]))
-    return out
+        # a 28-bit row is a uint64 row like the others
+        assert counters["modmath.path.wide"] == 4
+        assert "modmath.path.narrow" not in counters
 
 
 class TestFreshMemory:
@@ -180,3 +170,36 @@ class TestMalformedBlocks:
     def test_a_good_block_is_taken_as_is(self):
         block = np.zeros((len(MIXED), N), dtype=np.uint64)
         assert RnsPoly(block, MIXED, rns.EVAL).data is block
+
+
+class TestFromIntCoeffs:
+    """One shared coefficient vector, converted once and reduced
+    against the modulus column, equals per-row Python ``%``."""
+
+    WIDE = primes.ntt_primes(1, 70, N)[0]
+
+    def _check(self, coeffs, moduli=MIXED):
+        poly = RnsPoly.from_int_coeffs(coeffs, moduli)
+        assert poly.form == rns.COEFF and poly.data.flags.c_contiguous
+        assert poly.data.dtype == modmath.block_dtype(moduli)
+        assert [[int(v) for v in row] for row in poly.data] == \
+            [[int(c) % q for c in coeffs] for q in moduli]
+        assert rns.from_big_ints(list(coeffs), moduli).data.tolist() == \
+            poly.data.tolist()
+
+    def test_int64_array(self):
+        self._check(np.random.default_rng(0).integers(
+            -(2**62), 2**62, size=N, dtype=np.int64))
+
+    def test_negative_values(self):
+        self._check(np.arange(-N, 0, dtype=np.int64))
+        self._check([-(2**63)] + [-1] * (N - 1))
+
+    def test_python_ints_at_and_above_2_63(self):
+        self._check([2**63, 2**63 + 1, 2**64 - 1, -5] * (N // 4))
+        self._check([2**64, 2**200 + 3, -(2**90), 7] * (N // 4))
+
+    def test_beyond_62_bit_modulus(self):
+        moduli = MIXED[:2] + (self.WIDE,)
+        self._check(np.arange(-N // 2, N // 2, dtype=np.int64), moduli)
+        self._check([2**63, 2**130 - 1, -(2**70), 3] * (N // 4), moduli)

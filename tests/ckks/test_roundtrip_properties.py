@@ -127,11 +127,11 @@ class TestSetIIShapedRoundtrip:
         rng = np.random.default_rng(seed)
         a = [int(v) for v in rng.integers(0, q, size=16)]
         b = [int(v) for v in rng.integers(0, q, size=16)]
-        # The raw `(fa * fb) % q` of the narrow test would wrap in
-        # uint64; wide products must go through modmath.mul.
-        via_ntt = plan.inverse(modmath.mul(
-            plan.forward(modmath.asresidues(a, q)),
-            plan.forward(modmath.asresidues(b, q)), q))
+        # The raw `(fa * fb) % q` would wrap in uint64; wide products
+        # go through the basis kernel.
+        kernel = modmath.BasisKernel((q,))
+        via_ntt = plan.inverse(kernel.mul(
+            plan.forward(a)[None], plan.forward(b)[None])[0])
         want = negacyclic_convolution_reference(a, b, q)
         assert [int(v) for v in via_ntt] == [int(v) for v in want]
 

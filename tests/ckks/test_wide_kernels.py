@@ -1,4 +1,4 @@
-"""Wide (uint64 Barrett) kernels vs the object-path exactness oracle.
+"""Wide (uint64) kernels vs exact Python-int arithmetic.
 
 The wide path must be *bit-identical* to arbitrary-precision Python
 arithmetic — not merely close — at the paper's real word lengths:
@@ -30,40 +30,43 @@ def _vector(q: int, seed: int, n: int = N) -> list[int]:
     return values
 
 
-def _as_wide_and_oracle(values, q):
-    wide = modmath.get_kernel(q)
-    oracle = modmath.get_kernel(q, modmath.OBJECT)
-    assert wide.path == modmath.WIDE
-    return wide.asresidues(values), oracle.asresidues(values), wide, oracle
+def _row(values, q) -> np.ndarray:
+    return modmath.as_block(values, (q,))
+
+
+def _ints(block) -> list[int]:
+    return [int(v) for v in block[0]]
 
 
 @wide_moduli
 class TestElementwiseMatchesOracle:
     def test_mul(self, q):
-        a, ao, wide, oracle = _as_wide_and_oracle(_vector(q, 1), q)
-        b, bo, _, _ = _as_wide_and_oracle(_vector(q, 2), q)
-        got = wide.mul(a, b)
-        want = oracle.mul(ao, bo)
+        x, y = _vector(q, 1), _vector(q, 2)
+        kernel = modmath.BasisKernel((q,))
+        got = kernel.mul(_row(x, q), _row(y, q))
         assert got.dtype == np.uint64
-        assert [int(v) for v in got] == [int(v) for v in want]
+        assert _ints(got) == [a * b % q for a, b in zip(x, y)]
 
     def test_add_sub_neg(self, q):
-        a, ao, wide, oracle = _as_wide_and_oracle(_vector(q, 3), q)
-        b, bo, _, _ = _as_wide_and_oracle(_vector(q, 4), q)
-        for wide_op, oracle_op in ((wide.add, oracle.add),
-                                   (wide.sub, oracle.sub)):
-            assert ([int(v) for v in wide_op(a, b)]
-                    == [int(v) for v in oracle_op(ao, bo)])
-        assert ([int(v) for v in wide.neg(a)]
-                == [int(v) for v in oracle.neg(ao)])
+        x, y = _vector(q, 3), _vector(q, 4)
+        kernel = modmath.BasisKernel((q,))
+        a, b = _row(x, q), _row(y, q)
+        assert _ints(kernel.add(a, b)) == [(u + v) % q for u, v in zip(x, y)]
+        assert _ints(kernel.sub(a, b)) == [(u - v) % q for u, v in zip(x, y)]
+        assert _ints(kernel.neg(a)) == [-u % q for u in x]
 
     def test_mul_scalar_and_shoup(self, q):
-        a, ao, wide, oracle = _as_wide_and_oracle(_vector(q, 5), q)
+        x = _vector(q, 5)
+        a = _row(x, q)
+        kernel = modmath.BasisKernel((q,))
         for s in (0, 1, q - 1, 12345678901 % q):
-            want = [int(v) for v in oracle.mul_scalar(ao, s)]
-            assert [int(v) for v in wide.mul_scalar(a, s)] == want
-            w, w_shoup = wide.shoup(s)
-            assert [int(v) for v in wide.mul_shoup(a, w, w_shoup)] == want
+            want = [v * s % q for v in x]
+            got = kernel.mul_rows(a, kernel.row_scalars([s]))
+            assert _ints(got) == want
+            w, w_shoup = modmath.shoup_pair(s, q)
+            lazy = modmath.mul_shoup_lazy(a, w, w_shoup, np.uint64(q))
+            assert [int(v) % q for v in lazy[0]] == want
+            assert all(int(v) < 2 * q for v in lazy[0])
 
     def test_shoup_companions_match_python_ints(self, q):
         w = np.array(_vector(q, 7), dtype=np.uint64)
@@ -71,36 +74,31 @@ class TestElementwiseMatchesOracle:
         assert got.dtype == np.uint64
         assert got.tolist() == [(int(v) << 64) // q for v in w]
 
-    def test_to_signed(self, q):
-        a, ao, wide, oracle = _as_wide_and_oracle(_vector(q, 6), q)
-        assert ([int(v) for v in wide.to_signed(a)]
-                == [int(v) for v in oracle.to_signed(ao)])
-
 
 @wide_moduli
 class TestNttMatchesOracle:
+    """The engine (uint64 rows) against the reference (object rows)."""
+
     def test_forward_bit_identical(self, q):
         x = _vector(q, 7)
-        wide_plan = NttPlan(N, q)
-        oracle_plan = NttPlan(N, q, path=modmath.OBJECT)
-        assert wide_plan.path == modmath.WIDE
-        got = wide_plan.forward(modmath.asresidues(x, q))
-        want = oracle_plan.forward(np.array(x, dtype=object))
-        assert [int(v) for v in got] == [int(v) for v in want]
+        plan = NttPlan(N, q)
+        assert plan.wide
+        got = plan.forward(np.array(x, dtype=np.uint64))
+        want = NttPlan(N, q).forward(np.array(x, dtype=object))
+        assert got.dtype == np.uint64 and want.dtype == object
+        assert got.tolist() == want.tolist()
 
     def test_inverse_bit_identical(self, q):
         x = _vector(q, 8)
-        wide_plan = NttPlan(N, q)
-        oracle_plan = NttPlan(N, q, path=modmath.OBJECT)
-        got = wide_plan.inverse(modmath.asresidues(x, q))
-        want = oracle_plan.inverse(np.array(x, dtype=object))
-        assert [int(v) for v in got] == [int(v) for v in want]
+        got = NttPlan(N, q).inverse(np.array(x, dtype=np.uint64))
+        want = NttPlan(N, q).inverse(np.array(x, dtype=object))
+        assert got.tolist() == want.tolist()
 
     def test_roundtrip(self, q):
-        x = modmath.asresidues(_vector(q, 9), q)
+        x = _row(_vector(q, 9), q)[0]
         plan = NttPlan(N, q)
         back = plan.inverse(plan.forward(x))
-        assert [int(v) for v in back] == [int(v) for v in x]
+        assert back.tolist() == x.tolist()
 
 
 class TestBaseConvertMatchesOracle:
@@ -131,8 +129,8 @@ class TestBaseConvertMatchesOracle:
         moduli = tuple(primes.ntt_primes(3, bits, N))
         target = tuple(primes.ntt_primes(2, target_bits, N,
                                          exclude=set(moduli)))
-        limbs = [modmath.asresidues(_vector(q, 20 + i), q)
-                 for i, q in enumerate(moduli)]
+        limbs = modmath.as_block([_vector(q, 20 + i)
+                                  for i, q in enumerate(moduli)], moduli)
         poly = RnsPoly(limbs, moduli, rns.COEFF)
         got = rns.base_convert(poly, target)
         want = self._oracle_base_convert(limbs, moduli, target)
@@ -147,9 +145,8 @@ def test_property_mul_matches_oracle(q, seed):
     a = [int(v) for v in rng.integers(0, q, size=32)]
     b = [int(v) for v in rng.integers(0, q, size=32)]
     a[:3], b[:3] = [0, 1, q - 1], [q - 1, q - 1, q - 1]
-    wide = modmath.get_kernel(q)
-    got = wide.mul(wide.asresidues(a), wide.asresidues(b))
-    assert [int(v) for v in got] == [x * y % q for x, y in zip(a, b)]
+    got = modmath.BasisKernel((q,)).mul(_row(a, q), _row(b, q))
+    assert _ints(got) == [x * y % q for x, y in zip(a, b)]
 
 
 @given(st.sampled_from([Q36, Q60, Q62]), st.integers(0, 2**32 - 1))
@@ -158,9 +155,8 @@ def test_property_ntt_roundtrip_matches_oracle(q, seed):
     rng = np.random.default_rng(seed)
     x = [int(v) for v in rng.integers(0, q, size=N)]
     x[:3] = [0, 1, q - 1]
-    wide_plan = NttPlan(N, q)
-    oracle_plan = NttPlan(N, q, path=modmath.OBJECT)
-    fw = wide_plan.forward(modmath.asresidues(x, q))
-    fo = oracle_plan.forward(np.array(x, dtype=object))
-    assert [int(v) for v in fw] == [int(v) for v in fo]
-    assert [int(v) for v in wide_plan.inverse(fw)] == x
+    plan = NttPlan(N, q)
+    fw = plan.forward(np.array(x, dtype=np.uint64))
+    fo = plan.forward(np.array(x, dtype=object))
+    assert fw.tolist() == fo.tolist()
+    assert plan.inverse(fw).tolist() == x

@@ -1,7 +1,7 @@
 """Shared fixtures: toy CKKS contexts and common objects.
 
-Functional tests run scaled-down rings (N = 16..64) on the int64 fast
-path; the structure (digit grouping, special primes, gadget digits)
+Functional tests run scaled-down rings (N = 16..64) on 28-bit primes;
+the structure (digit grouping, special primes, gadget digits)
 matches the full-size sets.  Contexts are session-scoped — key
 generation is the expensive part — and tests never mutate them.
 """
