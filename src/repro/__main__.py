@@ -12,7 +12,7 @@ Commands
 ``opt``         whole-trace dataflow optimiser report for one workload
 ``serve``       multi-tenant batching FHE server (JSON over TCP)
 ``loadgen``     drive a server and report rps / latency / bit-exactness
-``backend``     state of the compiled NTT kernel (or why it is missing)
+``backend``     state of the compiled NTT/KMU/BConv kernel (or why not)
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def cmd_backend(args) -> int:
 
     info = native.probe()[1]
     keys = ("reason",) if info["state"] == "unavailable" \
-        else ("file", "compiler")
+        else ("file", "compiler", "entry_points")
     report = {"state": info["state"], **{key: info[key] for key in keys}}
     if args.json:
         print(json.dumps(report, indent=2))
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
                          help="skip the serial oracle comparison")
     loadgen.add_argument("--json", action="store_true")
     backend = sub.add_parser(
-        "backend", help="state of the compiled NTT kernel")
+        "backend", help="state of the compiled NTT/KMU/BConv kernel")
     backend.add_argument("--json", action="store_true")
     args = parser.parse_args(argv)
     return {"evaluate": cmd_evaluate, "bootstrap": cmd_bootstrap,

@@ -1,9 +1,9 @@
 """Per-plan workspace arenas with an obs allocation ledger.
 
-Every hot kernel tier (fused NTT butterflies, BConv matrix stage,
-fused KeyMult) runs on ``out=``-chained ufuncs writing into pooled
-buffers instead of letting each numpy expression allocate 3-4
-temporaries per stage.  A :class:`WorkspaceArena` is the pool: plans
+The numpy NTT engine (the fused butterflies a host without the
+compiled kernel runs, and every shared-modulus plan) runs on
+``out=``-chained ufuncs writing into pooled buffers instead of letting
+each numpy expression allocate 3-4 temporaries per stage.  A :class:`WorkspaceArena` is the pool: plans
 own one, keyed buffers are checked out with :meth:`take`, and a
 *pool miss* — the only event that allocates — is an ``np.empty``
 that bumps an ``obs`` counter ``kernel.alloc.<domain>``.

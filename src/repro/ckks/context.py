@@ -147,7 +147,14 @@ class CkksContext:
 
     def decode(self, plaintext: Plaintext,
                num_slots: int | None = None) -> np.ndarray:
-        coeffs = rns.compose_crt(plaintext.poly.to_coeff())
+        """Decode a plaintext's slots.  Its coefficients come from limb
+        0 when they are that small (:func:`~repro.ckks.rns.
+        compose_small`), which a decryption with noise budget left
+        always is; otherwise from the exact CRT over every limb."""
+        poly = plaintext.poly.to_coeff()
+        coeffs = rns.compose_small(poly)
+        if coeffs is None:
+            coeffs = rns.compose_crt(poly)
         return encoding.decode_from_coeffs(
             coeffs, self.params.ring_degree, plaintext.scale, num_slots)
 

@@ -10,7 +10,7 @@ digits, a KeyMult with that rotation's key, and a ModDown.
 
 Since the digits stay in evaluation form throughout, the per-rotation
 automorphism is a pure AutoPlan gather of NTT points (software AutoU)
-and the KeyMult runs through the stacked lazy-reduction
+and the KeyMult runs through the stacked
 :class:`~repro.ckks.keyswitch.hybrid.KeyMultPlan` (software KMU):
 :func:`permute_and_accumulate`, the whole pre-ModDown stage, performs
 **zero NTTs** — the per-rotation cost drops from O(digits x NTT) to

@@ -10,10 +10,9 @@ in NTTs), multiplied element-wise with its evaluation-key pair
 The KeyMult stage runs through a cached :class:`KeyMultPlan` — the
 software analogue of FAST's KMU, a 3x256 output-stationary systolic
 array: the key is stored as one ``(2, d, k, N)`` uint64 block, read in
-place, and the per-digit products are *accumulated lazily*
-(raw uint64 or 128-bit hi/lo split-limb sums) across all digits
-before a single reduction per limb, instead of reducing — and
-allocating two ``RnsPoly`` temporaries — per digit.
+place, and the compiled kernel sums each output word's per-digit
+products in ``unsigned __int128`` before a single reduction, instead
+of reducing — and allocating two ``RnsPoly`` temporaries — per digit.
 """
 
 from __future__ import annotations
@@ -22,16 +21,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.backend.arena import WorkspaceArena
+from repro.backend import native
 from repro.ckks import modmath, rns
 from repro.ckks.keys import KeySwitchKey, hybrid_digit_indices
 from repro.ckks.ntt import transform_limbs
 from repro.ckks.rns import RnsPoly
 from repro.obs.tracer import get_tracer
-
-_U64_ONE = np.uint64(1)
-_MASK32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
 
 
 def digits_to_eval(digits: list[RnsPoly]) -> list[RnsPoly]:
@@ -92,173 +87,88 @@ class KeyMultPlan:
     """Stacked-tensor KeyMult for one :class:`KeySwitchKey`.
 
     Built once per key (see :func:`get_key_mult_plan`) and cached on
-    the key object.  The key's ``num_digits`` RLWE pairs are stacked
-    into two ``(d, k, N)`` uint64 weight tensors (``b`` and ``a``
-    halves: the key's own :attr:`~repro.ckks.keys.KeySwitchKey.weights`
-    block, not a copy), and :meth:`accumulate` computes ``sum_j digit_j * w_j``
-    with the reduction *deferred across all digits* — the
-    output-stationary dataflow of FAST's KMU systolic array.  Three
-    accumulation tiers, chosen from the widest modulus and the digit
-    count (:func:`_kmu_tier`), with the worst-case bit budget
-    ``2 * max_bits + ceil(log2 d)``:
+    the key object.  The key's ``num_digits`` RLWE pairs are read where
+    the key stores them, its ``(2, d, k, N)`` uint64
+    :attr:`~repro.ckks.keys.KeySwitchKey.weights` block, and
+    :meth:`accumulate` computes ``sum_j digit_j * w_j`` for both halves
+    with the reduction deferred across all digits: the output-stationary
+    dataflow of FAST's KMU systolic array.  Where the compiled kernel
+    is loaded (:func:`repro.backend.native.load`) that is one C loop
+    accumulating each output word in ``unsigned __int128`` and reducing
+    it once; a host without one runs the per-digit reference loop
+    (:func:`key_mult_accumulate_reference`).  Both give the canonical
+    residues, so the bits are the same.
 
-    * ``u64`` (budget <= 64): raw wrapping-uint64 products summed
-      directly, one ``np.mod`` per limb at the end.  Covers moduli
-      of 31 bits or fewer at any realistic digit count.
-    * ``float`` (every modulus below 2^46, ``2 q d <= 2^49``): each
-      product comes out of the float-quotient multiply
-      (:func:`repro.ckks.modmath.mul_float_lazy_var_into`) already
-      folded to ``[0, 2q)`` and is summed in uint64; the sum stays
-      below 2^49, so one more float-quotient step and a fold reduce
-      it.  3 scratch blocks; the tier of a hybrid key over 36/44-bit
-      primes.
-    * ``hilo`` (budget <= 126): exact 128-bit products via
-      :func:`repro.ckks.modmath.mul128` accumulated as a carry-tracked
-      (hi, lo) split-limb pair, one :func:`~repro.ckks.modmath.
-      barrett128` sweep per limb at the end.  Valid through 62-bit
-      moduli (the barrett128 range proof caps the accumulator at
-      ``2^126``).
-
-    Keys whose moduli exceed the uint64 datapath (or whose digit count
-    blows the 126-bit budget) get no plan; ``key_mult_accumulate``
-    falls back to the per-digit reference loop for those.
+    Keys whose moduli exceed the 62-bit uint64 datapath get no plan;
+    ``key_mult_accumulate`` runs the reference loop on their Python
+    ints.
     """
 
-    __slots__ = ("moduli", "num_digits", "n", "tier", "_w",
-                 "_q_col", "_q_inv", "_r_hi", "_r_lo32", "_r_hi32",
-                 "_arena")
+    __slots__ = ("moduli", "num_digits", "n", "_w", "_q", "_parts")
 
     def __init__(self, key: KeySwitchKey):
         self.moduli = key.moduli
         self.num_digits = key.num_digits
         self.n = key.parts[0][0].n
-        tier = _kmu_tier(key.moduli, key.num_digits)
-        if tier is None:
-            raise ValueError("key does not fit the fused KeyMult budgets")
-        self.tier = tier
+        if modmath.block_dtype(key.moduli) is object:
+            raise ValueError("key moduli exceed the uint64 datapath")
         if any(part.form != rns.EVAL for pair in key.parts for part in pair):
             raise ValueError("key parts must be in evaluation form")
         self._w = key.weights
-        self._q_col = np.array(self.moduli, dtype=np.uint64).reshape(-1, 1)
-        if tier == "float":
-            self._q_inv = np.array(
-                [modmath.float_companion(1, q) for q in self.moduli]
-            ).reshape(-1, 1)
-        elif tier == "hilo":
-            # The split-operand 128-bit kernels: Barrett-ratio columns
-            # pre-split once into uint32 halves (the weights are split
-            # per digit into scratch, so the key is held once).
-            consts = [modmath.barrett_constants(q) for q in self.moduli]
-            self._r_hi = np.array(
-                [c[0] for c in consts], dtype=np.uint64).reshape(-1, 1)
-            r_lo = np.array(
-                [c[1] for c in consts], dtype=np.uint64).reshape(-1, 1)
-            self._r_lo32 = modmath.split32(r_lo)
-            self._r_hi32 = modmath.split32(self._r_hi)
-        self._arena = WorkspaceArena("kmu")
+        self._q = np.array(self.moduli, dtype=np.uint64)
+        self._parts = key.parts
 
     def stack(self, decomposed: list[RnsPoly]) -> np.ndarray:
-        """Stack decomposed digits into one ``(d, k, N)`` uint64 tensor.
+        """The decomposed digits as one ``(d, k, N)`` uint64 tensor.
 
-        The tensor is an arena-pooled workspace (reused across calls,
-        so the steady state allocates nothing): consume it via
-        :meth:`accumulate` before the next :meth:`stack`.
+        Digits that are the consecutive rows of one such block (what
+        ModUp and the KLSS decomposition hand over) are that block, not
+        a copy; any others are stacked into a new one.
         """
         if len(decomposed) != self.num_digits:
             raise ValueError(
                 f"key expects exactly {self.num_digits} digits, "
                 f"got {len(decomposed)}")
-        k = len(self.moduli)
-        out = self._arena.take("stack", (self.num_digits, k, self.n))
-        for j, digit in enumerate(decomposed):
+        for digit in decomposed:
             if digit.form != rns.EVAL:
                 raise ValueError("decomposed digits must be in eval form")
             if digit.moduli != self.moduli:
                 raise ValueError("digit basis does not match the key")
-            out[j] = digit.data
-        return out
+        block = decomposed[0].data.base
+        shape = (self.num_digits, len(self.moduli), self.n)
+        if (isinstance(block, np.ndarray) and block.shape == shape
+                and block.dtype == np.uint64 and block.flags.c_contiguous
+                and all(digit.data.base is block
+                        and digit.data.ctypes.data == row.ctypes.data
+                        for digit, row in zip(decomposed, block))):
+            return block
+        return np.stack([digit.data for digit in decomposed])
 
     def accumulate(self, stacked: np.ndarray) -> tuple[RnsPoly, RnsPoly]:
         """``(sum_j d_j b_j, sum_j d_j a_j)`` from a stacked digit tensor.
 
-        One lazy pass over all digits per half, a single reduction per
-        limb at the end — no per-digit temporaries.  Bit-identical to
-        :func:`key_mult_accumulate_reference`.
+        One ``(2, k, N)`` output block per call, the one allocation a
+        call makes; the returned polys are its halves.  Bit-identical
+        to :func:`key_mult_accumulate_reference`, which is also what a
+        host without the compiled kernel runs.
         """
         d, k, n = self.num_digits, len(self.moduli), self.n
         if stacked.shape != (d, k, n):
             raise ValueError("stacked digit tensor has the wrong shape")
-        # One (2, k, N) output block per call — the returned polys own
-        # their limbs as views into it; all intermediates are arena
-        # scratch, so the warmed steady state allocates only this.
+        kernel = native.load()
+        tracer = get_tracer()
+        if kernel is None:
+            if tracer.enabled:
+                tracer.count("keyswitch.kmu.numpy")
+            return _accumulate_digits(
+                [RnsPoly._of(x, self.moduli, rns.EVAL) for x in stacked],
+                self._parts)
+        if tracer.enabled:
+            tracer.count("keyswitch.kmu.native")
         res = np.empty((2, k, n), np.uint64)
-        arena = self._arena
-        if self.tier == "u64":
-            acc, prod = arena.take_many("u64", 2, (k, n))
-            for half in range(2):               # b-half then a-half
-                w = self._w[half]
-                np.multiply(stacked[0], w[0], out=acc)
-                for j in range(1, d):
-                    np.multiply(stacked[j], w[j], out=prod)
-                    np.add(acc, prod, out=acc)
-                np.mod(acc, self._q_col, out=res[half])
-        elif self.tier == "float":
-            term, *s = arena.take_many("float", 3, (k, n))
-            q, q_inv = self._q_col, self._q_inv
-            for half in range(2):
-                w, acc = self._w[half], res[half]
-                modmath.mul_float_lazy_var_into(
-                    stacked[0], w[0], q_inv, q, acc, s)
-                for j in range(1, d):
-                    modmath.mul_float_lazy_var_into(
-                        stacked[j], w[j], q_inv, q, term, s)
-                    np.add(acc, term, out=acc)
-                # acc < 2qd <= 2^49: times one, by the same multiply
-                modmath.mul_float_lazy_into(acc, _U64_ONE, q_inv, q, acc, s)
-                modmath.cond_sub_into(acc, q, term)
-        else:
-            hi, lo, p_hi, p_lo, w_lo, w_hi = arena.take_many(
-                "hilo", 6, (k, n))
-            s = arena.take_many("scratch", 8, (k, n))
-            carry = arena.take("carry", (k, n), dtype=bool)
-
-            def split(w):
-                np.bitwise_and(w, _MASK32, out=w_lo)
-                np.right_shift(w, _SHIFT32, out=w_hi)
-                return w_lo, w_hi
-
-            for half in range(2):
-                modmath.mul128_into(stacked[0], *split(self._w[half, 0]),
-                                    hi, lo, s[:4])
-                for j in range(1, d):
-                    modmath.mul128_into(stacked[j],
-                                        *split(self._w[half, j]),
-                                        p_hi, p_lo, s[:4])
-                    np.add(lo, p_lo, out=lo)
-                    np.less(lo, p_lo, out=carry)    # carry out of lo
-                    np.add(hi, p_hi, out=hi)
-                    np.add(hi, carry, out=hi)
-                modmath.barrett128_into(
-                    hi, lo, self._q_col, self._r_hi, self._r_lo32,
-                    self._r_hi32, res[half], s, carry)
+        kernel.key_mult(stacked, self._w, self._q, res)
         return (RnsPoly._of(res[0], self.moduli, rns.EVAL),
                 RnsPoly._of(res[1], self.moduli, rns.EVAL))
-
-
-def _kmu_tier(moduli, num_digits: int) -> str | None:
-    """Accumulation tier for a key's basis, or None when infeasible."""
-    if any(modmath.width_path(q) == modmath.OBJECT for q in moduli):
-        return None
-    bits = max(int(q).bit_length() for q in moduli)
-    log_d = max(0, num_digits - 1).bit_length()
-    if 2 * bits + log_d <= 64:
-        return "u64"
-    if all(modmath.fits_float_quotient(q) for q in moduli) \
-            and bits + 1 + log_d <= 49:
-        return "float"
-    if 2 * bits + log_d <= 126:
-        return "hilo"
-    return None
 
 
 _NO_PLAN_YET = object()
@@ -270,8 +180,8 @@ def get_key_mult_plan(key: KeySwitchKey) -> KeyMultPlan | None:
     The plan is stored on the key object itself (keys are frozen but
     carry a ``__dict__``), so its lifetime matches the key's — no
     global cache to bound or invalidate.  Returns ``None`` for keys
-    outside the fused budgets.  When the observability layer is
-    enabled, bumps ``keyswitch.kmu.plan_hit`` / ``plan_miss``.
+    over moduli beyond the uint64 datapath.  When the observability
+    layer is enabled, bumps ``keyswitch.kmu.plan_hit`` / ``plan_miss``.
     """
     tracer = get_tracer()
     cached = getattr(key, "_kmu_plan", _NO_PLAN_YET)
@@ -281,24 +191,15 @@ def get_key_mult_plan(key: KeySwitchKey) -> KeyMultPlan | None:
         return cached
     if tracer.enabled:
         tracer.count("keyswitch.kmu.plan_miss")
-    plan = (KeyMultPlan(key)
-            if _kmu_tier(key.moduli, key.num_digits) is not None else None)
+    plan = (None if modmath.block_dtype(key.moduli) is object
+            else KeyMultPlan(key))
     object.__setattr__(key, "_kmu_plan", plan)
     return plan
 
 
-def key_mult_accumulate_reference(
-        decomposed: list[RnsPoly],
-        key: KeySwitchKey) -> tuple[RnsPoly, RnsPoly]:
-    """Per-digit KeyMult loop (the bit-exactness oracle).
-
-    The pre-plan implementation: one reduced product and running sum
-    per digit, all through :class:`RnsPoly` arithmetic.  Structurally
-    independent of :class:`KeyMultPlan`'s lazy accumulation, and the
-    only path for keys over object-path moduli.
-    """
+def _accumulate_digits(decomposed, parts) -> tuple[RnsPoly, RnsPoly]:
     acc0 = acc1 = None
-    for digit, (b_j, a_j) in zip(decomposed, key.parts):
+    for digit, (b_j, a_j) in zip(decomposed, parts):
         term0 = digit * b_j
         term1 = digit * a_j
         acc0 = term0 if acc0 is None else acc0 + term0
@@ -306,12 +207,25 @@ def key_mult_accumulate_reference(
     return acc0, acc1
 
 
+def key_mult_accumulate_reference(
+        decomposed: list[RnsPoly],
+        key: KeySwitchKey) -> tuple[RnsPoly, RnsPoly]:
+    """Per-digit KeyMult loop (the bit-exactness oracle).
+
+    One reduced product and running sum per digit, all through
+    :class:`RnsPoly` arithmetic.  Structurally independent of the
+    compiled KMU; the path of a host without it and of keys over
+    object-path moduli.
+    """
+    return _accumulate_digits(decomposed, key.parts)
+
+
 def key_mult_accumulate(decomposed: list[RnsPoly],
                         key: KeySwitchKey) -> tuple[RnsPoly, RnsPoly]:
     """KeyMult stage: ``(sum d_j b_j, sum d_j a_j)`` in eval form.
 
-    Runs the fused :class:`KeyMultPlan` when the key fits the lazy
-    budgets, the reference loop otherwise.  Exactly ``key.num_digits``
+    Runs the key's :class:`KeyMultPlan` on the uint64 datapath, the
+    reference loop on object-path moduli.  Exactly ``key.num_digits``
     digits are required: a shorter prefix would silently drop key
     parts and compute a different (wrong) switch — callers that
     legitimately have fewer digits must pad with zeros explicitly.
@@ -325,7 +239,6 @@ def key_mult_accumulate(decomposed: list[RnsPoly],
     if plan is not None:
         if tracer.enabled:
             tracer.count("keyswitch.kmu.fused")
-            tracer.count("keyswitch.kmu.tier." + plan.tier)
         return plan.accumulate(plan.stack(decomposed))
     if tracer.enabled:
         tracer.count("keyswitch.kmu.object_fallback")

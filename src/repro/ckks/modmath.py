@@ -24,8 +24,7 @@ two paths, by width alone (:func:`width_path`):
 
   Both multiplies return the exact representative in ``[0, 2q)``, so
   every lazy-domain consumer (the NTT engine's ``[0, 4q)`` / ``[0,
-  2q)`` discipline, the KeyMult accumulator) is the same code in
-  either mode.
+  2q)`` discipline) is the same code in either mode.
 * ``object`` — arbitrary-precision Python integers: the only path
   beyond 62 bits.
 
@@ -87,8 +86,7 @@ def fits_float_quotient(modulus: int) -> bool:
     mode, ``q < 2^46``) rather than the 64-bit Shoup/Barrett one.
 
     The one switch between the two wide multipliers: the per-row NTT
-    engine, :class:`BasisKernel` and the KeyMult tiers all ask this
-    and nothing else.
+    engine and :class:`BasisKernel` both ask this and nothing else.
     """
     return int(modulus).bit_length() <= _FLOAT_QUOTIENT_BITS
 
@@ -137,9 +135,7 @@ def _barrett128(hi, lo, q, r_hi, r_lo):
     less than one from ``x * (2^128 mod q) / (q * 2^128) < x / 2^128
     < 1/4`` — so the remainder lands in ``[0, 3q)`` and ``3q < 2^64``
     still fits uint64; the two conditional subtractions finish the
-    job.  The BConv matrix kernel (:mod:`repro.ckks.rns`) leans on
-    the full ``x < 2^126`` range to accumulate several 124-bit
-    products between reductions.
+    job.
     """
     carry = _mulhi(lo, r_lo)
     t_hi, t_lo = _mul128(lo, r_hi)
@@ -152,15 +148,6 @@ def _barrett128(hi, lo, q, r_hi, r_lo):
     r = lo - quotient * q          # exact in [0, 3q), mod-2^64 wraps cancel
     r = np.where(r >= q, r - q, r)
     return np.where(r >= q, r - q, r)
-
-
-# Public aliases for the batch kernels (BConv matrix stage, batched
-# multi-limb NTT).  All three broadcast: operands may be any mutually
-# broadcastable uint64 array shapes, e.g. a (N,) residue row against a
-# (k, 1) per-modulus column.
-mul128 = _mul128
-mulhi = _mulhi
-barrett128 = _barrett128
 
 
 def mul_shoup_lazy(a, w, w_shoup, q):
@@ -183,9 +170,9 @@ def mul_shoup_lazy(a, w, w_shoup, q):
 # intermediate lands in a caller-provided scratch buffer via ufunc
 # ``out=``, so a warmed plan performs *zero* allocations per call (the
 # ledger in :mod:`repro.backend.arena` asserts it).  Fixed operands
-# (twiddles, key weights, Barrett ratios) arrive pre-split into 32-bit
-# halves — :func:`split32` — saving two splits per multiply and
-# halving the table bytes (uint32 storage).
+# (twiddle companions) arrive pre-split into 32-bit halves —
+# :func:`split32` — saving two splits per multiply and halving the
+# table bytes (uint32 storage).
 #
 # Aliasing contract: ``a`` may alias ``out`` (the product ``a*w`` is
 # read off before ``out`` is first written); ``a`` must not alias any
@@ -222,36 +209,6 @@ def mulhi_into(a, b_lo, b_hi, out, s):
     np.add(out, s4, out=out)
     np.add(out, s1, out=out)
     np.add(out, s3, out=out)
-
-
-def mul128_into(a, b_lo, b_hi, out_hi, out_lo, s):
-    """Exact 128-bit product into ``(out_hi, out_lo)``, no allocs.
-
-    ``b`` pre-split via :func:`split32`; ``s`` is 4 uint64 scratch
-    buffers.  ``a`` must not alias ``out_lo`` or scratch.
-    """
-    s1, s2, s3, s4 = s
-    np.bitwise_and(a, _MASK32, out=s1)          # a0
-    np.right_shift(a, _SHIFT32, out=s2)         # a1
-    np.multiply(s1, b_lo, out=s3)               # ll
-    np.bitwise_and(s3, _MASK32, out=out_lo)     # lo := ll & M
-    np.right_shift(s3, _SHIFT32, out=s3)        # mid := ll >> 32
-    np.multiply(s1, b_hi, out=s4)               # lh
-    np.bitwise_and(s4, _MASK32, out=s1)
-    np.add(s3, s1, out=s3)                      # mid += lh & M
-    np.right_shift(s4, _SHIFT32, out=s4)        # lh >> 32
-    np.multiply(s2, b_lo, out=s1)               # hl
-    np.multiply(s2, b_hi, out=out_hi)           # hh
-    np.bitwise_and(s1, _MASK32, out=s2)
-    np.add(s3, s2, out=s3)                      # mid += hl & M
-    np.right_shift(s1, _SHIFT32, out=s1)        # hl >> 32
-    np.add(out_hi, s4, out=out_hi)
-    np.add(out_hi, s1, out=out_hi)
-    np.bitwise_and(s3, _MASK32, out=s1)
-    np.left_shift(s1, _SHIFT32, out=s1)
-    np.bitwise_or(out_lo, s1, out=out_lo)       # lo |= (mid & M) << 32
-    np.right_shift(s3, _SHIFT32, out=s3)        # mid >> 32
-    np.add(out_hi, s3, out=out_hi)
 
 
 def mul_shoup_lazy_into(a, w, ws, q, out, s):
@@ -346,40 +303,8 @@ def cond_sub_into(a, bound, scratch) -> None:
     np.minimum(a, scratch, out=a)
 
 
-def barrett128_into(hi, lo, q, r_hi, r_lo_split, r_hi_split, out, s,
-                    carry) -> None:
-    """:func:`barrett128` into ``out``, no allocations.
-
-    ``r_lo_split``/``r_hi_split`` are :func:`split32` halves of the
-    Barrett ratio words; ``r_hi`` is the full uint64 hi word (needed
-    for the wrapping ``hi * r_hi`` quotient term).  ``s`` is 8 uint64
-    scratch buffers, ``carry`` one bool buffer.  ``out`` must not
-    alias ``hi``/``lo``/scratch.  Same range contract as
-    :func:`barrett128`: exact for ``x < 2^126``, ``q < 2^62``.
-    """
-    t1, t2, t3, t4, t5, t6, t7, t8 = s
-    rlo_lo, rlo_hi = r_lo_split
-    rhi_lo, rhi_hi = r_hi_split
-    mulhi_into(lo, rlo_lo, rlo_hi, t1, (t2, t3, t4, t5))   # dropped-word carry
-    mul128_into(lo, rhi_lo, rhi_hi, t6, t7, (t2, t3, t4, t5))  # lo * r_hi
-    np.add(t7, t1, out=t7)
-    np.less(t7, t1, out=carry)                  # carry out of t_lo + carry
-    np.add(t6, carry, out=t6)
-    mul128_into(hi, rlo_lo, rlo_hi, t1, t8, (t2, t3, t4, t5))  # hi * r_lo
-    np.add(t7, t8, out=t7)
-    np.less(t7, t8, out=carry)                  # carry out of s1 + u_lo
-    np.multiply(hi, r_hi, out=t2)               # hi * r_hi (wraps cancel)
-    np.add(t2, t6, out=t2)
-    np.add(t2, t1, out=t2)
-    np.add(t2, carry, out=t2)                   # quotient estimate
-    np.multiply(t2, q, out=t2)
-    np.subtract(lo, t2, out=out)                # exact in [0, 3q)
-    cond_sub_into(out, q, t2)
-    cond_sub_into(out, q, t2)
-
-
 def barrett_constants(modulus: int) -> tuple[np.uint64, np.uint64]:
-    """``floor(2^128 / q)`` as a uint64 (hi, lo) pair for :func:`barrett128`."""
+    """``floor(2^128 / q)`` as a uint64 (hi, lo) pair (Barrett)."""
     ratio = (1 << 128) // int(modulus)
     return np.uint64(ratio >> 64), np.uint64(ratio & 0xFFFFFFFFFFFFFFFF)
 

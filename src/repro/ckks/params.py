@@ -168,12 +168,10 @@ def set_ii_mini(ring_degree: int = 4096, max_level: int = 6,
 
     Unlike :func:`toy_params`, the primes keep Set-II's widths — 36-bit
     scale primes, a wider first prime, 60-bit KLSS gadget digits and
-    wide T-basis primes — so every limb runs on the vectorised wide
-    (uint64 Barrett) path rather than the int64 toy path.  Only the
-    ring degree and chain length are reduced, which keeps functional
-    workloads affordable in software while exercising exactly the
-    arithmetic the paper's TBM executes in its 36-bit and 60-bit
-    modes.
+    wide T-basis primes.  Only the ring degree and chain length are
+    reduced, which keeps functional workloads affordable in software
+    while exercising exactly the arithmetic the paper's TBM executes
+    in its 36-bit and 60-bit modes.
     """
     if alpha is None:
         alpha = min(5, max_level + 1)

@@ -26,12 +26,12 @@ modular inverses.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from time import perf_counter
 
 import numpy as np
 
+from repro.backend import native
 from repro.ckks import modmath
 from repro.ckks.ntt import NttPlan, transform_limbs
 from repro.obs.tracer import get_tracer
@@ -458,6 +458,29 @@ def compose_crt(poly: RnsPoly) -> list[int]:
     return [int(v) - big_q if v > half else int(v) for v in acc]
 
 
+def compose_small(poly: RnsPoly) -> np.ndarray | None:
+    """The centred coefficients as int64 when all of them lie within
+    ``q_0 / 2`` of zero, else ``None`` (then :func:`compose_crt`).
+
+    Limb 0 is centred into ``(-q_0/2, q_0/2]`` and checked congruent to
+    every other limb, one vectorised pass against the ``(k-1, 1)``
+    modulus column.  A value congruent to every limb is the CRT value
+    modulo ``Q``, and one this small is its centred representative:
+    exactly what :func:`compose_crt` returns, without Python ints.
+    """
+    if poly.form != COEFF:
+        poly = poly.to_coeff()
+    if poly.data.dtype != np.uint64:
+        return None
+    q0 = poly.moduli[0]
+    centred = poly.data[0].astype(np.int64)
+    centred[centred > q0 // 2] -= q0
+    rest = np.array(poly.moduli[1:], np.int64).reshape(-1, 1)
+    if not (np.mod(centred, rest).view(np.uint64) == poly.data[1:]).all():
+        return None
+    return centred
+
+
 def from_big_ints(coeffs: list[int], moduli, n: int | None = None) -> RnsPoly:
     """Reduce big-integer coefficients into an RNS polynomial (``n``
     is implied by ``coeffs``; kept for the historic signature)."""
@@ -472,54 +495,31 @@ class BConvPlan:
     This is the software BConvU: everything that depends only on the
     ``(source basis, target basis)`` pair is computed once —
 
-    * the element-wise stage scalars ``(Q/q_i)^{-1} mod q_i`` as Shoup
-      pairs (one lazy-reduction pass over the stacked ``(k_in, N)``
-      input, the KMU stage in FAST);
+    * the element-wise stage scalars ``(Q/q_i)^{-1} mod q_i``;
     * the ``(k_out, k_in)`` residue matrix ``Q/q_i mod p_j`` (the
-      systolic-array weights), pre-split into ``PIECE_BITS``-wide
-      limb pieces and stacked into one block matrix per output scale;
-    * the target-side reduction constants (``2^64 mod p_j`` Shoup
-      pairs and Barrett ratios);
+      systolic array's weights);
     * the ModDown / rescale scalars ``(prod src)^{-1} mod p_j``, so
       :func:`mod_down` and :func:`exact_rescale` never call
       ``inv_mod`` per invocation.
 
-    :meth:`convert` executes the conversion as a handful of
-    whole-array kernels.  The O(k_in * k_out * N) multiply-accumulate
-    core — the systolic array's job — runs as float64 matrix products
-    over the split pieces: with 22-bit pieces every partial product
-    fits 44 bits and a whole block-row dot product stays below the
-    2^53 float64 integer window, so BLAS does the accumulation
-    exactly at SIMD speed.  The piece sums are then recombined into a
-    lazily-carried 128-bit (hi, lo) split-limb accumulator — pieces
-    are shifted back by their scale, never individually reduced — and
-    a single vectorised Barrett/Shoup pass per target limb folds the
-    result into ``[0, p_j)``.
-
-    Any modulus beyond the 62-bit uint64 datapath (or a basis pair so
-    large the float64 window or the 128-bit accumulator would
-    overflow — see ``_matrix_feasible``) forces ``matrix_path =
-    False``; those conversions run the per-pair object-oracle loop
-    (:func:`base_convert_reference`) instead.
+    :meth:`convert` runs the conversion on the uint64 datapath
+    (``matrix_path``: every modulus below 2^62).  Where the compiled
+    kernel is loaded (:func:`repro.backend.native.load`) that is one C
+    loop: a Shoup scale of each source word by ``(Q/q_i)^{-1}``, then
+    ``sum_i y_i (Q/q_i mod p_j)`` accumulated in ``unsigned __int128``
+    and reduced once per output word.  A host without it runs the same
+    two stages through :class:`~repro.ckks.modmath.BasisKernel`, one
+    source row at a time.  Both give canonical residues, so the bits
+    are the same, and equal :func:`base_convert_reference`, the
+    Python-int oracle that is also the path for moduli of 62 bits and
+    more.
     """
 
-    # Width of the split pieces fed to the float64 matrix products.
-    # Two 22-bit pieces multiply into 44 bits, leaving 53 - 44 = 9
-    # doubling levels of exact float64 headroom for the row-length
-    # accumulation (checked against the actual k_in below).
-    PIECE_BITS = 22
-
-    # Scratch-buffer sets kept per plan, over all input lengths.
-    _WS_POOL_SETS = 4
-
     __slots__ = ("src_moduli", "dst_moduli", "k_in", "k_out",
-                 "src_product", "matrix_path", "total_bits", "dst_kernel",
-                 "_down_cols", "_ew_w", "_ew_ws",
-                 "_src_q", "_ew_wf",
-                 "_pieces_in", "_block_stack", "_shifts",
-                 "_reduce_float", "_vf_gemm", "_scales", "_dst_qf",
-                 "_dst_q", "_t64_w", "_t64_ws",
-                 "_down_inv", "_ws_pool", "_ws_lock")
+                 "src_product", "matrix_path", "dst_kernel",
+                 "_down_inv", "_down_cols", "_src_q", "_dst_q",
+                 "_hat_inv", "_matrix", "_src_kernel", "_hat_inv_cols",
+                 "_matrix_cols")
 
     def __init__(self, src_moduli, dst_moduli):
         self.src_moduli = tuple(int(q) for q in src_moduli)
@@ -529,62 +529,19 @@ class BConvPlan:
         big_q, q_hat, q_hat_inv = _crt_constants(self.src_moduli)
         self.src_product = big_q
         self.dst_kernel = modmath.BasisKernel(self.dst_moduli)
-        self._ws_pool = []
-        self._ws_lock = threading.Lock()
-        self.matrix_path = self._matrix_feasible()
+        moduli = self.src_moduli + self.dst_moduli
+        self.matrix_path = bool(moduli) and (
+            modmath.block_dtype(moduli) is not object)
         if self.matrix_path and self.k_in and self.k_out:
-            ew = [modmath.shoup_pair(inv, q)
-                  for inv, q in zip(q_hat_inv, self.src_moduli)]
-            self._ew_w = np.array(
-                [w for w, _ in ew], dtype=np.uint64).reshape(-1, 1)
-            self._ew_ws = np.array(
-                [ws for _, ws in ew], dtype=np.uint64).reshape(-1, 1)
-            self._src_q = np.array(
-                self.src_moduli, dtype=np.uint64).reshape(-1, 1)
-            self._dst_q = np.array(
-                self.dst_moduli, dtype=np.uint64).reshape(-1, 1)
-            t64 = [modmath.shoup_pair(1 << 64, p) for p in self.dst_moduli]
-            self._t64_w = np.array(
-                [w for w, _ in t64], dtype=np.uint64).reshape(-1, 1)
-            self._t64_ws = np.array(
-                [ws for _, ws in t64], dtype=np.uint64).reshape(-1, 1)
-            bits_in = max(q.bit_length() for q in self.src_moduli)
-            bits_out = max(p.bit_length() for p in self.dst_moduli)
-            b = self.PIECE_BITS
-            pieces_in = -(-bits_in // b)
-            pieces_mat = -(-bits_out // b)
-            # Element-wise stage in the software TBM's 36-bit mode
-            # when every source modulus allows it (None: 60-bit mode).
-            self._ew_wf = None
-            if all(modmath.fits_float_quotient(q) for q in self.src_moduli):
-                self._ew_wf = np.array(
-                    [modmath.float_companion(int(w), q)
-                     for (w, _), q in zip(ew, self.src_moduli)]
-                ).reshape(-1, 1)
-            # Float-quotient final reduction: the row value is below
-            # k_in * 2^bits_in * p_j, so the absolute error of the
-            # float quotient (ncomp recombination roundings plus the
-            # p_j cast and the division, each 2^-53 relative) stays
-            # strictly below 1/2 — quotient within 1 of the true
-            # floor, remainder correctable in (0, 3 p_j) — exactly
-            # when this bit budget holds (2 bits of slack).
-            ncomp = max(1, pieces_in + pieces_mat - 1)
-            logk = (self.k_in - 1).bit_length()
-            self._reduce_float = (bits_in + logk
-                                  + (ncomp - 1).bit_length()) <= 50
-            # With a little more slack the quotient can come straight
-            # out of the matrix product: one extra k_out-row block of
-            # float(m_ji) * 2^(a*PIECE_BITS) accumulates the full
-            # (approximate) value per row, with relative error below
-            # (row length) * 2^-53 — still within 1 of the true floor
-            # when this tighter budget holds.
-            vf_rows = pieces_in * self.k_in
-            self._vf_gemm = (self._reduce_float
-                             and (bits_in + logk
-                                  + (vf_rows - 1).bit_length() + 2) <= 53)
-            if self._reduce_float:
-                self._dst_qf = self._dst_q.astype(np.float64)
-            self._build_matrix_blocks(q_hat)
+            self._src_q = np.array(self.src_moduli, np.uint64)
+            self._dst_q = np.array(self.dst_moduli, np.uint64)
+            self._hat_inv = np.array(q_hat_inv, np.uint64)
+            matrix = [[hat % p for hat in q_hat] for p in self.dst_moduli]
+            self._matrix = np.array(matrix, np.uint64)
+            self._src_kernel = modmath.BasisKernel(self.src_moduli)
+            self._hat_inv_cols = self._src_kernel.row_scalars(q_hat_inv)
+            self._matrix_cols = [self.dst_kernel.row_scalars(column)
+                                 for column in zip(*matrix)]
         # Hoisted ModDown/rescale scalars: (prod src)^-1 mod p_j.
         # None when src and dst share a factor (never the case for
         # the disjoint bases ModDown and rescale use).
@@ -595,86 +552,6 @@ class BConvPlan:
         except ValueError:
             self._down_inv = self._down_cols = None
 
-    def _matrix_feasible(self) -> bool:
-        """Whether the split-piece matrix kernel is exact for this pair."""
-        moduli = self.src_moduli + self.dst_moduli
-        if not self.k_in or not self.k_out:
-            return bool(moduli) and all(
-                modmath.width_path(q) != modmath.OBJECT for q in moduli)
-        if any(modmath.width_path(q) == modmath.OBJECT for q in moduli):
-            return False
-        b = self.PIECE_BITS
-        bits_in = max(q.bit_length() for q in self.src_moduli)
-        bits_out = max(p.bit_length() for p in self.dst_moduli)
-        pieces_in = -(-bits_in // b)
-        pieces_mat = -(-bits_out // b)
-        # Each block-row dot product sums min(pieces) * k_in exact
-        # 2b-bit products and must stay inside float64's 2^53 window.
-        rows = min(pieces_in, pieces_mat) * self.k_in
-        if 2 * b + (rows - 1).bit_length() > 53:
-            return False
-        # The recombined value sum_i y_i * m_ji must fit the 126-bit
-        # validity range of the final reduction's 128-bit accumulator.
-        self.total_bits = (bits_in + bits_out
-                           + (self.k_in - 1).bit_length())
-        return self.total_bits <= 126
-
-    def _build_matrix_blocks(self, q_hat) -> None:
-        """Split the residue matrix into piece-scale block matrices.
-
-        ``mat[j, i] = q_hat_i mod p_j`` is cut into ``PIECE_BITS``
-        pieces; block matrix ``s`` gathers every (input-piece a,
-        matrix-piece d) combination with ``a + d == s``, laid out so
-        one float64 product against the stacked input pieces yields
-        the whole ``2^(s * PIECE_BITS)``-scale component.  When the
-        quotient comes from the gemm too (``_vf_gemm``), a final
-        k_out-row block holding ``float(m_ji) * 2^(a*PIECE_BITS)``
-        is appended, and components that only feed bits >= 2^64 of
-        the value (zero modulo 2^64) are dropped.
-        """
-        b = self.PIECE_BITS
-        bits_in = max(q.bit_length() for q in self.src_moduli)
-        bits_out = max(p.bit_length() for p in self.dst_moduli)
-        self._pieces_in = -(-bits_in // b)
-        pieces_mat = -(-bits_out // b)
-        mat = np.array([[hat % p for hat in q_hat]
-                        for p in self.dst_moduli], dtype=np.uint64)
-        mat_pieces = [((mat >> np.uint64(d * b))
-                       & np.uint64((1 << b) - 1)).astype(np.float64)
-                      for d in range(pieces_mat)]
-        blocks = []
-        self._shifts = []
-        for s in range(self._pieces_in + pieces_mat - 1):
-            if self._vf_gemm and s * b >= 64:
-                break
-            block = np.zeros((self.k_out, self._pieces_in * self.k_in))
-            used = False
-            for a in range(self._pieces_in):
-                d = s - a
-                if 0 <= d < pieces_mat:
-                    block[:, a * self.k_in:(a + 1) * self.k_in] = \
-                        mat_pieces[d]
-                    used = True
-            if used:
-                blocks.append(block)
-                self._shifts.append(s * b)
-        self._scales = [float(1 << s) for s in self._shifts]
-        if self._vf_gemm:
-            # Quotient rows carry the 1/p_j scaling too, so the gemm
-            # yields v/p_j directly and convert() only floors it.
-            vf_block = np.empty((self.k_out, self._pieces_in * self.k_in))
-            matf = mat.astype(np.float64) / np.array(
-                self.dst_moduli, dtype=np.float64).reshape(-1, 1)
-            for a in range(self._pieces_in):
-                vf_block[:, a * self.k_in:(a + 1) * self.k_in] = \
-                    matf * float(1 << (a * b))
-            blocks.append(vf_block)
-        # One tall matrix so the whole multiply-accumulate runs as a
-        # single BLAS call; component s is rows [s*k_out, (s+1)*k_out).
-        # The 22-bit split matrix is the big table, built once and
-        # reused by every convert().
-        self._block_stack = np.vstack(blocks)
-
     def __repr__(self) -> str:
         return (f"BConvPlan(k_in={self.k_in}, k_out={self.k_out}, "
                 f"matrix_path={self.matrix_path})")
@@ -684,52 +561,6 @@ class BConvPlan:
         """Whether the hoisted ``(prod src)^{-1} mod p_j`` scalars exist."""
         return self._down_inv is not None
 
-    def _workspace(self, n: int) -> dict:
-        """Check out a scratch-buffer set for length-``n`` inputs.
-
-        Buffers are pooled on the plan and matched by length, so a
-        plan that serves two lengths (``rotate`` at N, a hoisted
-        ``mod_down_batch`` at r*N) keeps a warm set for each instead of
-        dropping the other's on every call; concurrent converts simply
-        allocate their own set — the steady state runs with zero large
-        allocations.
-        Pool misses are ledger-counted as ``kernel.alloc.bconv``, the
-        same way the NTT and KMU arenas count theirs (see
-        :mod:`repro.backend.arena`), so "zero steady-state allocs" is
-        asserted (``tests/ckks/test_bconv.py``), never assumed.
-        """
-        with self._ws_lock:
-            for i, ws in enumerate(self._ws_pool):
-                if ws["n"] == n:
-                    return self._ws_pool.pop(i)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.count("kernel.alloc.bconv")
-        k_in, k_out = self.k_in, self.k_out
-        empty = np.empty
-        ws = {
-            "n": n,
-            "y": empty((k_in, n), np.uint64),
-            "tq": empty((k_in, n), np.uint64),
-            "pieces": empty((self._pieces_in * k_in, n), np.float64),
-            "flat": empty((self._block_stack.shape[0], n), np.float64),
-            "quo": empty((k_out, n), np.uint64),
-            "tmpu": empty((k_out, n), np.uint64),
-            "tmpf": empty((k_out, n), np.float64),
-        }
-        if self._ew_wf is not None:
-            ws["est"] = empty((k_in, n), np.uint64)
-        if not self._reduce_float:
-            ws["hi"] = empty((k_out, n), np.uint64)
-            ws["lo"] = empty((k_out, n), np.uint64)
-        return ws
-
-    def _release(self, ws: dict) -> None:
-        with self._ws_lock:
-            if len(self._ws_pool) >= self._WS_POOL_SETS:
-                del self._ws_pool[0]        # least recently released
-            self._ws_pool.append(ws)
-
     def convert(self, poly) -> np.ndarray:
         """Matrix-form conversion of a ``(k_in, L)`` source block.
 
@@ -737,7 +568,8 @@ class BConvPlan:
         any length ``L``), its ``(k_in, L)`` block, or a sequence of
         limb vectors (reduced into a block first).  Returns a new
         ``(k_out, L)`` uint64 block, row ``j`` modulo ``dst_moduli[j]``,
-        bit-identical to :func:`base_convert_reference`.
+        bit-identical to :func:`base_convert_reference`; that block is
+        the one allocation a call on a contiguous source makes.
         """
         if not self.matrix_path:
             raise ValueError("plan has no matrix path for this basis pair")
@@ -749,110 +581,30 @@ class BConvPlan:
         n = x.shape[1]
         if not self.k_in or not self.k_out:
             return np.zeros((self.k_out, n), np.uint64)
-        ws = self._workspace(n)
-        # Element-wise stage over the whole stack: one lazy multiply
-        # by (Q/q_i)^-1 in the source moduli's multiplier mode
-        # (float-quotient below 2^46, Shoup above) and one fold.
-        sq = self._src_q
-        y = ws["y"]
-        tq = ws["tq"]
-        if self._ew_wf is not None:
-            modmath.mul_float_lazy_into(x, self._ew_w, self._ew_wf, sq, y,
-                                        (tq, ws["est"]))
-        else:
-            np.multiply(modmath.mulhi(x, self._ew_ws), sq, out=tq)
-            np.multiply(x, self._ew_w, out=y)
-            np.subtract(y, tq, out=y)
-        modmath.cond_sub_into(y, sq, tq)
-        # Matrix stage: split the scaled residues into float64 pieces
-        # and let BLAS run the exact multiply-accumulate — all scale
-        # components in one tall matrix product.  The a=0 piece needs
-        # no shift and the top piece needs no mask (y's leading bits
-        # run out first).
-        bp = self.PIECE_BITS
-        mask = np.uint64((1 << bp) - 1)
-        pieces = ws["pieces"]
-        top = self._pieces_in - 1
-        for a in range(self._pieces_in):
-            src = y
-            if a:
-                np.right_shift(y, np.uint64(a * bp), out=tq)
-                src = tq
-            if a < top:
-                np.bitwise_and(src, mask, out=tq)
-                src = tq
-            pieces[a * self.k_in:(a + 1) * self.k_in] = src
-        flat = ws["flat"]
-        np.matmul(self._block_stack, pieces, out=flat)
-        comps = [flat[s * self.k_out:(s + 1) * self.k_out]
-                 for s in range(len(self._shifts))]
-        pq = self._dst_q
-        # the result block is the one allocation a warmed call makes
-        lo = np.empty((self.k_out, n), np.uint64) if self._reduce_float \
-            else ws["lo"]
-        tmpu = ws["tmpu"]
-        lo[:] = comps[0]
-        if self._reduce_float:
-            # Recombine modulo 2^64 only (no carry tracking) and
-            # recover the quotient from the float components: every
-            # 2^(s*PIECE_BITS) scale is an exact float multiply, so
-            # the only roundings are the ncomp additions, the p_j
-            # cast and the division — within 1 of the true floor by
-            # the _reduce_float bit budget above.
-            if self._vf_gemm:
-                vf = flat[len(self._shifts) * self.k_out:]
-                for comp, shift in zip(comps[1:], self._shifts[1:]):
-                    tmpu[:] = comp
-                    np.left_shift(tmpu, np.uint64(shift), out=tmpu)
-                    np.add(lo, tmpu, out=lo)
-            else:
-                tmpf = ws["tmpf"]
-                vf = comps[0]
-                for comp, scale, shift in zip(comps[1:], self._scales[1:],
-                                              self._shifts[1:]):
-                    np.multiply(comp, scale, out=tmpf)
-                    np.add(vf, tmpf, out=vf)
-                    if shift < 64:
-                        tmpu[:] = comp
-                        np.left_shift(tmpu, np.uint64(shift), out=tmpu)
-                        np.add(lo, tmpu, out=lo)
-                np.divide(vf, self._dst_qf, out=vf)
-            np.floor(vf, out=vf)
-            quo = ws["quo"]
-            quo[:] = vf
-            np.multiply(quo, pq, out=quo)
-            np.subtract(lo, quo, out=lo)
-            # lo is v - quo*p in wrapping uint64, i.e. (-p, 2p); the
-            # same two branch-free np.minimum fix-ups as the
-            # element-wise stage fold it into [0, p).
-            np.add(lo, pq, out=tmpu)
-            np.minimum(lo, tmpu, out=lo)
-            np.subtract(lo, pq, out=tmpu)
-            np.minimum(lo, tmpu, out=lo)
-            acc = lo
-        else:
-            # Recombine into a lazily-carried 128-bit (hi, lo)
-            # accumulator, then one vectorised fold of hi with the
-            # precomputed 2^64 mod p_j Shoup pairs and a single
-            # division sweep per target limb.
-            hi = ws["hi"]
-            hi[:] = 0
-            down = ws["quo"]
-            for comp_f, shift in zip(comps[1:], self._shifts[1:]):
-                tmpu[:] = comp_f
-                if shift < 64:
-                    np.right_shift(tmpu, np.uint64(64 - shift), out=down)
-                    np.add(hi, down, out=hi)
-                    np.left_shift(tmpu, np.uint64(shift), out=tmpu)
-                    np.add(lo, tmpu, out=lo)
-                    hi += lo < tmpu
-                else:
-                    np.left_shift(tmpu, np.uint64(shift - 64), out=tmpu)
-                    np.add(hi, tmpu, out=hi)
-            r = hi * self._t64_w - modmath.mulhi(hi, self._t64_ws) * pq
-            acc = np.mod(np.mod(lo, pq) + r, pq)
-        self._release(ws)
-        return acc
+        kernel = native.load()
+        tracer = get_tracer()
+        if kernel is None:
+            if tracer.enabled:
+                tracer.count("rns.bconv.numpy")
+            return self._convert_numpy(x)
+        if tracer.enabled:
+            tracer.count("rns.bconv.native")
+        out = np.empty((self.k_out, n), np.uint64)
+        kernel.base_convert(np.ascontiguousarray(x), self._src_q,
+                            self._hat_inv, self._matrix, self._dst_q, out)
+        return out
+
+    def _convert_numpy(self, x) -> np.ndarray:
+        """:meth:`convert` on a host without the compiled kernel: the
+        scaled source rows, then per source row one reduction onto the
+        target basis, one multiply and one add over the output block."""
+        dst = self.dst_kernel
+        scaled = self._src_kernel.mul_rows(x, self._hat_inv_cols)
+        out = None
+        for y, cols in zip(scaled, self._matrix_cols):
+            term = dst.mul_rows(modmath.as_block(y, self.dst_moduli), cols)
+            out = term if out is None else dst.add(out, term)
+        return out
 
     def down_scale(self, block) -> np.ndarray:
         """Row ``j`` of a ``(..., k_out, L)`` block times the hoisted

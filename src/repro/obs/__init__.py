@@ -11,7 +11,8 @@ simulator (:mod:`repro.sim`), the Aether/Hemera runtime
   paths (``rns.auto.eval`` point gathers vs ``rns.auto.coeff`` oracle,
   plus ``rns.auto.plan_hit``/``plan_miss``), fused KeyMult activity
   (``keyswitch.kmu.fused``/``object_fallback``/``plan_hit``/
-  ``plan_miss`` and per-tier counts), hoisting batches
+  ``plan_miss``, and ``native``/``numpy`` per kernel call, as
+  ``rns.bconv.*`` counts conversions), hoisting batches
   (``keyswitch.hoisting.*``), evk-cache hits/misses, prefetch lead,
   key-stall time;
 * **exporters** — a JSON snapshot (schema ``repro-obs/v1``) and a

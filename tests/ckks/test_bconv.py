@@ -1,12 +1,14 @@
 """Matrix-form BConv (software BConvU): exactness, error bound, caches.
 
-The matrix kernel must be *bit-exact* against the per-pair scalar-loop
-oracle (:func:`rns.base_convert_reference`) at every datapath width:
-the float piece-gemm and the float-quotient reductions are exact by
-construction only inside their documented bit budgets, so the width
-grid below deliberately straddles each budget boundary (51-bit float
-elementwise, 50-bit float reduction, 62-bit lazy-128 tier).
+The conversion must be *bit-exact* against the Python-int oracle
+(:func:`rns.base_convert_reference`) at every datapath width, on the
+compiled kernel and on the numpy fallback (``...Ufunc``): the width
+grid below keeps the boundaries of the float-piece tiers that came
+before the compiled loop (46/47, 51/52 and 62 bits), and the budget
+tests put the 128-bit sum at its ceiling on 62-bit moduli.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ def _assert_bit_exact(got: RnsPoly, want: RnsPoly):
                                       np.asarray(b, dtype=object))
 
 
-# One entry per datapath tier / budget boundary.  Set-II-mini gate
+# One entry per width boundary a conversion has had.  Set-II-mini gate
 # shapes (ModUp digit 0/1, ModDown) appear verbatim.
 WIDTH_CASES = [
     pytest.param([(4, 28)], [(3, 28)], id="toy-28"),
@@ -106,6 +108,56 @@ class TestMatrixBitExact:
         poly = _uniform_poly(rng, src).to_eval()
         with pytest.raises(ValueError):
             rns.base_convert(poly, _chain([(2, 28)], exclude=src))
+
+
+@pytest.mark.usefixtures("no_native")
+class TestMatrixBitExactUfunc(TestMatrixBitExact):
+    """The same grid on the host without a C compiler: the
+    ``BasisKernel`` fallback of :meth:`BConvPlan.convert`."""
+
+
+def _at_ceiling(src) -> RnsPoly:
+    """Source words whose scaled residues ``y_i`` are all ``q_i - 1``:
+    the largest every product of the matrix stage can get."""
+    _, q_hat, _ = rns._crt_constants(src)
+    return RnsPoly([[(q - 1) * hat % q] * N for q, hat in zip(src, q_hat)],
+                   src, rns.COEFF)
+
+
+class TestAccumulatorBudget:
+    """A 128-bit sum below ``p`` takes ``budget`` products of 62-bit
+    words; past that the kernel folds it back below ``p`` first."""
+
+    @pytest.mark.parametrize("k_in", (16, 17, 32))
+    def test_k_in_at_and_past_the_budget(self, k_in):
+        dst = _chain([(2, 62)])
+        src = _chain([(k_in, 62)], exclude=dst)
+        q_max, p = max(src), max(dst)
+        assert ((1 << 128) - p) // ((q_max - 1) * (p - 1)) == 16
+        poly = _at_ceiling(src)
+        _assert_bit_exact(rns.base_convert(poly, dst),
+                          base_convert_reference(poly, dst))
+
+
+def _allocated_peak(call) -> int:
+    """Peak bytes traced while ``call`` runs once more after a warmup."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_warmed_convert_allocates_only_its_output(rng, compiled_ntt):
+    src = _chain([(5, 37)])
+    dst = _chain([(1, 44), (6, 36)], exclude=src)
+    plan = get_bconv_plan(src, dst)
+    poly = _uniform_poly(rng, src, n=4096)
+    out_bytes = len(dst) * 4096 * 8
+    assert out_bytes <= _allocated_peak(lambda: plan.convert(poly)) \
+        < out_bytes + 16384
 
 
 @given(seed=st.integers(0, 2**32 - 1), k_in=st.integers(1, 5),
@@ -295,14 +347,6 @@ class TestBConvPlanCache:
         for got_limbs, want_limbs in zip(got, want):
             for a, b in zip(got_limbs, want_limbs):
                 assert np.array_equal(a, b)
-
-    def test_workspace_pool_stays_bounded(self, rng, _fresh_bconv_cache):
-        src = _chain([(3, 28)])
-        dst = _chain([(2, 28)], exclude=src)
-        plan = get_bconv_plan(src, dst)
-        for r in range(1, plan._WS_POOL_SETS + 3):
-            plan.convert(_uniform_poly(rng, src, n=r * N).limbs)
-        assert len(plan._ws_pool) == plan._WS_POOL_SETS
 
 
 # -- duplicate-moduli guard (mod_up mis-pair regression) ------------------

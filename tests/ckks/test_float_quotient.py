@@ -6,15 +6,16 @@ every ``q < 2^46``, ``w < q`` and ``a < 2^49``; moduli from 47 bits up
 must refuse it and keep the 64-bit Shoup/Barrett multiply.  On top of
 the primitive: the per-row NTT engine against the Python-int
 reference on mixed-mode bases in every row order, the batch plan
-against per-limb scalar plans, the third KeyMult tier against its
-reference loop, the HELR-step ciphertexts against digests taken at the
-commit before the mode existed, and the ``ntt.path.*`` /
-``keyswitch.kmu.*`` counters.
+against per-limb scalar plans, KeyMult on the moduli of that mode
+against its reference loop, the HELR-step ciphertexts against digests
+taken at the commit before the mode existed, and the ``ntt.path.*``
+and kernel counters.
 
-The batch-plan and whole-program classes run on the butterfly this
-host has (the compiled kernel where there is a C compiler); their
-``...Ufunc`` subclasses rerun them under ``ufunc_ntt``, the host
-without one, where the two modes are two engines.
+The batch-plan and whole-program classes run on the kernels this host
+has (the compiled NTT, KMU and BConv where there is a C compiler);
+their ``...Ufunc`` subclasses rerun them under ``no_native``, the host
+without one, where the two modes are two engines and KeyMult and
+BConv run their numpy fallbacks.
 """
 
 import hashlib
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import obs
-from repro.backend.arena import WorkspaceArena, ledger_counters
+from repro.backend.arena import WorkspaceArena
 from repro.ckks import modmath, primes, rns
 from repro.ckks.context import CkksContext
 from repro.ckks.keys import HYBRID, KLSS, KeySwitchKey
@@ -144,7 +145,7 @@ class TestModeSelection:
                            WorkspaceArena("ntt"),
                            per_row=False, float_quotient=True)
 
-    def test_batch_plan_splits_rows_by_mode(self, ufunc_ntt):
+    def test_batch_plan_splits_rows_by_mode(self, no_native):
         # the ufunc engine's layout; the compiled kernel has one mode
         n = 64
         moduli = (_prime(60, n), _prime(36, n), _prime(62, n),
@@ -230,7 +231,7 @@ class TestMixedModeNtt:
             np.testing.assert_array_equal(got, get_plan(n, q).inverse(x))
 
 
-@pytest.mark.usefixtures("ufunc_ntt")
+@pytest.mark.usefixtures("no_native")
 class TestMixedModeNttUfunc(TestMixedModeNtt):
     # one executor per @given function (hypothesis), hence declared
     # again; the fixture only swaps the butterfly for every example
@@ -255,12 +256,8 @@ def _synthetic_key(moduli, digits: int, n: int, seed: int):
 
 
 class TestFloatKeyMultTier:
-    def test_tier_boundaries(self):
-        q36, q44, q46, q47 = (_prime(b) for b in (36, 44, 46, 47))
-        assert hy._kmu_tier((q36, q44), 7) == "float"
-        assert hy._kmu_tier((q46,), 4) == "float"     # 2 q d <= 2^49
-        assert hy._kmu_tier((q46,), 5) == "hilo"
-        assert hy._kmu_tier((q36, q47), 2) == "hilo"  # one wide limb
+    """KeyMult on 36/44/46-bit moduli, where a float-quotient tier ran
+    until the compiled KMU replaced it."""
 
     @pytest.mark.parametrize("digits", (1, 2, 7))
     def test_matches_the_reference_loop(self, digits):
@@ -271,7 +268,6 @@ class TestFloatKeyMultTier:
             for limb, q in zip(poly.limbs, moduli):
                 limb[:8] = q - 1
         plan = hy.get_key_mult_plan(key)
-        assert plan.tier == "float"
         got = plan.accumulate(plan.stack(decomposed))
         want = hy.key_mult_accumulate_reference(decomposed, key)
         for g, w in zip(got, want):
@@ -289,24 +285,8 @@ class TestFloatKeyMultTier:
         for poly in decomposed:
             poly.limbs[0][:] = q - 1
         plan = hy.get_key_mult_plan(key)
-        assert plan.tier == "float"
         got0, _ = plan.accumulate(plan.stack(decomposed))
         assert got0.limbs[0].tolist() == [4 * (q - 1) ** 2 % q] * n
-
-    def test_warmed_tier_allocates_only_its_output(self):
-        n = 64
-        moduli = tuple(primes.ntt_primes(3, 36, n))
-        key, decomposed = _synthetic_key(moduli, 2, n, 9)
-        obs.configure(enabled=True, reset=True)
-        try:
-            plan = hy.get_key_mult_plan(key)
-            plan.accumulate(plan.stack(decomposed))      # warmup: misses
-            warm = ledger_counters().get("kernel.alloc.kmu", 0)
-            assert warm == 4           # the digit stack + 3 scratch blocks
-            plan.accumulate(plan.stack(decomposed))
-            assert ledger_counters().get("kernel.alloc.kmu", 0) == warm
-        finally:
-            obs.configure(enabled=False, reset=True)
 
 
 # -- whole programs ------------------------------------------------------------
@@ -400,10 +380,17 @@ class TestHelrStep:
         assert counters["ntt.path.wide36"] == 203
         assert counters["ntt.path.wide60"] == 18
         assert counters["ntt.path.wide"] == 221
-        assert counters["keyswitch.kmu.tier.float"] == 2    # HMult, HRot
-        assert counters["keyswitch.kmu.tier.hilo"] == 1     # KLSS
-        assert "keyswitch.kmu.tier.u64" not in counters
-        # every one of them on one butterfly: the compiled kernel
+        # KeyMult of HMult, KLSS and HRot and the step's ten
+        # conversions, each on the compiled kernel where this host has
+        # it and on the numpy fallback otherwise
+        path = "native" if self.native_rows(1) else "numpy"
+        assert counters["keyswitch.kmu." + path] == 3
+        assert counters["rns.bconv." + path] == 10
+        assert not {name for name in counters
+                    if name.startswith(("keyswitch.kmu.", "rns.bconv."))
+                    and name.endswith(("native", "numpy"))
+                    and not name.endswith(path)}
+        # every limb transform on one butterfly: the compiled kernel
         # where this host has it, the ufunc engine's arena otherwise
         assert counters.get("ntt.kernel.native", 0) == self.native_rows(221)
 
@@ -419,7 +406,7 @@ class TestHelrStep:
         assert not obs.get_tracer().metrics.counters()
 
 
-@pytest.mark.usefixtures("ufunc_ntt")
+@pytest.mark.usefixtures("no_native")
 class TestHelrStepUfunc(TestHelrStep):
     """The same digests and counters on the host without a compiler."""
 
@@ -487,6 +474,6 @@ class TestHoistedBsgs:
         assert got == HOISTED_BSGS_DIGESTS[seed]
 
 
-@pytest.mark.usefixtures("ufunc_ntt")
+@pytest.mark.usefixtures("no_native")
 class TestHoistedBsgsUfunc(TestHoistedBsgs):
     """The same digests on the host without a compiler."""

@@ -90,7 +90,7 @@ class TestKernelVsReference:
                                   key.aux_count, q_count)
 
 
-@pytest.mark.usefixtures("ufunc_ntt")
+@pytest.mark.usefixtures("no_native")
 class TestKernelVsReferenceUfunc(TestKernelVsReference):
     """The same kernel with the ufunc engine under every batch NTT
     (tests/conftest.py): the host without a C compiler."""
@@ -156,7 +156,7 @@ class TestMultiplyRescale:
         assert counters.get("keyswitch.moddown.fused_rescale_drop") == 1
 
 
-@pytest.mark.usefixtures("ufunc_ntt")
+@pytest.mark.usefixtures("no_native")
 class TestMultiplyRescaleUfunc(TestMultiplyRescale):
     pass
 

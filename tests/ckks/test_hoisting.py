@@ -91,7 +91,7 @@ class TestBitExactness:
         assert hoisted_rotations(ct, [], {}, ctx.params.alpha) == []
 
 
-@pytest.mark.usefixtures("ufunc_ntt")
+@pytest.mark.usefixtures("no_native")
 class TestBitExactnessUfunc(TestBitExactness):
     """The same pipelines with the ufunc engine under every batch NTT
     (tests/conftest.py): the host without a C compiler."""
@@ -156,7 +156,7 @@ class TestModDownBatch:
             mod_down_batch([(acc0, acc1), (other, other)], key.aux_count)
 
 
-@pytest.mark.usefixtures("ufunc_ntt")
+@pytest.mark.usefixtures("no_native")
 class TestModDownBatchUfunc(TestModDownBatch):
     pass
 

@@ -1,12 +1,17 @@
-"""KeyMultPlan: the fused lazy-reduction KeyMult vs its reference loop."""
+"""KeyMultPlan: the compiled KMU (and the numpy fallback a host without
+it runs) against the per-digit reference loop."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.ckks import CkksContext, rns, set_ii_mini, toy_params
-from repro.ckks.keys import HYBRID, KLSS
-from repro.ckks.keyswitch.hybrid import (KeyMultPlan, _kmu_tier,
+from repro.backend import native
+from repro.ckks import (CkksContext, modmath, primes, rns, set_ii_mini,
+                        toy_params)
+from repro.ckks.keys import HYBRID, KLSS, KeySwitchKey
+from repro.ckks.keyswitch.hybrid import (KeyMultPlan,
                                          get_key_mult_plan,
                                          hybrid_decompose,
                                          key_mult_accumulate,
@@ -40,40 +45,66 @@ def _assert_poly_equal(a, b):
                                       np.asarray(y, dtype=object))
 
 
+def _key_at_ceiling(moduli, digits: int, n: int = 16):
+    """A key and digits whose every word is ``q - 1``: each product
+    is the largest a basis allows, so the sum meets its budget first."""
+    def poly():
+        return rns.RnsPoly([[q - 1] * n for q in moduli], moduli, rns.EVAL)
+    key = KeySwitchKey(HYBRID, tuple((poly(), poly())
+                                     for _ in range(digits)),
+                       tuple(moduli), aux_count=1)
+    return key, [poly() for _ in range(digits)]
+
+
+def _assert_matches_reference(key, digits):
+    plan = get_key_mult_plan(key)
+    assert plan is not None
+    got = plan.accumulate(plan.stack(digits))
+    for g, w in zip(got, key_mult_accumulate_reference(digits, key)):
+        _assert_poly_equal(g, w)
+
+
 class TestTierSelection:
+    """One uint64 path replaced the u64 / float / hilo tiers: every
+    basis below 2^62 gets a plan, and its sums ride a 128-bit word."""
+
     def test_narrow_moduli_take_u64(self):
-        # 28-bit moduli, 4 digits: 2*28 + 2 = 58 <= 64
-        assert _kmu_tier((268369921, 268238849), 4) == "u64"
+        moduli = (268369921, 268238849)          # 28-bit: sums fit 64 bits
+        _assert_matches_reference(*_key_at_ceiling(moduli, 4))
 
     def test_wide_moduli_take_hilo(self):
-        # 60-bit moduli: 2*60 + ceil(log2 d) > 64 but <= 126
-        q = (1 << 60) - 93
-        assert _kmu_tier((q,), 4) == "hilo"
-
-    def test_float_quotient_moduli_take_float(self):
-        # 36/44-bit moduli: past the u64 budget, below 2^46
-        assert _kmu_tier(((1 << 36) - 5, (1 << 44) - 17), 3) == "float"
+        # 60-bit: every product carries into the sum's high word
+        moduli = tuple(primes.ntt_primes(2, 60, 16))
+        _assert_matches_reference(*_key_at_ceiling(moduli, 4))
 
     def test_digit_count_enters_budget(self):
-        # 31-bit: 62 + ceil(log2 d) crosses 64 at d = 5, into the
-        # float-quotient tier (any modulus below 2^46 lands there)
-        q = (1 << 31) - 1
-        assert _kmu_tier((q,), 4) == "u64"
-        assert _kmu_tier((q,), 5) == "float"
-        # 46-bit: 2 q d crosses 2^49 at d = 5, into hilo
-        q = (1 << 46) - 21
-        assert _kmu_tier((q,), 4) == "float"
-        assert _kmu_tier((q,), 5) == "hilo"
+        # 62-bit: (q-1)^2 is just under 2^124, so a sum below q takes
+        # budget more products under 2^128; one past it, the kernel
+        # folds the sum back below q first
+        q = primes.ntt_primes(1, 62, 16)[0]
+        budget = ((1 << 128) - q) // (q - 1) ** 2
+        assert budget == 16
+        for digits in (budget, budget + 1, 2 * budget + 1):
+            _assert_matches_reference(*_key_at_ceiling((q,), digits))
+
+    def test_beyond_62_bits_takes_the_reference_loop(self):
+        moduli = tuple(primes.ntt_primes(1, 66, 16))
+        key, digits = _key_at_ceiling(moduli, 2)
+        assert modmath.block_dtype(moduli) is object
+        assert get_key_mult_plan(key) is None
+        got = key_mult_accumulate(digits, key)
+        for g, w in zip(got, key_mult_accumulate_reference(digits, key)):
+            _assert_poly_equal(g, w)
 
 
 class TestBitExactness:
     def test_hybrid_set_ii_mini_shapes(self, mini_ctx):
-        """float tier at the paper's real word length (36-bit primes)."""
+        """At the paper's real word length (36/44-bit primes)."""
         ctx = mini_ctx
         level = ctx.params.max_level
         key = ctx.evaluation_key(HYBRID, level, "mult")
         plan = get_key_mult_plan(key)
-        assert plan is not None and plan.tier == "float"
+        assert plan is not None
         digits = hybrid_decompose(_random_poly(ctx, level, seed=1),
                                   key, ctx.params.alpha)
         got0, got1 = plan.accumulate(plan.stack(digits))
@@ -82,12 +113,12 @@ class TestBitExactness:
         _assert_poly_equal(got1, ref1)
 
     def test_klss_wide_digits(self, mini_ctx):
-        """hilo carry path at KLSS's 60-bit t-moduli."""
+        """At KLSS's 60-bit t-moduli, sums past 2^64."""
         ctx = mini_ctx
         level = ctx.params.max_level
         key = ctx.evaluation_key(KLSS, level, "mult")
         plan = get_key_mult_plan(key)
-        assert plan is not None and plan.tier == "hilo"
+        assert plan is not None
         digits = klss_decompose(_random_poly(ctx, level, seed=2), key)
         got0, got1 = plan.accumulate(plan.stack(digits))
         ref0, ref1 = key_mult_accumulate_reference(digits, key)
@@ -98,8 +129,7 @@ class TestBitExactness:
         ctx = toy_ctx
         level = 3
         key = ctx.evaluation_key(HYBRID, level, "mult")
-        plan = get_key_mult_plan(key)
-        assert plan is not None and plan.tier == "u64"
+        assert get_key_mult_plan(key) is not None
         digits = hybrid_decompose(_random_poly(ctx, level, seed=3),
                                   key, ctx.params.alpha)
         got0, got1 = key_mult_accumulate(digits, key)
@@ -125,10 +155,53 @@ class TestBitExactness:
         _assert_poly_equal(got1, ref1)
 
 
-@pytest.mark.usefixtures("ufunc_ntt")
+class TestWidthGrid:
+    """The KMU against the reference loop from 26 to 62 bits, random
+    and all-(q-1) words, three digits over a two-prime basis."""
+
+    @pytest.mark.parametrize("bits", (26, 31, 36, 44, 46, 47, 52, 60, 62))
+    def test_matches_the_reference_loop(self, bits):
+        moduli = tuple(primes.ntt_primes(2, bits, 16))
+        rng = np.random.default_rng(bits)
+
+        def poly():
+            return rns.RnsPoly(modmath.uniform_block(16, moduli, rng),
+                               moduli, rns.EVAL)
+        key = KeySwitchKey(HYBRID, tuple((poly(), poly())
+                                         for _ in range(3)),
+                           moduli, aux_count=1)
+        _assert_matches_reference(key, [poly() for _ in range(3)])
+        _assert_matches_reference(*_key_at_ceiling(moduli, 3))
+
+
+def test_warmed_accumulate_allocates_only_its_output(mini_ctx, compiled_ntt):
+    key = mini_ctx.evaluation_key(HYBRID, 3, "mult")
+    plan = get_key_mult_plan(key)
+    digits = hybrid_decompose(_random_poly(mini_ctx, 3, seed=8), key,
+                              mini_ctx.params.alpha)
+    stacked = plan.stack(digits)
+    assert stacked is digits[0].data.base      # ModUp's block, no copy
+    plan.accumulate(stacked)                               # warmup
+    tracemalloc.start()
+    try:
+        plan.accumulate(stacked)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = 2 * len(key.moduli) * key.parts[0][0].n * 8
+    assert out_bytes <= peak < out_bytes + 16384
+
+
+@pytest.mark.usefixtures("no_native")
+class TestWidthGridUfunc(TestWidthGrid):
+    """The same grid through the numpy fallback."""
+
+
+@pytest.mark.usefixtures("no_native")
 class TestBitExactnessUfunc(TestBitExactness):
-    """The same tiers with the ufunc engine under the decompositions'
-    batch NTTs (tests/conftest.py): the host without a C compiler."""
+    """The same cases on the host without a C compiler
+    (tests/conftest.py): the ufunc engine under the decompositions'
+    batch NTTs and the reference loop under every plan."""
 
 
 class TestDigitCountValidation:
@@ -169,7 +242,6 @@ class TestKeyStorage:
             assert np.shares_memory(b_j.data, key.weights[0, j])
             assert np.shares_memory(a_j.data, key.weights[1, j])
         plan = get_key_mult_plan(key)
-        assert plan.tier == ("float" if method == HYBRID else "hilo")
         assert np.shares_memory(plan._w, key.weights)
         # no table of the plan's holds key-sized bytes of its own
         key_bytes = key.weights.nbytes
@@ -208,7 +280,8 @@ class TestPlanCaching:
             key_mult_accumulate(digits, key)
             counters = obs.snapshot(obs.get_tracer())["counters"]
             assert counters["keyswitch.kmu.fused"] == 1
-            assert counters["keyswitch.kmu.tier.u64"] == 1
+            path = "native" if native.load() is not None else "numpy"
+            assert counters["keyswitch.kmu." + path] == 1
             assert "keyswitch.kmu.object_fallback" not in counters
         finally:
             obs.configure(enabled=False, reset=True)

@@ -13,7 +13,7 @@ schoolbook -> reference -> engine.  Allocation is asserted by the
 ``kernel.alloc.ntt`` obs ledger of the engine's arena.
 
 Batch-plan classes run on the butterfly this host has; their
-``...Ufunc`` subclasses rerun them under the ``ufunc_ntt`` fixture (the
+``...Ufunc`` subclasses rerun them under the ``no_native`` fixture (the
 host without a compiler), and ``TestCompiledKernel`` is skipped where
 no kernel can be built.
 """
@@ -320,7 +320,7 @@ class TestBatchDifferential:
             plan.inverse(limbs, out=make(len(moduli)))
 
 
-@pytest.mark.usefixtures("ufunc_ntt")
+@pytest.mark.usefixtures("no_native")
 class TestBatchDifferentialUfunc(TestBatchDifferential):
     """The same on the host without a compiler (``FusedNttEngine``)."""
 
@@ -445,7 +445,7 @@ class TestZeroAllocation:
     """Warmed fused plans take every scratch buffer from their arena.
     The arena is the ufunc engine's; the compiled kernel has none."""
 
-    def test_warmed_batch_plan_allocates_nothing(self, ufunc_ntt):
+    def test_warmed_batch_plan_allocates_nothing(self, no_native):
         moduli = (tuple(primes.ntt_primes(2, 28, N))
                   + tuple(primes.ntt_primes(2, 36, N)))
         plan = get_batch_plan(N, moduli)
@@ -457,7 +457,7 @@ class TestZeroAllocation:
             [engine.arena for _rows, engine in plan._engines])
         assert misses == 0
 
-    def test_warmed_row_batch_allocates_only_the_row_copy(self, ufunc_ntt):
+    def test_warmed_row_batch_allocates_only_the_row_copy(self, no_native):
         from repro.serve.engine import RowBatchNtt
 
         q = _prime(36)
@@ -468,7 +468,7 @@ class TestZeroAllocation:
             [row_ntt._plan._get_engine().arena])
         assert misses == 0
 
-    def test_ledger_counts_misses_then_goes_quiet(self, ufunc_ntt):
+    def test_ledger_counts_misses_then_goes_quiet(self, no_native):
         # the arena is the ufunc engine's; the compiled kernel has none
         moduli = tuple(primes.ntt_primes(3, 36, N))
         limbs = [_limb(q, N, 11 + i) for i, q in enumerate(moduli)]

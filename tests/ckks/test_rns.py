@@ -93,6 +93,39 @@ class TestCrtRoundTrip:
             assert -big_q // 2 < c <= big_q // 2
 
 
+class TestComposeSmall:
+    """Decode's limb-0 shortcut: the CRT value wherever it answers,
+    ``None`` (so decode runs compose_crt) wherever it cannot."""
+
+    @pytest.mark.parametrize("moduli", (MODULI, MODULI[:1],
+                                        tuple(primes.ntt_primes(3, 60, N))))
+    def test_small_values_equal_compose_crt(self, rng, moduli):
+        q0 = moduli[0]
+        poly, coeffs = random_poly(rng, moduli, bound=q0 // 2)
+        coeffs[:2] = [q0 // 2, -(q0 // 2)]              # the edges
+        poly = rns.from_big_ints(coeffs, moduli, N)
+        got = rns.compose_small(poly)
+        assert got.dtype == np.int64
+        assert got.tolist() == coeffs == rns.compose_crt(poly)
+        assert rns.compose_small(poly.to_eval()).tolist() == coeffs
+
+    def test_a_value_past_half_q0_falls_back(self, rng):
+        q0 = MODULI[0]
+        poly, coeffs = random_poly(rng, bound=q0 // 2)
+        for wide in (q0 // 2 + 1, -(q0 // 2) - 1, rns.product(MODULI) // 3):
+            coeffs[5] = wide
+            poly = rns.from_big_ints(coeffs, MODULI, N)
+            assert rns.compose_small(poly) is None
+            assert rns.compose_crt(poly) == coeffs
+
+    def test_decrypt_is_the_same_on_both_paths(self, ctx32, monkeypatch):
+        values = np.linspace(-1, 1, ctx32.params.ring_degree // 2)
+        ct = ctx32.encrypt(values)
+        fast = ctx32.decrypt(ct)
+        monkeypatch.setattr(rns, "compose_small", lambda poly: None)
+        np.testing.assert_array_equal(ctx32.decrypt(ct), fast)
+
+
 class TestArithmeticHomomorphism:
     def test_addition_matches_bigint(self, rng):
         a, ca = random_poly(rng, bound=10**8)

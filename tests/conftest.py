@@ -90,17 +90,19 @@ def slot_vector(num_slots: int, length: int, rng=None, complex_vals=False):
     return np.tile(base, num_slots // length), base
 
 
-# -- the two butterflies under the limb-batch NTT --------------------------
-# Tests run on whatever this host has (the compiled kernel where a C
-# compiler exists).  ``ufunc_ntt`` is the host without one; the
-# ``...Ufunc`` subclasses in tests/ckks rerun the exactness suites
-# under it, so both butterflies are covered on one machine.
+# -- the compiled kernels and their numpy fallbacks -------------------------
+# Tests run on whatever this host has (the compiled NTT, KMU and BConv
+# where a C compiler exists).  ``no_native`` is the host without one;
+# the ``...Ufunc`` subclasses in tests/ckks rerun the exactness suites
+# under it, so both sides are covered on one machine.
 
 @pytest.fixture()
-def ufunc_ntt(monkeypatch):
+def no_native(monkeypatch):
     """The loader finds no kernel: batch plans built inside the test
-    run ``FusedNttEngine``.  Cached batch plans are dropped on both
-    sides, so none built on one butterfly is served to the other."""
+    run ``FusedNttEngine``, and every KeyMult and BConv call takes its
+    numpy fallback (they ask the loader per call).  Cached batch plans
+    are dropped on both sides, so none built on one butterfly is
+    served to the other."""
     from repro.backend import native
     from repro.ckks.ntt import clear_batch_plan_cache
 
